@@ -1,5 +1,5 @@
 // Ablation — PaxKV serving frontend: cross-shard epoch group commit vs
-// per-shard independent commit, event-loop scaling, and DES calibration.
+// per-shard independent commit, and DES calibration.
 //
 // PR "PaxKV": the serving layer batches durability. In independent mode
 // every shard worker commits its own shard after each drained batch — at N
@@ -9,18 +9,14 @@
 // pipeline), so concurrent writes across all shards share a single
 // log-flush round and durable acks release together.
 //
-// PR "data-plane scale-out" adds two more axes:
-//   * loop scaling — the same group-commit config at 1 vs N SO_REUSEPORT
-//     event loops, under both the epoll and (when the kernel supports it)
-//     io_uring backends; every row carries "backend"/"loop_threads".
-//   * calibration — pax::model::calibrate() fits the serving DES to the
-//     closed-loop group row (2 conns, depth 16), predicts an *unseen*
-//     closed-loop configuration (4 conns driven by the same 2 client
-//     threads, depth 8), and the predicted-vs-measured p50/p95/p99 +
-//     throughput land in a "calibration" object, gated by
-//     scripts/check_paxkv.py. The open-loop row's prediction is reported
-//     informationally (scheduled-send-time latency on an oversubscribed
-//     runner is dominated by client scheduling noise).
+// Calibration: pax::model::calibrate() fits the serving DES to the
+// closed-loop group row (2 conns, depth 16), predicts an *unseen*
+// closed-loop configuration (4 conns driven by the same 2 client threads,
+// depth 8), and the predicted-vs-measured p50/p95/p99 + throughput land in
+// a "calibration" object, gated by scripts/check_paxkv.py. The open-loop
+// row's prediction is reported informationally (scheduled-send-time
+// latency on an oversubscribed runner is dominated by client scheduling
+// noise).
 //
 // The harness runs a real KvServer on loopback (the production path, not a
 // mock) and drives it with in-process pipelined clients. Closed-loop rows
@@ -32,8 +28,8 @@
 //
 // Results land in BENCH_paxkv.json (cwd); scripts/check_paxkv.py asserts
 // the acceptance thresholds (group < independent flushes/op at >= 2
-// shards, N-loop throughput within tolerance of 1-loop, calibration error
-// in band, sane percentiles).
+// shards, calibration error in band, sane percentiles). The JSON records
+// host_cpus so a reader can tell a 1-CPU run from a multi-core one.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -65,15 +61,9 @@ constexpr std::size_t kValueBytes = 128;
 constexpr double kGetFrac = 0.3;  // write-heavy: the group-commit regime
 constexpr double kWaveIntervalUs = 200.0;  // KvServerOptions default
 
-const char* backend_label(KvServerOptions::Backend b) {
-  return b == KvServerOptions::Backend::kIoUring ? "io_uring" : "epoll";
-}
-
 struct Row {
   std::string mode;
   std::string loop;
-  std::string backend;
-  std::size_t loop_threads = 1;
   std::size_t shards = 0;
   std::uint64_t ops = 0;
   double elapsed_s = 0;
@@ -235,16 +225,12 @@ ClientResult open_client(std::uint16_t port, double rate_per_client,
 
 Row run_config(std::size_t shards, KvServerOptions::CommitMode mode,
                const char* mode_name, double open_rate,
-               KvServerOptions::Backend backend =
-                   KvServerOptions::Backend::kEpoll,
-               std::size_t loop_threads = 1, std::size_t clients = kClients,
+               std::size_t clients = kClients,
                std::size_t depth = kDepth,
                std::size_t conns_per_thread = 1) {
   KvServerOptions options;
   options.port = 0;
   options.commit_mode = mode;
-  options.backend = backend;
-  options.loop_threads = loop_threads;
   options.store.shards = shards;
   options.store.shard_pool_bytes = 16 << 20;
   auto server = KvServer::start(options);
@@ -291,8 +277,6 @@ Row run_config(std::size_t shards, KvServerOptions::CommitMode mode,
   Row row;
   row.mode = mode_name;
   row.loop = open_loop ? "open" : "closed";
-  row.backend = backend_label(backend);
-  row.loop_threads = loop_threads;
   row.shards = shards;
   row.ops = hist.count();
   row.elapsed_s = elapsed;
@@ -315,11 +299,10 @@ Row run_config(std::size_t shards, KvServerOptions::CommitMode mode,
   server.value()->stop();
 
   std::printf(
-      "%-12s %-6s %-8s loops=%zu shards=%zu ops=%" PRIu64
+      "%-12s %-6s shards=%zu ops=%" PRIu64
       " thru=%.0f/s p50=%.0fus p99=%.0fus flushes/op=%.4f waves=%" PRIu64
       "\n",
-      row.mode.c_str(), row.loop.c_str(), row.backend.c_str(),
-      row.loop_threads, row.shards, row.ops, row.throughput,
+      row.mode.c_str(), row.loop.c_str(), row.shards, row.ops, row.throughput,
       row.p50_ns / 1e3, row.p99_ns / 1e3, row.flushes_per_op, row.waves);
   return row;
 }
@@ -327,18 +310,17 @@ Row run_config(std::size_t shards, KvServerOptions::CommitMode mode,
 void emit_row(std::FILE* out, const Row& r, bool last) {
   std::fprintf(
       out,
-      "    {\"mode\": \"%s\", \"loop\": \"%s\", \"backend\": \"%s\", "
-      "\"loop_threads\": %zu, \"shards\": %zu, "
+      "    {\"mode\": \"%s\", \"loop\": \"%s\", \"shards\": %zu, "
       "\"ops\": %" PRIu64 ", \"elapsed_s\": %.4f, "
       "\"throughput_ops_s\": %.1f, \"p50_ns\": %" PRIu64
       ", \"p95_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
       ", \"p999_ns\": %" PRIu64 ", \"read_floor_ns\": %" PRIu64
       ", \"log_flushes\": %" PRIu64 ", \"acked_write_ops\": %" PRIu64
       ", \"flushes_per_op\": %.6f, \"waves\": %" PRIu64 "}%s\n",
-      r.mode.c_str(), r.loop.c_str(), r.backend.c_str(), r.loop_threads,
-      r.shards, r.ops, r.elapsed_s, r.throughput, r.p50_ns, r.p95_ns,
-      r.p99_ns, r.p999_ns, r.read_floor_ns, r.log_flushes, r.acked_writes,
-      r.flushes_per_op, r.waves, last ? "" : ",");
+      r.mode.c_str(), r.loop.c_str(), r.shards, r.ops, r.elapsed_s,
+      r.throughput, r.p50_ns, r.p95_ns, r.p99_ns, r.p999_ns, r.read_floor_ns,
+      r.log_flushes, r.acked_writes, r.flushes_per_op, r.waves,
+      last ? "" : ",");
 }
 
 }  // namespace
@@ -367,24 +349,6 @@ int main() {
   const Row open_row = rows.back();
   const double open_rate = group4_throughput / 2;
 
-  // Loop scaling: the same group config at 1 vs 2 event loops, per
-  // available backend. (On a single-core runner 2 loops mostly measures
-  // that the multi-loop plumbing costs nothing; the guard uses a
-  // tolerance, not a strict >=.)
-  std::vector<KvServerOptions::Backend> backends = {
-      KvServerOptions::Backend::kEpoll};
-  if (KvServer::io_uring_supported()) {
-    backends.push_back(KvServerOptions::Backend::kIoUring);
-  } else {
-    std::printf("io_uring unsupported here: epoll-only loop scaling\n");
-  }
-  for (const auto backend : backends) {
-    for (const std::size_t loops : {std::size_t{1}, std::size_t{2}}) {
-      rows.push_back(run_config(2, KvServerOptions::CommitMode::kGroup,
-                                "group", 0, backend, loops));
-    }
-  }
-
   // Calibration: fit the serving DES to the closed-loop 4-shard group row
   // (2 connections, depth 16), then predict an *unseen* closed-loop
   // configuration — 4 connections (2 threads x 2 conns each) at depth 8 —
@@ -398,12 +362,11 @@ int main() {
   // should not) absorb.
   const pax::model::ServingMeasurement fit_m = fit_row.measurement(0);
   const pax::model::ServingParams fitted =
-      pax::model::calibrate(fit_m, /*loops=*/1, kWaveIntervalUs);
+      pax::model::calibrate(fit_m, kWaveIntervalUs);
 
   const Row unseen_row =
       run_config(4, KvServerOptions::CommitMode::kGroup, "group", 0,
-                 KvServerOptions::Backend::kEpoll, 1, /*clients=*/2,
-                 /*depth=*/8, /*conns_per_thread=*/2);
+                 /*clients=*/2, /*depth=*/8, /*conns_per_thread=*/2);
   const pax::model::ServingMeasurement unseen_m = unseen_row.measurement(0);
   const pax::model::ServingPrediction pred =
       pax::model::simulate_serving(fitted, unseen_m.workload);
@@ -435,8 +398,8 @@ int main() {
                kDepth);
   std::fprintf(out, "  \"value_bytes\": %zu,\n  \"get_frac\": %.2f,\n",
                kValueBytes, kGetFrac);
-  std::fprintf(out, "  \"io_uring_supported\": %s,\n",
-               KvServer::io_uring_supported() ? "true" : "false");
+  std::fprintf(out, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     emit_row(out, rows[i], i + 1 == rows.size());
@@ -449,7 +412,7 @@ int main() {
       "\"connections\": %zu, \"depth\": %zu, \"write_frac\": %.2f, "
       "\"throughput_ops_s\": %.1f, \"p50_us\": %.2f, \"p95_us\": %.2f, "
       "\"p99_us\": %.2f, \"read_floor_us\": %.2f},\n"
-      "    \"fitted\": {\"loops\": %zu, \"service_us\": %.3f, "
+      "    \"fitted\": {\"service_us\": %.3f, "
       "\"base_rtt_us\": %.3f, \"wave_interval_us\": %.1f},\n"
       "    \"unseen\": {\"mode\": \"closed\", \"connections\": %zu, "
       "\"depth\": %zu},\n"
@@ -466,8 +429,8 @@ int main() {
       "  }\n",
       fit_row.shards, fit_m.workload.connections, fit_m.workload.depth,
       fit_m.workload.write_frac, fit_m.throughput_ops_s, fit_m.p50_us,
-      fit_m.p95_us, fit_m.p99_us, fit_m.read_floor_us, fitted.loops,
-      fitted.service_us, fitted.base_rtt_us, fitted.wave_interval_us,
+      fit_m.p95_us, fit_m.p99_us, fit_m.read_floor_us, fitted.service_us,
+      fitted.base_rtt_us, fitted.wave_interval_us,
       unseen_m.workload.connections, unseen_m.workload.depth,
       pred.throughput_ops_s, pred.p50_us, pred.p95_us, pred.p99_us,
       unseen_m.throughput_ops_s, unseen_m.p50_us, unseen_m.p95_us,

@@ -3,8 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <pthread.h>
-#include <sched.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,17 +14,21 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "pax/common/check.hpp"
 #include "pax/common/log.hpp"
-#include "pax/kv/event_backend.hpp"
 
 namespace pax::kv {
 
 namespace {
 
 constexpr std::size_t kRecvBufBytes = 16 << 10;
+constexpr std::uint64_t kListenerKey = 0;
+constexpr std::uint64_t kWakeKey = 1;
+constexpr std::uint32_t kReadMask = EPOLLIN | EPOLLRDHUP;
+constexpr std::uint32_t kWriteMask = EPOLLOUT;
 
 const char* commit_mode_name(KvServerOptions::CommitMode mode) {
   switch (mode) {
@@ -48,40 +51,28 @@ void appendf(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
 }
 
-void pin_thread_to(unsigned cpu) {
-  const long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % static_cast<unsigned>(ncpu), &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+bool epoll_set(int epoll_fd, int op, int fd, std::uint32_t mask,
+               std::uint64_t key) {
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.u64 = key;
+  return epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
-std::unique_ptr<EventBackend> make_backend(KvServerOptions::Backend kind) {
-  switch (kind) {
-    case KvServerOptions::Backend::kEpoll:
-      return make_epoll_backend();
-    case KvServerOptions::Backend::kIoUring:
-      return make_io_uring_backend();
-  }
-  return nullptr;
-}
+bool would_block(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
 }  // namespace
-
-bool KvServer::io_uring_supported() { return io_uring_available(); }
 
 Result<std::unique_ptr<KvServer>> KvServer::start(
     const KvServerOptions& options) {
   auto server = std::unique_ptr<KvServer>(new KvServer());
   server->options_ = options;
-  if (server->options_.loop_threads == 0) server->options_.loop_threads = 1;
 
   auto store = KvStore::create_in_memory(options.store);
   if (!store.ok()) return store.status();
   server->store_ = std::move(store).value();
 
-  PAX_RETURN_IF_ERROR(server->setup_listeners(server->options_));
+  PAX_RETURN_IF_ERROR(server->setup_loop(options));
 
   const std::size_t shards = server->store_->shard_count();
   server->workers_.reserve(shards);
@@ -96,69 +87,48 @@ Result<std::unique_ptr<KvServer>> KvServer::start(
     server->co_thread_ =
         std::thread([srv = server.get()] { srv->coordinator_loop(); });
   }
-  for (auto& loop : server->loops_) {
-    loop->thread = std::thread(
-        [srv = server.get(), lp = loop.get()] { srv->event_loop(*lp); });
-  }
+  server->loop_thread_ =
+      std::thread([srv = server.get()] { srv->event_loop(); });
 
-  PAX_LOG_INFO("paxkv serving on %s:%u (%zu shards, %s commit, %zu %s loops)",
+  PAX_LOG_INFO("paxkv serving on %s:%u (%zu shards, %s commit)",
                options.bind_address.c_str(), server->port_, shards,
-               commit_mode_name(options.commit_mode), server->loops_.size(),
-               server->loops_[0]->backend->name());
+               commit_mode_name(options.commit_mode));
   return server;
 }
 
-Status KvServer::setup_listeners(const KvServerOptions& options) {
+Status KvServer::setup_loop(const KvServerOptions& options) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
+  addr.sin_port = htons(options.port);
   if (inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) != 1) {
     return invalid_argument("bad bind address: " + options.bind_address);
   }
 
-  loops_.reserve(options.loop_threads);
-  for (std::size_t i = 0; i < options.loop_threads; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->index = i;
-
-    loop->listen_fd =
-        socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (loop->listen_fd < 0) return io_error("socket failed");
-    const int one = 1;
-    setsockopt(loop->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    // SO_REUSEPORT on every listener: the kernel hashes incoming
-    // connections across the loops' accept queues.
-    setsockopt(loop->listen_fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-
-    // Loop 0 may bind port 0 (ephemeral); the rest bind the resolved port.
-    addr.sin_port = htons(i == 0 ? options.port : port_);
-    if (bind(loop->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-      return io_error(std::string("bind failed: ") + std::strerror(errno));
-    }
-    if (listen(loop->listen_fd, 128) < 0) return io_error("listen failed");
-    if (i == 0) {
-      sockaddr_in bound{};
-      socklen_t len = sizeof(bound);
-      if (getsockname(loop->listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                      &len) < 0) {
-        return io_error("getsockname failed");
-      }
-      port_ = ntohs(bound.sin_port);
-    }
-
-    loop->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->wake_fd < 0) return io_error("eventfd failed");
-
-    loop->backend = make_backend(options.backend);
-    if (loop->backend == nullptr) {
-      return failed_precondition(
-          "io_uring backend unavailable (build without PAX_WITH_LIBURING "
-          "or kernel lacks required ops)");
-    }
-    PAX_RETURN_IF_ERROR(loop->backend->init(loop->listen_fd, loop->wake_fd));
-    backend_name_ = loop->backend->name();
-    loops_.push_back(std::move(loop));
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) return io_error("socket failed");
+  const int one = 1;
+  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    return io_error(std::string("bind failed: ") + std::strerror(errno));
   }
+  if (listen(listen_fd_, 128) < 0) return io_error("listen failed");
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
+    return io_error("getsockname failed");
+  }
+  port_ = ntohs(bound.sin_port);
+
+  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return io_error("eventfd failed");
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return io_error("epoll_create1 failed");
+  if (!epoll_set(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN,
+                 kListenerKey) ||
+      !epoll_set(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN, kWakeKey)) {
+    return io_error("epoll_ctl(listener/wake) failed");
+  }
+  rbuf_.resize(kRecvBufBytes);
   return Status::ok();
 }
 
@@ -189,149 +159,131 @@ void KvServer::stop() {
     co_thread_.join();
   }
   stop_.store(true, std::memory_order_release);
-  for (auto& loop : loops_) wake_loop(*loop);
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
+  if (loop_thread_.joinable()) {
+    wake_loop();
+    loop_thread_.join();
   }
-  for (auto& loop : loops_) shutdown_loop(*loop);
-  loops_.clear();
+  // The loop thread has exited (or never started: a failed start() ends
+  // here too); single-threaded now.
+  for (auto& [id, conn] : conns_) ::close(conn->fd);
+  conns_.clear();
+  for (int* fd : {&epoll_fd_, &wake_fd_, &listen_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
-void KvServer::shutdown_loop(EventLoop& loop) {
-  // Close every live connection through the backend so in-kernel I/O
-  // (io_uring SQEs holding pointers into conn buffers) quiesces before the
-  // Conns are destroyed. The loop thread has exited; single-threaded now.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(loop.conns.size());
-  for (auto& [id, conn] : loop.conns) ids.push_back(id);
-  for (const std::uint64_t id : ids) {
-    auto it = loop.conns.find(id);
-    if (it == loop.conns.end()) continue;
-    std::unique_ptr<Conn> conn = std::move(it->second);
-    loop.conns.erase(it);
-    if (!loop.backend->remove_conn(id, conn->fd)) {
-      loop.dying.emplace(id, std::move(conn));
-    }
-  }
-  std::array<BackendEvent, 64> events;
-  for (int spin = 0; !loop.dying.empty() && spin < 200; ++spin) {
-    const std::size_t n = loop.backend->wait(events, /*timeout_ms=*/10);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (events[i].kind == BackendEvent::Kind::kClosed) {
-        loop.dying.erase(events[i].conn_id);
-      }
-    }
-  }
-  if (!loop.dying.empty()) {
-    PAX_LOG_ERROR("loop %zu: %zu connections failed to quiesce",
-                  loop.index, loop.dying.size());
-    for (auto& [id, conn] : loop.dying) conn.release();  // leak, don't UAF
-    loop.dying.clear();
-  }
-  loop.backend.reset();
-  if (loop.wake_fd >= 0) ::close(loop.wake_fd);
-  if (loop.listen_fd >= 0) ::close(loop.listen_fd);
-  loop.wake_fd = loop.listen_fd = -1;
-}
-
-void KvServer::wake_loop(EventLoop& loop) {
+void KvServer::wake_loop() {
   const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void KvServer::event_loop(EventLoop& loop) {
-  if (options_.pin_loops) {
-    pin_thread_to(static_cast<unsigned>(loop.index));
-  }
-  std::array<BackendEvent, 64> events;
+void KvServer::event_loop() {
+  std::array<epoll_event, 64> events;
   while (!stop_.load(std::memory_order_acquire)) {
-    const std::size_t n = loop.backend->wait(events, /*timeout_ms=*/100);
-    for (std::size_t i = 0; i < n; ++i) {
-      const BackendEvent& ev = events[i];
-      switch (ev.kind) {
-        case BackendEvent::Kind::kAccepted:
-          on_accepted(loop, ev.fd);
-          break;
-        case BackendEvent::Kind::kRecv:
-          on_recv(loop, ev.conn_id, ev.result);
-          break;
-        case BackendEvent::Kind::kSend:
-          on_send(loop, ev.conn_id, ev.result);
-          break;
-        case BackendEvent::Kind::kWake:
-          drain_completions(loop);
-          break;
-        case BackendEvent::Kind::kHangup:
-          close_conn(loop, ev.conn_id);
-          break;
-        case BackendEvent::Kind::kClosed:
-          loop.dying.erase(ev.conn_id);
-          loop.backend->resume_accepts();
-          break;
-        case BackendEvent::Kind::kAcceptPaused:
-          // close_conn → resume_accepts() re-arms once an fd frees up.
-          break;
+    const int n = epoll_wait(epoll_fd_, events.data(),
+                             static_cast<int>(events.size()), 100);
+    for (int i = 0; i < n; ++i) {
+      const epoll_event& ev = events[static_cast<std::size_t>(i)];
+      const std::uint64_t key = ev.data.u64;
+      if (key == kListenerKey) {
+        accept_ready();
+        continue;
+      }
+      if (key == kWakeKey) {
+        std::uint64_t drained = 0;
+        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
+        }
+        drain_completions();
+        continue;
+      }
+      // An earlier event in this batch may have closed the connection.
+      auto it = conns_.find(key);
+      if (it == conns_.end()) continue;
+      Conn& conn = *it->second;
+      if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0) {
+        close_conn(key);
+        continue;
+      }
+      if ((ev.events & kReadMask) != 0 && !conn.paused_read &&
+          !on_readable(conn)) {
+        continue;
+      }
+      if ((ev.events & kWriteMask) != 0 && conn.send_blocked) {
+        conn.send_blocked = false;
+        try_flush(conn);
       }
     }
   }
 }
 
-void KvServer::on_accepted(EventLoop& loop, int fd) {
+void KvServer::accept_ready() {
+  for (;;) {
+    const int fd =
+        accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      on_accepted(fd);
+      continue;
+    }
+    if (would_block(errno)) return;
+    if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
+      continue;  // per-connection hiccup: keep draining the backlog
+    }
+    // Persistent failure (EMFILE/ENFILE/ENOMEM/...): a level-triggered
+    // listener would spin epoll_wait at 100% CPU. Deregister until
+    // close_conn frees an fd and re-arms it.
+    PAX_LOG_ERROR("accept4: %s; pausing accepts", std::strerror(errno));
+    if (epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr) == 0) {
+      accepts_paused_ = true;
+    }
+    return;
+  }
+}
+
+void KvServer::on_accepted(int fd) {
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
-  conn->id = loop.next_conn_id++;
-  conn->rbuf.resize(kRecvBufBytes);
-  if (!loop.backend->add_conn(conn->id, fd).is_ok()) {
+  conn->id = next_conn_id_++;
+  conn->mask = kReadMask;
+  if (!epoll_set(epoll_fd_, EPOLL_CTL_ADD, fd, conn->mask, conn->id)) {
     ::close(fd);
     return;
   }
-  Conn& ref = *conn;
-  loop.conns.emplace(ref.id, std::move(conn));
+  conns_.emplace(conn->id, std::move(conn));
   conns_accepted_.fetch_add(1, std::memory_order_relaxed);
-  arm_recv(loop, ref);
 }
 
-void KvServer::arm_recv(EventLoop& loop, Conn& conn) {
-  conn.recv_armed = true;
-  loop.backend->arm_recv(conn.id, conn.fd, conn.rbuf.data(),
-                         conn.rbuf.size());
-}
-
-void KvServer::on_recv(EventLoop& loop, std::uint64_t conn_id,
-                       ssize_t result) {
-  auto it = loop.conns.find(conn_id);
-  if (it == loop.conns.end()) return;
-  Conn& conn = *it->second;
-  conn.recv_armed = false;
-  if (result <= 0) {
-    close_conn(loop, conn_id);  // EOF or socket error
-    return;
+bool KvServer::on_readable(Conn& conn) {
+  const ssize_t n = ::recv(conn.fd, rbuf_.data(), rbuf_.size(), 0);
+  if (n < 0 && (would_block(errno) || errno == EINTR)) return true;
+  if (n <= 0) {
+    close_conn(conn.id);  // EOF or socket error
+    return false;
   }
-  bytes_in_.fetch_add(static_cast<std::uint64_t>(result),
+  bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                       std::memory_order_relaxed);
-  conn.parser.feed(conn.rbuf.data(), static_cast<std::size_t>(result));
+  conn.parser.feed(rbuf_.data(), static_cast<std::size_t>(n));
   for (;;) {
     auto req = conn.parser.next_request();
     if (!req.ok()) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      close_conn(loop, conn_id);
-      return;
+      close_conn(conn.id);
+      return false;
     }
     if (!req.value().has_value()) break;
-    if (!handle_request(loop, conn, *req.value())) return;
+    if (!handle_request(conn, *req.value())) return false;
   }
   if (conn.inflight.size() >= options_.max_inflight_per_conn) {
-    conn.paused_read = true;  // resume in try_flush once below the cap
-    return;
+    conn.paused_read = true;  // try_flush resumes once below the cap
+    update_mask(conn);
   }
-  arm_recv(loop, conn);
+  return true;
 }
 
-bool KvServer::handle_request(EventLoop& loop, Conn& conn,
-                              const Request& req) {
+bool KvServer::handle_request(Conn& conn, const Request& req) {
   const std::uint64_t seq = conn.next_seq++;
   conn.inflight.emplace_back();
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -341,12 +293,10 @@ bool KvServer::handle_request(EventLoop& loop, Conn& conn,
     Pending& slot = conn.inflight.back();
     append_response(slot.resp, RespStatus::kOk, stats_json());
     slot.ready = true;
-    try_flush(loop, conn);
-    return true;
+    return try_flush(conn);
   }
 
   Op op;
-  op.loop = static_cast<std::uint32_t>(loop.index);
   op.conn_id = conn.id;
   op.seq = seq;
   op.op = req.op;
@@ -362,79 +312,90 @@ bool KvServer::handle_request(EventLoop& loop, Conn& conn,
   return true;
 }
 
-void KvServer::try_flush(EventLoop& loop, Conn& conn) {
-  // While a send is armed the backend holds a pointer into conn.out — the
-  // buffer must not grow or move. Newly-ready responses wait in their
-  // in-flight slots until the send completes.
-  if (conn.send_armed) return;
+bool KvServer::try_flush(Conn& conn) {
+  // While EPOLLOUT is pending the unsent bytes stay put and newly-ready
+  // responses wait in their in-flight slots: a reader that stalls keeps
+  // the window full, so reads pause and TCP pushes back on the client.
+  if (conn.send_blocked) return true;
 
-  if (conn.out_off == conn.out.size()) {
-    conn.out.clear();
-    conn.out_off = 0;
-    // Move the ready prefix of the in-flight window into the output
-    // buffer — responses leave in request order, whatever order shards
-    // finished in.
-    while (!conn.inflight.empty() && conn.inflight.front().ready) {
-      Pending& front = conn.inflight.front();
-      conn.out.insert(conn.out.end(), front.resp.begin(), front.resp.end());
-      conn.inflight.pop_front();
-      ++conn.base_seq;
+  for (;;) {
+    if (conn.out_off == conn.out.size()) {
+      conn.out.clear();
+      conn.out_off = 0;
+      // Move the ready prefix of the in-flight window into the output
+      // buffer — responses leave in request order, whatever order shards
+      // finished in.
+      while (!conn.inflight.empty() && conn.inflight.front().ready) {
+        Pending& front = conn.inflight.front();
+        conn.out.insert(conn.out.end(), front.resp.begin(), front.resp.end());
+        conn.inflight.pop_front();
+        ++conn.base_seq;
+      }
     }
-  }
 
-  if (conn.paused_read &&
-      conn.inflight.size() < options_.max_inflight_per_conn) {
-    conn.paused_read = false;
-    if (!conn.recv_armed) arm_recv(loop, conn);
-  }
+    if (conn.paused_read &&
+        conn.inflight.size() < options_.max_inflight_per_conn) {
+      conn.paused_read = false;
+    }
+    if (conn.out_off == conn.out.size()) break;  // nothing ready to send
 
-  if (conn.out_off < conn.out.size()) {
-    conn.send_armed = true;
-    loop.backend->arm_send(conn.id, conn.fd, conn.out.data() + conn.out_off,
-                           conn.out.size() - conn.out_off);
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_off,
+                             conn.out.size() - conn.out_off, MSG_NOSIGNAL);
+    if (n < 0 && !would_block(errno) && errno != EINTR) {
+      close_conn(conn.id);
+      return false;
+    }
+    if (n > 0) {
+      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
+                           std::memory_order_relaxed);
+      conn.out_off += static_cast<std::size_t>(n);
+    }
+    // A short send means the socket buffer is full: wait for EPOLLOUT
+    // rather than spend a second send on EAGAIN.
+    if (conn.out_off < conn.out.size()) {
+      conn.send_blocked = true;
+      break;
+    }
+    // The buffer went out whole. Responses that became ready while an
+    // earlier send was parked are next; without a refill here nothing
+    // would send them until some unrelated completion woke the loop.
+  }
+  update_mask(conn);
+  return true;
+}
+
+void KvServer::update_mask(Conn& conn) {
+  const std::uint32_t want = (conn.paused_read ? 0 : kReadMask) |
+                             (conn.send_blocked ? kWriteMask : 0);
+  if (want != conn.mask &&
+      epoll_set(epoll_fd_, EPOLL_CTL_MOD, conn.fd, want, conn.id)) {
+    conn.mask = want;
   }
 }
 
-void KvServer::on_send(EventLoop& loop, std::uint64_t conn_id,
-                       ssize_t result) {
-  auto it = loop.conns.find(conn_id);
-  if (it == loop.conns.end()) return;
-  Conn& conn = *it->second;
-  conn.send_armed = false;
-  if (result < 0) {
-    close_conn(loop, conn_id);
-    return;
-  }
-  bytes_out_.fetch_add(static_cast<std::uint64_t>(result),
-                       std::memory_order_relaxed);
-  conn.out_off += static_cast<std::size_t>(result);
-  try_flush(loop, conn);
-}
-
-void KvServer::close_conn(EventLoop& loop, std::uint64_t conn_id) {
-  auto it = loop.conns.find(conn_id);
-  if (it == loop.conns.end()) return;
-  std::unique_ptr<Conn> conn = std::move(it->second);
-  loop.conns.erase(it);
+void KvServer::close_conn(std::uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  // Closing the fd drops it from the epoll set.
+  ::close(it->second->fd);
+  conns_.erase(it);
   conns_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (!loop.backend->remove_conn(conn_id, conn->fd)) {
-    // In-kernel I/O still references conn's buffers; hold it until the
-    // backend delivers kClosed.
-    loop.dying.emplace(conn_id, std::move(conn));
-    return;
+  // An fd just freed up: re-arm a listener paused by fd exhaustion.
+  if (accepts_paused_ && epoll_set(epoll_fd_, EPOLL_CTL_ADD, listen_fd_,
+                                   EPOLLIN, kListenerKey)) {
+    accepts_paused_ = false;
   }
-  loop.backend->resume_accepts();  // an fd just freed up (no-op otherwise)
 }
 
-void KvServer::drain_completions(EventLoop& loop) {
+void KvServer::drain_completions() {
   std::vector<Completion> batch;
   {
-    std::lock_guard lock(loop.comp_mu);
-    batch.swap(loop.completions);
+    std::lock_guard lock(comp_mu_);
+    batch.swap(completions_);
   }
   for (Completion& c : batch) {
-    auto it = loop.conns.find(c.conn_id);
-    if (it == loop.conns.end()) continue;  // connection died with ops in flight
+    auto it = conns_.find(c.conn_id);
+    if (it == conns_.end()) continue;  // connection died with ops in flight
     Conn& conn = *it->second;
     const std::uint64_t idx = c.seq - conn.base_seq;
     PAX_CHECK_MSG(idx < conn.inflight.size(),
@@ -444,44 +405,33 @@ void KvServer::drain_completions(EventLoop& loop) {
     slot.ready = true;
   }
   // One flush pass per drained connection set (flushing per completion
-  // would re-walk the deque needlessly; ready-prefix flushing is cheap).
-  // try_flush cannot close a connection (errors surface as kSend
-  // completions), but collect ids first anyway to keep iteration simple.
+  // would re-walk the deque needlessly). try_flush may close a connection,
+  // so collect ids first rather than iterate the map it erases from.
   std::vector<std::uint64_t> to_flush;
-  to_flush.reserve(loop.conns.size());
-  for (auto& [id, conn] : loop.conns) {
+  to_flush.reserve(conns_.size());
+  for (auto& [id, conn] : conns_) {
     if (!conn->inflight.empty() && conn->inflight.front().ready) {
       to_flush.push_back(id);
     }
   }
   for (const std::uint64_t id : to_flush) {
-    auto it = loop.conns.find(id);
-    if (it != loop.conns.end()) try_flush(loop, *it->second);
+    auto it = conns_.find(id);
+    if (it != conns_.end()) try_flush(*it->second);
   }
 }
 
 void KvServer::post_completions(std::vector<Completion> batch) {
   if (batch.empty()) return;
-  // Partition by originating loop; one queue append + one wake per loop.
-  for (auto& loop : loops_) {
-    bool any = false;
-    {
-      std::lock_guard lock(loop->comp_mu);
-      for (Completion& c : batch) {
-        if (c.loop == loop->index) {
-          loop->completions.push_back(std::move(c));
-          any = true;
-        }
-      }
-    }
-    if (any) wake_loop(*loop);
+  {
+    std::lock_guard lock(comp_mu_);
+    completions_.insert(completions_.end(),
+                        std::make_move_iterator(batch.begin()),
+                        std::make_move_iterator(batch.end()));
   }
+  wake_loop();
 }
 
 void KvServer::worker_loop(std::size_t shard) {
-  if (options_.pin_loops) {
-    pin_thread_to(static_cast<unsigned>(options_.loop_threads + shard));
-  }
   ShardWorker& worker = *workers_[shard];
   const bool independent =
       options_.commit_mode == KvServerOptions::CommitMode::kIndependent;
@@ -501,10 +451,10 @@ void KvServer::worker_loop(std::size_t shard) {
     lock.unlock();
 
     // execute_op appends to `deferred` only for acked writes in durable
-    // modes; everything else posts to its loop's completion queue inline.
+    // modes; everything else posts to the loop's completion queue inline.
     std::vector<Completion> deferred;
     for (const Op& op : batch) {
-      execute_op(shard, op, group || independent ? &deferred : nullptr);
+      execute_op(op, group || independent ? &deferred : nullptr);
     }
 
     if (!deferred.empty()) {
@@ -533,11 +483,9 @@ void KvServer::worker_loop(std::size_t shard) {
   }
 }
 
-void KvServer::execute_op(std::size_t shard, const Op& op,
+void KvServer::execute_op(const Op& op,
                           std::vector<Completion>* deferred_writes) {
-  (void)shard;
   Completion c;
-  c.loop = op.loop;
   c.conn_id = op.conn_id;
   c.seq = op.seq;
   bool durable_write = false;
@@ -622,8 +570,6 @@ void KvServer::coordinator_loop() {
   }
 }
 
-const char* KvServer::backend_name() const { return backend_name_; }
-
 KvServerStats KvServer::stats() const {
   KvServerStats s;
   s.conns_accepted = conns_accepted_.load(std::memory_order_relaxed);
@@ -651,8 +597,6 @@ std::string KvServer::stats_json() const {
   out += "{\n";
   appendf(out, "  \"commit_mode\": \"%s\",\n",
           commit_mode_name(options_.commit_mode));
-  appendf(out, "  \"backend\": \"%s\",\n", backend_name());
-  appendf(out, "  \"loops\": %zu,\n", options_.loop_threads);
   appendf(out, "  \"shards\": %zu,\n", store_->shard_count());
   appendf(out, "  \"log_flushes_total\": %llu,\n",
           static_cast<unsigned long long>(flushes));

@@ -1,34 +1,30 @@
 // KvServer — the PaxKV network serving frontend.
 //
-// N event-loop threads (loop_threads) each own an SO_REUSEPORT listener,
-// a wake eventfd, and a disjoint set of connections; the kernel spreads
-// incoming connections across the listeners. M shard workers — shared by
-// every loop — own the data plane; an optional commit coordinator owns
+// One event-loop thread owns every socket: a level-triggered epoll set
+// holding the listener, a wake eventfd, and the accepted connections. M
+// shard workers own the data plane; an optional commit coordinator owns
 // durability. The request path:
 //
 //   socket bytes → FrameParser → per-connection in-flight slot (responses
 //   are sent strictly in request order) → the owning shard's dispatch
 //   queue → shard worker executes against KvStore → completion (response
-//   bytes) flows back to the ORIGINATING loop over that loop's MPSC queue
-//   + eventfd wake → ordered prefix of ready responses is flushed to the
-//   socket.
+//   bytes) flows back to the loop over one MPSC queue + eventfd wake →
+//   ordered prefix of ready responses is flushed to the socket.
 //
-// There is no cross-loop connection state: a connection is born, served,
-// and destroyed on one loop, so the hot path takes no lock that another
-// loop contends on (the per-loop completion queue is the only
-// producer/consumer handoff). Each loop drives its sockets through an
-// EventBackend (event_backend.hpp): level-triggered epoll with direct
-// syscalls, or an io_uring submission path that batches every staged
-// recv/send SQE into one submit_and_wait per iteration — selected at
-// runtime via KvServerOptions::backend, byte-identical protocol behavior
-// either way. pin_loops pins loop i to CPU i and shard worker j to CPU
-// loop_threads + j (mod the CPU count), so loops and workers stop
-// migrating on multi-core hosts.
+// The loop makes one recv per EPOLLIN, sends eagerly, and subscribes
+// EPOLLOUT only after a send came up short; a resumed send that goes out
+// whole refills from the responses that became ready meanwhile.
+// epoll_ctl(MOD) runs only when a connection's interest mask actually
+// changes. Connections are keyed by
+// a server-assigned id (the epoll_event payload), never by fd, so an event
+// or completion for a closed connection cannot alias a reused descriptor.
+// One loop is enough: the socket layer runs several times faster than the
+// durable data plane behind it (DESIGN.md, "Data-plane shape").
 //
 // Per-connection pipelining falls out of the in-flight deque: a client may
 // write any number of request frames before reading; the server caps the
-// in-flight window (max_inflight_per_conn) by not re-arming the receive —
-// TCP back-pressure does the rest.
+// in-flight window (max_inflight_per_conn) by dropping EPOLLIN from the
+// connection's mask — TCP back-pressure does the rest.
 //
 // ── Durability: when is a write acknowledged? ─────────────────────────────
 //
@@ -58,11 +54,11 @@
 // on its shard's PM. The crash-consistency contract across shards is the
 // wave cut: tests/kv_group_commit_crash_test.cpp.
 //
-// Threading summary: loop_threads event-loop threads (each owns its Conns
-// exclusively), one thread per shard (owns that shard's ops), coordinator
-// thread (kGroup), all cross-thread traffic via mutex-guarded queues —
-// TSan-clean by construction (tests/kv_server_test.cpp rides in the TSan
-// CI job, including the multi-loop torture case).
+// Threading summary: one event-loop thread (owns every Conn exclusively),
+// one thread per shard (owns that shard's ops), coordinator thread
+// (kGroup), all cross-thread traffic via mutex-guarded queues — TSan-clean
+// by construction (tests/kv_server_test.cpp rides in the TSan CI job,
+// including the concurrent torture case).
 #pragma once
 
 #include <atomic>
@@ -91,20 +87,6 @@ struct KvServerOptions {
   enum class CommitMode { kGroup, kIndependent, kVolatile };
   CommitMode commit_mode = CommitMode::kGroup;
 
-  /// I/O engine per event loop. kIoUring requires both build support
-  /// (PAX_WITH_LIBURING) and a capable kernel — start() fails cleanly
-  /// otherwise; probe with KvServer::io_uring_supported() first.
-  enum class Backend { kEpoll, kIoUring };
-  Backend backend = Backend::kEpoll;
-
-  /// Event-loop threads, each with its own SO_REUSEPORT listener and
-  /// disjoint connection set (clamped to >= 1).
-  std::size_t loop_threads = 1;
-
-  /// Pin loop i → CPU i and shard worker j → CPU loop_threads + j
-  /// (mod CPU count). Off by default: only wins on multi-core hosts.
-  bool pin_loops = false;
-
   /// kGroup cadence: a wave fires when this many write acks are pending…
   std::uint64_t group_max_ops = 256;
   /// …or this long after the first of them arrived, whichever is first.
@@ -128,18 +110,12 @@ struct KvServerStats {
   std::uint64_t bytes_out = 0;
 };
 
-class EventBackend;
-
 class KvServer {
  public:
-  /// Binds, listens, and spawns the event loops, shard workers, and (in
+  /// Binds, listens, and spawns the event loop, shard workers, and (in
   /// kGroup mode) the commit coordinator. Returns with the server live.
   static Result<std::unique_ptr<KvServer>> start(
       const KvServerOptions& options);
-
-  /// True when Backend::kIoUring would work here: the build has io_uring
-  /// support and the running kernel provides the required ops.
-  static bool io_uring_supported();
 
   /// stop() + join everything.
   ~KvServer();
@@ -147,14 +123,8 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  /// The bound TCP port (useful with port = 0). All listeners share it.
+  /// The bound TCP port (useful with port = 0).
   std::uint16_t port() const { return port_; }
-
-  /// Number of event-loop threads actually running.
-  std::size_t loop_count() const { return loops_.size(); }
-
-  /// "epoll" or "io_uring".
-  const char* backend_name() const;
 
   /// Graceful shutdown: stops accepting, joins all threads, closes every
   /// connection. Idempotent. Parked write acks are completed (their wave
@@ -164,16 +134,15 @@ class KvServer {
   KvStore& store() { return *store_; }
   KvServerStats stats() const;
 
-  /// The STATS payload: server counters plus serving-plane shape (backend,
-  /// loops) plus, per shard, the runtime's RuntimeStats/SyncStats
-  /// (including the SyncTuner's current knob decisions), PipelineStats,
-  /// device log-flush counters, and the group-commit wave stats — the
-  /// observability surface for adaptive tuning under live traffic.
+  /// The STATS payload: server counters plus, per shard, the runtime's
+  /// RuntimeStats/SyncStats (including the SyncTuner's current knob
+  /// decisions), PipelineStats, device log-flush counters, and the
+  /// group-commit wave stats — the observability surface for adaptive
+  /// tuning under live traffic.
   std::string stats_json() const;
 
  private:
   struct Op {
-    std::uint32_t loop = 0;  // originating event loop (completion routing)
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     OpCode op = OpCode::kGet;
@@ -182,7 +151,6 @@ class KvServer {
   };
 
   struct Completion {
-    std::uint32_t loop = 0;
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     std::vector<std::byte> resp;
@@ -193,6 +161,7 @@ class KvServer {
     std::vector<std::byte> resp;
   };
 
+  // Owned exclusively by the event-loop thread.
   struct Conn {
     int fd = -1;
     std::uint64_t id = 0;
@@ -200,33 +169,11 @@ class KvServer {
     std::uint64_t next_seq = 0;  // seq of the next request parsed
     std::uint64_t base_seq = 0;  // seq of inflight.front()
     std::deque<Pending> inflight;
-    std::vector<std::byte> rbuf;  // receive buffer (stable: backends keep
-                                  // a pointer into it while a recv is armed)
-    std::vector<std::byte> out;   // ordered response bytes being sent
+    std::vector<std::byte> out;  // ordered response bytes being sent
     std::size_t out_off = 0;
-    bool recv_armed = false;
-    bool send_armed = false;
-    bool paused_read = false;  // in-flight cap reached: recv not re-armed
-  };
-
-  // One per event-loop thread. Everything here except comp_mu/completions
-  // is owned exclusively by that thread (no locks on the socket hot path).
-  struct EventLoop {
-    std::size_t index = 0;
-    int listen_fd = -1;  // this loop's SO_REUSEPORT listener
-    int wake_fd = -1;
-    std::unique_ptr<EventBackend> backend;
-    std::thread thread;
-
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-    // Closed conns with in-kernel I/O still draining (io_uring): buffers
-    // must stay alive until the backend delivers kClosed.
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> dying;
-    std::uint64_t next_conn_id = 2;  // 0/1 reserved (listener, wake)
-
-    // This loop's MPSC completion queue: workers/coordinator → loop.
-    std::mutex comp_mu;
-    std::vector<Completion> completions;
+    std::uint32_t mask = 0;      // interest mask installed in epoll
+    bool paused_read = false;    // in-flight cap reached: EPOLLIN dropped
+    bool send_blocked = false;   // a send came up short: EPOLLOUT wanted
   };
 
   struct ShardWorker {
@@ -239,36 +186,50 @@ class KvServer {
 
   KvServer() = default;
 
-  Status setup_listeners(const KvServerOptions& options);
-  void event_loop(EventLoop& loop);
-  void on_accepted(EventLoop& loop, int fd);
-  void on_recv(EventLoop& loop, std::uint64_t conn_id, ssize_t result);
-  void on_send(EventLoop& loop, std::uint64_t conn_id, ssize_t result);
-  bool handle_request(EventLoop& loop, Conn& conn, const Request& req);
-  void arm_recv(EventLoop& loop, Conn& conn);
-  /// Moves the ready response prefix out and keeps exactly one send armed.
-  void try_flush(EventLoop& loop, Conn& conn);
-  void close_conn(EventLoop& loop, std::uint64_t conn_id);
-  void drain_completions(EventLoop& loop);
-  void shutdown_loop(EventLoop& loop);
+  Status setup_loop(const KvServerOptions& options);
+  void event_loop();
+  void accept_ready();
+  void on_accepted(int fd);
+  // The handlers below return false once they have closed `conn`; the
+  // caller must not touch it afterwards.
+  bool on_readable(Conn& conn);
+  bool handle_request(Conn& conn, const Request& req);
+  /// Moves the ready response prefix out and sends it eagerly, refilling
+  /// after each whole send until a send comes up short or nothing is
+  /// ready; then updates the connection's mask.
+  bool try_flush(Conn& conn);
+  /// Installs the mask `conn` wants (epoll_ctl only on a change).
+  void update_mask(Conn& conn);
+  void close_conn(std::uint64_t conn_id);
+  void drain_completions();
 
   void worker_loop(std::size_t shard);
-  void execute_op(std::size_t shard, const Op& op,
-                  std::vector<Completion>* deferred_writes);
+  void execute_op(const Op& op, std::vector<Completion>* deferred_writes);
   void coordinator_loop();
 
-  /// Routes completions to their originating loops, one wake per loop.
+  /// Queues completions for the loop and wakes it once.
   void post_completions(std::vector<Completion> batch);
-  void wake_loop(EventLoop& loop);
+  void wake_loop();
 
   KvServerOptions options_;
   std::unique_ptr<KvStore> store_;
   std::uint16_t port_ = 0;
-  // Cached at setup so stats_json() stays truthful after stop() tears the
-  // loops down (paxkv dumps a final STATS document on SIGTERM).
-  const char* backend_name_ = "?";
 
-  std::vector<std::unique_ptr<EventLoop>> loops_;
+  // Event-loop state. Everything except comp_mu_/completions_ is owned by
+  // the loop thread while it runs (no locks on the socket hot path).
+  int epoll_fd_ = -1;
+  int listen_fd_ = -1;
+  int wake_fd_ = -1;
+  bool accepts_paused_ = false;  // listener deregistered after EMFILE & co
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  std::uint64_t next_conn_id_ = 2;  // 0/1 reserved (listener, wake)
+  std::vector<std::byte> rbuf_;     // shared receive buffer
+  std::thread loop_thread_;
+
+  // The loop's MPSC completion queue: workers/coordinator → loop.
+  std::mutex comp_mu_;
+  std::vector<Completion> completions_;
+
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  // join-once latch (main thread)
 

@@ -554,6 +554,7 @@ Result<Epoch> PaxRuntime::persist_async() {
   };
   auto sealed = device_->seal_epoch(pull);
   if (!sealed.ok()) return sealed.status();
+  ++stats_.persists;
 
   PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
   return sealed;
@@ -597,7 +598,6 @@ Result<Epoch> PaxRuntime::wait_persisted(Epoch epoch) {
 Result<Epoch> PaxRuntime::persist() {
   std::lock_guard lock(sync_mu_);
   const check::LockToken sync_token = sync_lock_token();
-  ++stats_.persists;
   if (pipeline_depth_ > 0) {
     auto sealed = persist_async_pipelined();
     if (!sealed.ok()) return sealed.status();
@@ -616,6 +616,7 @@ Result<Epoch> PaxRuntime::persist() {
   };
   auto committed = device_->persist(pull);
   if (!committed.ok()) return committed.status();
+  ++stats_.persists;
 
   PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
   return committed;
@@ -696,6 +697,7 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
   // the queue handoff below orders the emissions.
   if (auto* chk = pm_->checker()) chk->on_pipeline_seal(sealed, page_lines);
 
+  ++stats_.persists;  // sync_mu_ is held by every caller
   {
     std::lock_guard plock(pipe_mu_);
     ++pipe_stats_.async_persists;

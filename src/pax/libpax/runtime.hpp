@@ -120,6 +120,9 @@ struct RuntimeOptions {
 };
 
 struct RuntimeStats {
+  /// Epochs sealed by persist() or persist_async(), pipelined or not; a
+  /// pipelined persist() counts once. Equals PipelineStats::async_persists
+  /// when pipeline_depth > 0.
   std::uint64_t persists = 0;
   std::uint64_t pages_diffed = 0;
   std::uint64_t lines_diff_checked = 0;

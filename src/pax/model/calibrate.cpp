@@ -98,7 +98,6 @@ ServingPrediction summarize(std::vector<double>& latencies, double span_us,
 
 ServingPrediction simulate_serving(const ServingParams& params,
                                    const ServingWorkload& workload) {
-  const std::size_t loops = std::max<std::size_t>(1, params.loops);
   const std::size_t conns = std::max<std::size_t>(1, workload.connections);
   const double service = std::max(1e-3, params.service_us);
   const double rtt = std::max(0.0, params.base_rtt_us);
@@ -129,9 +128,8 @@ ServingPrediction simulate_serving(const ServingParams& params,
     }
   }
 
-  // Each event loop is a FIFO station; connection -> loop is static, like
-  // the SO_REUSEPORT hash pinning a connection to one loop for life.
-  std::vector<double> busy_until(loops, 0.0);
+  // The event loop is one FIFO station shared by every connection.
+  double busy_until = 0.0;
   std::vector<double> latencies;
   latencies.reserve(kMaxSimOps);
   const std::uint64_t cap = open ? kMaxSimOps : kMaxSimOps;
@@ -146,10 +144,9 @@ ServingPrediction simulate_serving(const ServingParams& params,
   while (!queue.empty()) {
     const Event ev = queue.top();
     queue.pop();
-    const std::size_t loop = ev.conn % loops;
-    const double start = std::max(ev.time_us, busy_until[loop]);
+    const double start = std::max(ev.time_us, busy_until);
     const double finish = start + service * op_service_scale(completed);
-    busy_until[loop] = finish;
+    busy_until = finish;
     const bool write = is_write(completed, workload.write_frac);
     const double acked = ack_time(finish, write, params.wave_interval_us);
     const double done = acked + rtt;
@@ -195,17 +192,14 @@ double relative_error(double predicted, double measured) {
 }
 
 ServingParams calibrate(const ServingMeasurement& measured,
-                        std::size_t loops, double wave_interval_us) {
+                        double wave_interval_us) {
   ServingParams params;
-  params.loops = std::max<std::size_t>(1, loops);
   params.wave_interval_us = wave_interval_us;
   params.base_rtt_us = 0.0;
 
-  // Initial guess: the serving plane is `loops`-wide, so aggregate
-  // capacity ~ loops / service_us.
+  // Initial guess: one station, so capacity ~ 1 / service_us.
   const double measured_tput = std::max(1.0, measured.throughput_ops_s);
-  params.service_us =
-      static_cast<double>(params.loops) * 1e6 / measured_tput;
+  params.service_us = 1e6 / measured_tput;
 
   for (int round = 0; round < 3; ++round) {
     // Bisect service_us: closed-loop throughput is strictly decreasing in

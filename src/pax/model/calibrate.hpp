@@ -1,12 +1,12 @@
 // Serving-plane DES calibration: close the model-vs-reality loop.
 //
 // pax/model/throughput.hpp models the *device* path (paper Fig 2b). This
-// module models the *serving* plane above it — the PaxKV event loops,
+// module models the *serving* plane above it — the PaxKV event loop,
 // pipelined connections, and the group-commit wave cadence — as a small
 // deterministic discrete-event simulation, and fits its two free
 // parameters to ONE measured closed-loop run from paxkv-loadgen:
 //
-//   service_us   effective per-op service time at an event loop (covers
+//   service_us   effective per-op service time at the event loop (covers
 //                syscall + parse + shard execution as seen end-to-end)
 //   base_rtt_us  fixed client<->server round-trip floor (loopback / NIC)
 //
@@ -46,10 +46,10 @@ struct ServingWorkload {
   double duration_s = 1.0;      // simulated horizon
 };
 
-/// The serving plane's shape and fitted parameters.
+/// The serving plane's fitted parameters. The event loop is one FIFO
+/// service station.
 struct ServingParams {
-  std::size_t loops = 1;          // event-loop threads (service stations)
-  double service_us = 5.0;        // fitted: per-op service time at a loop
+  double service_us = 5.0;        // fitted: per-op service time at the loop
   double base_rtt_us = 50.0;      // fitted: fixed round-trip floor
   double wave_interval_us = 200;  // group-commit cadence (from config)
 };
@@ -80,10 +80,10 @@ ServingPrediction simulate_serving(const ServingParams& params,
                                    const ServingWorkload& workload);
 
 /// Fits service_us and base_rtt_us so the DES reproduces `measured` (a
-/// closed-loop run). `loops` and `wave_interval_us` come from the server
+/// closed-loop run). `wave_interval_us` comes from the server
 /// configuration, not the fit.
 ServingParams calibrate(const ServingMeasurement& measured,
-                        std::size_t loops, double wave_interval_us);
+                        double wave_interval_us);
 
 /// Relative error |predicted - measured| / measured (0 when measured
 /// is 0): the quantity scripts/check_paxkv.py gates on.

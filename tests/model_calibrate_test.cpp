@@ -35,7 +35,6 @@ TEST(RelativeErrorTest, Basics) {
 
 TEST(SimulateServingTest, Deterministic) {
   ServingParams params;
-  params.loops = 2;
   params.service_us = 6.0;
   params.base_rtt_us = 40.0;
   ServingWorkload wl;
@@ -51,30 +50,12 @@ TEST(SimulateServingTest, Deterministic) {
   EXPECT_GE(a.p95_us, a.p50_us);
 }
 
-TEST(SimulateServingTest, MoreLoopsMoreThroughput) {
-  ServingWorkload wl;
-  wl.connections = 16;
-  wl.depth = 8;
-  ServingParams one;
-  one.loops = 1;
-  one.service_us = 10.0;
-  one.base_rtt_us = 20.0;
-  ServingParams four = one;
-  four.loops = 4;
-  const double t1 = simulate_serving(one, wl).throughput_ops_s;
-  const double t4 = simulate_serving(four, wl).throughput_ops_s;
-  // Four stations over sixteen connections: clearly more than one station,
-  // even without demanding ideal 4x scaling.
-  EXPECT_GT(t4, t1 * 2.0);
-}
-
 TEST(SimulateServingTest, WaveCadenceDelaysWrites) {
   ServingWorkload wl;
   wl.connections = 4;
   wl.depth = 4;
   wl.write_frac = 1.0;  // every op parks on the wave boundary
   ServingParams fast;
-  fast.loops = 1;
   fast.service_us = 1.0;
   fast.base_rtt_us = 0.0;
   fast.wave_interval_us = 0.0;
@@ -87,7 +68,6 @@ TEST(SimulateServingTest, WaveCadenceDelaysWrites) {
 
 TEST(CalibrateTest, RecoversGroundTruthParameters) {
   ServingParams truth;
-  truth.loops = 2;
   truth.service_us = 8.0;
   truth.base_rtt_us = 60.0;
   truth.wave_interval_us = 200.0;
@@ -98,7 +78,7 @@ TEST(CalibrateTest, RecoversGroundTruthParameters) {
 
   const ServingMeasurement m = measure_with(truth, fit_wl);
   const ServingParams fitted =
-      calibrate(m, truth.loops, truth.wave_interval_us);
+      calibrate(m, truth.wave_interval_us);
 
   EXPECT_LT(relative_error(fitted.service_us, truth.service_us), 0.10);
   // base_rtt_us absorbs quantile noise; it only needs to be in the
@@ -116,7 +96,6 @@ TEST(CalibrateTest, RecoversGroundTruthParameters) {
 // second unseen one, error within the tolerance band.
 TEST(CalibrateTest, PredictsUnseenClosedLoopConfiguration) {
   ServingParams truth;
-  truth.loops = 2;
   truth.service_us = 7.0;
   truth.base_rtt_us = 45.0;
   truth.wave_interval_us = 200.0;
@@ -125,9 +104,8 @@ TEST(CalibrateTest, PredictsUnseenClosedLoopConfiguration) {
   fit_wl.connections = 8;
   fit_wl.depth = 8;
   fit_wl.write_frac = 0.5;
-  const ServingParams fitted = calibrate(measure_with(truth, fit_wl),
-                                         truth.loops,
-                                         truth.wave_interval_us);
+  const ServingParams fitted =
+      calibrate(measure_with(truth, fit_wl), truth.wave_interval_us);
 
   // Unseen: double the connections, shrink the depth.
   ServingWorkload unseen;
@@ -146,7 +124,6 @@ TEST(CalibrateTest, PredictsUnseenClosedLoopConfiguration) {
 
 TEST(CalibrateTest, PredictsUnseenOpenLoopCurve) {
   ServingParams truth;
-  truth.loops = 1;
   truth.service_us = 10.0;
   truth.base_rtt_us = 30.0;
   truth.wave_interval_us = 200.0;
@@ -155,9 +132,8 @@ TEST(CalibrateTest, PredictsUnseenOpenLoopCurve) {
   fit_wl.connections = 4;
   fit_wl.depth = 16;
   fit_wl.write_frac = 0.5;
-  const ServingParams fitted = calibrate(measure_with(truth, fit_wl),
-                                         truth.loops,
-                                         truth.wave_interval_us);
+  const ServingParams fitted =
+      calibrate(measure_with(truth, fit_wl), truth.wave_interval_us);
 
   // Open loop at half the fitted capacity: latency should sit near the
   // rtt floor + wave parking, and the prediction should track the truth.

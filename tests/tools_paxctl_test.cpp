@@ -245,18 +245,16 @@ void write_loadgen_json(const std::string& path,
       "\"throughput_ops_s\": %.1f, \"duration_s\": %.4f, "
       "\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
       "\"read_floor_us\": %.2f},\n"
-      "  \"server\": {\n  \"loops\": %zu\n  }\n"
+      "  \"server\": {\n  \"commit_mode\": \"group\"\n  }\n"
       "}\n",
       open ? "open" : "closed", open ? "open" : "closed", wl.connections,
       wl.depth, wl.write_frac, wl.open_rate_ops_s, sim.throughput_ops_s,
-      wl.duration_s, sim.p50_us, sim.p95_us, sim.p99_us, sim.read_floor_us,
-      truth.loops);
+      wl.duration_s, sim.p50_us, sim.p95_us, sim.p99_us, sim.read_floor_us);
   std::fclose(f);
 }
 
 TEST(PaxctlTest, CalibratePredictsUnseenRunWithinBand) {
   model::ServingParams truth;
-  truth.loops = 2;
   truth.service_us = 9.0;
   truth.base_rtt_us = 40.0;
   truth.wave_interval_us = 200.0;
@@ -275,12 +273,10 @@ TEST(PaxctlTest, CalibratePredictsUnseenRunWithinBand) {
   write_loadgen_json(fit, truth, fit_wl);
   write_loadgen_json(check, truth, unseen_wl);
 
-  // --loops intentionally omitted: it must come from the embedded server
-  // document.
   auto r = run("calibrate " + fit + " " + check +
                " --wave-us 200 --tolerance 0.25");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("loops=2"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("service_us="), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("within tolerance band"), std::string::npos)
       << r.output;
   std::remove(fit.c_str());
@@ -289,7 +285,6 @@ TEST(PaxctlTest, CalibratePredictsUnseenRunWithinBand) {
 
 TEST(PaxctlTest, CalibrateFlagsOutOfBandPrediction) {
   model::ServingParams truth;
-  truth.loops = 1;
   truth.service_us = 10.0;
   truth.base_rtt_us = 30.0;
   truth.wave_interval_us = 200.0;

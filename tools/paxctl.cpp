@@ -26,7 +26,7 @@
 //                             --pipelined runs the workload with the epoch
 //                             pipeline + undo-append ring active; exit 1 on
 //                             any finding
-//   paxctl calibrate <fit.json> [<check.json>] [--loops N] [--wave-us W]
+//   paxctl calibrate <fit.json> [<check.json>] [--wave-us W]
 //                  [--tolerance T]   fit the serving DES (pax::model::
 //                             calibrate) to a closed-loop paxkv-loadgen
 //                             --json report; with a second report, predict
@@ -91,7 +91,7 @@ int usage() {
                "[--seeded-bug snoop-writeback|persist-pull|"
                "line-serialization] [--trace-dir DIR] [--no-crash]\n"
                "       paxctl calibrate <fit.json> [<check.json>] "
-               "[--loops N] [--wave-us W] [--tolerance T]\n"
+               "[--wave-us W] [--tolerance T]\n"
                "       paxctl analyze <file.paxevt>... [--json]\n"
                "       paxctl fix [<file.paxevt>] [--scenario NAME] "
                "[--record FILE] [--validate] [--json]\n");
@@ -665,7 +665,6 @@ std::string json_string(const std::string& text, std::size_t from,
 struct LoadgenRun {
   model::ServingMeasurement m;
   bool open = false;
-  std::size_t server_loops = 0;  // from the embedded server STATS document
 };
 
 Result<LoadgenRun> load_calibration(const std::string& path) {
@@ -697,16 +696,11 @@ Result<LoadgenRun> load_calibration(const std::string& path) {
   run.m.p95_us = json_number(text, cal, "p95_us", 0);
   run.m.p99_us = json_number(text, cal, "p99_us", 0);
   run.m.read_floor_us = json_number(text, cal, "read_floor_us", 0);
-  const std::size_t server = text.find("\"server\": {", cal);
-  if (server != std::string::npos) {
-    run.server_loops =
-        static_cast<std::size_t>(json_number(text, server, "loops", 0));
-  }
   return run;
 }
 
 int cmd_calibrate(const std::string& fit_path, const std::string& check_path,
-                  std::size_t loops, double wave_us, double tolerance) {
+                  double wave_us, double tolerance) {
   auto fit_run = load_calibration(fit_path);
   if (!fit_run.ok()) {
     std::fprintf(stderr, "%s\n", fit_run.status().to_string().c_str());
@@ -717,17 +711,14 @@ int cmd_calibrate(const std::string& fit_path, const std::string& check_path,
                  "calibrate: fit run must be closed-loop (got open)\n");
     return 1;
   }
-  if (loops == 0) loops = fit_run.value().server_loops;
-  if (loops == 0) loops = 1;
-
   const model::ServingParams fitted =
-      model::calibrate(fit_run.value().m, loops, wave_us);
+      model::calibrate(fit_run.value().m, wave_us);
   std::printf(
       "calibrate: fit on %s (closed, conns=%zu depth=%zu tput=%.0f ops/s)\n"
-      "  loops=%zu service_us=%.2f base_rtt_us=%.2f wave_interval_us=%.1f\n",
+      "  service_us=%.2f base_rtt_us=%.2f wave_interval_us=%.1f\n",
       fit_path.c_str(), fit_run.value().m.workload.connections,
       fit_run.value().m.workload.depth,
-      fit_run.value().m.throughput_ops_s, fitted.loops, fitted.service_us,
+      fit_run.value().m.throughput_ops_s, fitted.service_us,
       fitted.base_rtt_us, fitted.wave_interval_us);
 
   if (check_path.empty()) return 0;
@@ -906,15 +897,12 @@ int main(int argc, char** argv) {
   if (cmd == "calibrate") {
     std::string fit_path;
     std::string check_path;
-    std::size_t loops = 0;  // 0: take from the fit report's server document
     double wave_us = 200.0;
     double tolerance = 0.35;
     int positional = 0;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--loops" && i + 1 < argc) {
-        loops = std::strtoull(argv[++i], nullptr, 0);
-      } else if (arg == "--wave-us" && i + 1 < argc) {
+      if (arg == "--wave-us" && i + 1 < argc) {
         wave_us = std::atof(argv[++i]);
       } else if (arg == "--tolerance" && i + 1 < argc) {
         tolerance = std::atof(argv[++i]);
@@ -929,7 +917,7 @@ int main(int argc, char** argv) {
       }
     }
     if (fit_path.empty()) return usage();
-    return cmd_calibrate(fit_path, check_path, loops, wave_us, tolerance);
+    return cmd_calibrate(fit_path, check_path, wave_us, tolerance);
   }
   if (argc < 3) return usage();
 

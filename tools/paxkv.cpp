@@ -3,14 +3,11 @@
 //   paxkv [--port P] [--bind ADDR] [--shards N] [--pool-mb MB]
 //         [--commit group|independent|volatile]
 //         [--group-max-ops N] [--group-interval-us U]
-//         [--loops N] [--backend epoll|io_uring] [--pin]
 //
 // Serves the PaxKV binary protocol (GET/PUT/DEL/STATS) over TCP on top of
 // N shard runtimes backed by in-memory simulated PM. Writes are made
 // durable per the commit mode before they are acknowledged (see
-// src/pax/kv/server.hpp). --loops runs that many SO_REUSEPORT event-loop
-// threads; --backend selects the per-loop I/O engine (io_uring fails
-// cleanly when unsupported); --pin pins loops and shard workers to CPUs.
+// src/pax/kv/server.hpp); one epoll event loop serves every connection.
 // SIGINT/SIGTERM shut down gracefully. With --port 0 the kernel picks a
 // port; it is printed either way as
 //   paxkv: listening on <port>
@@ -37,8 +34,7 @@ int usage() {
       stderr,
       "usage: paxkv [--port P] [--bind ADDR] [--shards N] [--pool-mb MB]\n"
       "             [--commit group|independent|volatile]\n"
-      "             [--group-max-ops N] [--group-interval-us U]\n"
-      "             [--loops N] [--backend epoll|io_uring] [--pin]\n");
+      "             [--group-max-ops N] [--group-interval-us U]\n");
   return 2;
 }
 
@@ -76,19 +72,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--group-interval-us" && i + 1 < argc) {
       options.group_interval =
           std::chrono::microseconds(std::strtoull(argv[++i], nullptr, 0));
-    } else if (arg == "--loops" && i + 1 < argc) {
-      options.loop_threads = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      const std::string backend = argv[++i];
-      if (backend == "epoll") {
-        options.backend = pax::kv::KvServerOptions::Backend::kEpoll;
-      } else if (backend == "io_uring") {
-        options.backend = pax::kv::KvServerOptions::Backend::kIoUring;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--pin") {
-      options.pin_loops = true;
     } else {
       return usage();
     }

@@ -17,9 +17,9 @@
 //     the server, not silently absorbed (no coordinated omission). Runs
 //     for --duration-s seconds.
 //
-// --connections-per-thread lets one loadgen saturate a multi-loop server:
-// N threads × C connections spread across the server's SO_REUSEPORT
-// loops, without paying a full OS thread per connection.
+// --connections-per-thread widens the server-visible connection count:
+// N threads × C connections, without paying a full OS thread per
+// connection.
 //
 // Workload: uniform keys "key-<n>" over --keys, --get-frac GETs, the rest
 // PUTs of --value-bytes (a small fraction of DELs rides along: every 64th
