@@ -79,7 +79,6 @@ Row run(bool pipelined, bool ring) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
-  opts.track_lines = true;
   opts.pipeline_depth = pipelined ? 2 : 0;
   opts.log_ring_slots = ring ? 512 : 0;
 

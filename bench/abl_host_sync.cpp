@@ -1,15 +1,11 @@
 // Ablation — batched, parallel libpax host sync path.
 //
-// PR "feed the striped device": persist()'s host half used to walk dirty
-// pages one line at a time — peek_line + write_intent + writeback_line, 3
-// device calls (and up to 4 lock acquisitions) per dirty line. The batched
-// path diffs pages across a worker pool and pushes dirty lines through
-// PaxDevice::sync_lines, which fuses intent + writeback and appends each
-// stripe group's undo records under one log-mutex hold. This bench sweeps
-// diff_workers x sync_batch_lines over a dirty-page-heavy workload and
-// reports persist wall time, device calls per dirty line (legacy = 3.0
-// exactly when every checked line is dirty), and log-mutex acquisitions per
-// epoch. workers=1 x batch=1 is the pre-PR baseline.
+// persist()'s host half diffs dirty pages across a worker pool and pushes
+// dirty lines through PaxDevice::sync_lines, which fuses intent + writeback
+// and appends each stripe group's undo records under one log-mutex hold.
+// This bench sweeps diff_workers x sync_batch_lines over a dirty-page-heavy
+// workload and reports persist wall time, device calls per dirty line, and
+// log-mutex acquisitions per epoch.
 //
 // Results land in BENCH_host_sync.json (cwd) for the driver.
 #include <chrono>
@@ -62,6 +58,7 @@ Row run(unsigned workers, std::size_t batch) {
     if (!rt->persist().ok()) std::abort();  // settle heap-format writes
 
     const RuntimeStats rt_base = rt->stats();
+    const SyncStats sync_base = rt->sync_stats();
     const auto dev_base = rt->device().stats();
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -79,7 +76,7 @@ Row run(unsigned workers, std::size_t batch) {
 
     const RuntimeStats rs = rt->stats();
     const auto ds = rt->device().stats();
-    dirty_lines = rs.lines_dirty_found - rt_base.lines_dirty_found;
+    dirty_lines = rt->sync_stats().lines_synced - sync_base.lines_synced;
     calls_per_line = dirty_lines == 0
                          ? 0
                          : static_cast<double>(rs.device_calls -
@@ -131,8 +128,8 @@ int main() {
 
   std::vector<Row> rows;
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    for (std::size_t batch : {std::size_t{1}, std::size_t{64},
-                              std::size_t{256}, std::size_t{1024}}) {
+    for (std::size_t batch :
+         {std::size_t{64}, std::size_t{256}, std::size_t{1024}}) {
       Row r = run(workers, batch);
       rows.push_back(r);
       std::printf("%8u %6zu %13.3f %17.3f %15.1f %8s\n", r.workers, r.batch,
@@ -143,18 +140,17 @@ int main() {
   }
 
   // Headlines the acceptance criteria read off directly.
-  double legacy_calls = 0, batched_calls = 0;
+  double batched_calls = 0;
   double serial_ms = 0, parallel_ms = 0;
   for (const Row& r : rows) {
-    if (r.workers == 1 && r.batch == 1) legacy_calls = r.device_calls_per_dirty_line;
     if (r.workers == 4 && r.batch == 256) {
       batched_calls = r.device_calls_per_dirty_line;
       parallel_ms = r.persist_ms_mean;
     }
     if (r.workers == 1 && r.batch == 256) serial_ms = r.persist_ms_mean;
   }
-  std::printf("\ndevice calls per dirty line: %.3f (legacy) -> %.3f "
-              "(batch=256)\n", legacy_calls, batched_calls);
+  std::printf("\ndevice calls per dirty line at batch=256: %.3f\n",
+              batched_calls);
   if (parallel_ms > 0) {
     std::printf("diff_workers=4 vs 1 persist speedup at batch=256: %.2fx\n",
                 serial_ms / parallel_ms);
@@ -169,8 +165,6 @@ int main() {
   std::fprintf(out, "  \"host_cpus\": %u,\n", cpus);
   std::fprintf(out, "  \"dirty_pages_per_epoch\": %zu,\n", kDirtyPages);
   std::fprintf(out, "  \"epochs\": %d,\n", kEpochs);
-  std::fprintf(out, "  \"device_calls_per_dirty_line_legacy\": %.3f,\n",
-               legacy_calls);
   std::fprintf(out, "  \"device_calls_per_dirty_line_batched\": %.3f,\n",
                batched_calls);
   std::fprintf(out, "  \"speedup_4w_vs_1w_batch256\": %.3f,\n",

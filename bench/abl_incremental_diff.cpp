@@ -1,22 +1,19 @@
-// Ablation — line-granular incremental diffing + adaptive sync tuning.
+// Ablation — line-granular incremental diffing.
 //
-// PR "incremental diff": the batched host sync path used to memcmp all 64
-// lines of every dirty page against a fetched device shadow, so persist()
-// paid for pages touched, not lines written. With track_lines, the region
-// keeps per-page candidate bitmaps and per-line digests of the last-synced
-// contents; the diff skips digest-clean lines without touching the shadow
-// and fetches only the candidates. This bench sweeps dirty-line density x
-// tracking on/off x tuner on/off over a fixed dirty-page set and reports
-// bytes memcmp'd per epoch (the quantity tracking is meant to crush),
-// persist wall time, and the tuner's final knob choices.
+// A page-granular diff memcmps all 64 lines of every dirty page against a
+// fetched device shadow, so persist() pays for pages touched, not lines
+// written. The region instead keeps per-page candidate bitmaps and per-line
+// digests of the last-synced contents; the diff skips digest-clean lines
+// without touching the shadow and fetches only the candidates. This bench
+// sweeps dirty-line density over a fixed dirty-page set and reports bytes
+// memcmp'd per epoch (the quantity tracking is meant to crush) and persist
+// wall time.
 //
-// Expectations encoded in the headline fields:
-//   * at <= 12.5% density (8/64 lines) tracking cuts bytes memcmp'd by
-//     >= 4x (it actually approaches 64/density);
-//   * with tracking off the diff degenerates to the full-page scan
-//     (lines_diffed == 64 * pages), i.e. the PR 2 behavior;
-//   * lines diffed per line written stays near 1.0 at ~10% density with
-//     tracking on (the perf-guard ratio).
+// Expectations (scripts/check_diff_perf.py):
+//   * at <= 12.5% density (8/64 lines) bytes memcmp'd are >= 4x below the
+//     full-page scan of dirty_pages x 4 KiB (it approaches 64/density);
+//   * lines diffed per line written stays near 1.0 at ~10% density (the
+//     perf-guard ratio).
 //
 // Results land in BENCH_incremental_diff.json (cwd) for the driver.
 #include <chrono>
@@ -40,19 +37,15 @@ constexpr int kEpochs = 4;  // measured; one extra seed epoch runs first
 
 struct Row {
   std::size_t density;  // dirty lines per page, out of kLinesPerPage
-  bool tracked;
-  bool tuner;
   double persist_ms_mean;
   double bytes_memcmp_per_epoch;
   double lines_diffed_per_epoch;
   double lines_skipped_per_epoch;
   double lines_synced_per_epoch;
-  std::size_t last_batch_lines;
-  unsigned last_diff_workers;
   bool correct;
 };
 
-Row run(std::size_t density, bool tracked, bool tuner) {
+Row run(std::size_t density) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
 
   RuntimeOptions opts;
@@ -62,8 +55,6 @@ Row run(std::size_t density, bool tracked, bool tuner) {
   opts.sync_batch_lines = 256;
   opts.diff_workers = 4;
   opts.diff_fanout_min_pages = 1;
-  opts.track_lines = tracked;
-  opts.adaptive_sync = tuner;
 
   double persist_ms = 0;
   SyncStats base{}, after{};
@@ -101,7 +92,7 @@ Row run(std::size_t density, bool tracked, bool tuner) {
   }  // teardown without persist: crash semantics
 
   // Crash and recover: the last persisted epoch must come back intact
-  // whether or not the diff was taking the tracked shortcut.
+  // although the diff skipped most lines.
   pm->crash(pmem::CrashConfig::drop_all());
   auto rt = PaxRuntime::attach(pm.get(), opts).value();
   bool correct = true;
@@ -121,16 +112,8 @@ Row run(std::size_t density, bool tracked, bool tuner) {
       static_cast<double>(after.lines_skipped - base.lines_skipped) / kEpochs;
   const double synced =
       static_cast<double>(after.lines_synced - base.lines_synced) / kEpochs;
-  return Row{density,
-             tracked,
-             tuner,
-             persist_ms / kEpochs,
-             diffed * kCacheLineSize,
-             diffed,
-             skipped,
-             synced,
-             after.last_batch_lines,
-             after.last_diff_workers,
+  return Row{density, persist_ms / kEpochs, diffed * kCacheLineSize,
+             diffed,  skipped,             synced,
              correct};
 }
 
@@ -141,65 +124,34 @@ int main() {
   std::printf("=== Incremental diff: bytes memcmp'd vs dirty density ===\n");
   std::printf("host cpus: %u, dirty pages/epoch: %zu, lines/page: %zu\n",
               cpus, kDirtyPages, kLinesPerPage);
-  std::printf("%8s %8s %6s %13s %15s %13s %11s %6s %3s %8s\n", "density",
-              "tracked", "tuner", "persist[ms]", "memcmp B/ep",
-              "diffed/ep", "synced/ep", "batch", "w", "correct");
+  std::printf("%8s %13s %15s %13s %11s %8s\n", "density", "persist[ms]",
+              "memcmp B/ep", "diffed/ep", "synced/ep", "correct");
 
   std::vector<Row> rows;
   for (std::size_t density : {std::size_t{1}, std::size_t{4}, std::size_t{6},
                               std::size_t{8}, std::size_t{16},
                               std::size_t{64}}) {
-    for (bool tracked : {false, true}) {
-      for (bool tuner : {false, true}) {
-        Row r = run(density, tracked, tuner);
-        rows.push_back(r);
-        std::printf("%5zu/64 %8s %6s %13.3f %15.0f %13.0f %11.0f %6zu %3u "
-                    "%8s\n",
-                    r.density, r.tracked ? "yes" : "no",
-                    r.tuner ? "yes" : "no", r.persist_ms_mean,
-                    r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
-                    r.lines_synced_per_epoch, r.last_batch_lines,
-                    r.last_diff_workers, r.correct ? "yes" : "NO");
-        std::fflush(stdout);
-      }
-    }
+    Row r = run(density);
+    rows.push_back(r);
+    std::printf("%5zu/64 %13.3f %15.0f %13.0f %11.0f %8s\n", r.density,
+                r.persist_ms_mean, r.bytes_memcmp_per_epoch,
+                r.lines_diffed_per_epoch, r.lines_synced_per_epoch,
+                r.correct ? "yes" : "NO");
+    std::fflush(stdout);
   }
 
-  // Headlines the acceptance criteria read off directly.
-  auto find = [&](std::size_t density, bool tracked, bool tuner) -> const Row* {
-    for (const Row& r : rows) {
-      if (r.density == density && r.tracked == tracked && r.tuner == tuner) {
-        return &r;
-      }
-    }
-    return nullptr;
-  };
-  const Row* untracked8 = find(8, false, false);
-  const Row* tracked8 = find(8, true, false);
-  const double memcmp_ratio_12pct =
-      (tracked8 != nullptr && untracked8 != nullptr &&
-       tracked8->bytes_memcmp_per_epoch > 0)
-          ? untracked8->bytes_memcmp_per_epoch /
-                tracked8->bytes_memcmp_per_epoch
-          : 0.0;
-  const Row* guard = find(6, true, false);  // 6/64 ~= 9.4%, the ~10% point
+  // The perf-guard ratio, read off at 6/64 ~= 9.4%, the ~10% point.
+  const Row* guard = nullptr;
+  for (const Row& r : rows) {
+    if (r.density == 6) guard = &r;
+  }
   const double diffed_per_written_10pct =
       (guard != nullptr && guard->lines_synced_per_epoch > 0)
           ? guard->lines_diffed_per_epoch / guard->lines_synced_per_epoch
           : 0.0;
-  const Row* untracked_full = find(64, false, false);
-  const bool tracking_off_full_scan =
-      untracked_full != nullptr &&
-      untracked_full->lines_diffed_per_epoch >=
-          static_cast<double>(kDirtyPages * kLinesPerPage);
-
-  std::printf("\nbytes memcmp'd per epoch at 8/64 density: %.0f (tracked) vs "
-              "%.0f (untracked) — %.1fx reduction\n",
-              tracked8 != nullptr ? tracked8->bytes_memcmp_per_epoch : 0.0,
-              untracked8 != nullptr ? untracked8->bytes_memcmp_per_epoch : 0.0,
-              memcmp_ratio_12pct);
-  std::printf("lines diffed per line written at ~10%% density (tracked): "
-              "%.3f\n",
+  std::printf("\nfull-page scan: %zu bytes memcmp'd per epoch\n",
+              kDirtyPages * kPageSize);
+  std::printf("lines diffed per line written at ~10%% density: %.3f\n",
               diffed_per_written_10pct);
 
   std::FILE* out = std::fopen("BENCH_incremental_diff.json", "w");
@@ -211,27 +163,20 @@ int main() {
   std::fprintf(out, "  \"host_cpus\": %u,\n", cpus);
   std::fprintf(out, "  \"dirty_pages_per_epoch\": %zu,\n", kDirtyPages);
   std::fprintf(out, "  \"epochs\": %d,\n", kEpochs);
-  std::fprintf(out, "  \"memcmp_bytes_reduction_at_12pct_density\": %.3f,\n",
-               memcmp_ratio_12pct);
   std::fprintf(out, "  \"lines_diffed_per_line_written_at_10pct\": %.3f,\n",
                diffed_per_written_10pct);
-  std::fprintf(out, "  \"tracking_off_full_scan\": %s,\n",
-               tracking_off_full_scan ? "true" : "false");
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(
         out,
-        "    {\"density_lines\": %zu, \"track_lines\": %s, "
-        "\"adaptive_sync\": %s, \"persist_ms_mean\": %.3f, "
+        "    {\"density_lines\": %zu, \"persist_ms_mean\": %.3f, "
         "\"bytes_memcmp_per_epoch\": %.0f, \"lines_diffed_per_epoch\": %.0f, "
         "\"lines_skipped_per_epoch\": %.0f, \"lines_synced_per_epoch\": %.0f, "
-        "\"last_batch_lines\": %zu, \"last_diff_workers\": %u, "
         "\"correct\": %s}%s\n",
-        r.density, r.tracked ? "true" : "false", r.tuner ? "true" : "false",
-        r.persist_ms_mean, r.bytes_memcmp_per_epoch, r.lines_diffed_per_epoch,
-        r.lines_skipped_per_epoch, r.lines_synced_per_epoch,
-        r.last_batch_lines, r.last_diff_workers, r.correct ? "true" : "false",
+        r.density, r.persist_ms_mean, r.bytes_memcmp_per_epoch,
+        r.lines_diffed_per_epoch, r.lines_skipped_per_epoch,
+        r.lines_synced_per_epoch, r.correct ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -6,8 +6,9 @@
 // That must stay cheap enough to leave on in every stress test, so this
 // bench runs the abl_host_sync dirty-page persist workload twice per
 // configuration — checker detached vs attached — and reports the wall-time
-// ratio. Acceptance: overhead_ratio <= 2.0 on the batched configuration,
-// and the checker stays silent throughout.
+// ratio. Acceptance: overhead_ratio <= 2.0 on the tracked configuration
+// (the default-shaped line-tracked, batched sync path), and the checker
+// stays silent throughout.
 //
 // Results land in BENCH_paxcheck.json (cwd) for the driver.
 #include <algorithm>
@@ -44,7 +45,7 @@ struct Row {
 
 // One timed pass of the dirty-page persist workload; `checker` may be null
 // (the baseline). Returns mean persist wall ms per epoch.
-double run_pass(unsigned workers, std::size_t batch, bool track,
+double run_pass(unsigned workers, std::size_t batch,
                 check::Checker* checker) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   if (checker != nullptr) pm->set_checker(checker);
@@ -56,7 +57,6 @@ double run_pass(unsigned workers, std::size_t batch, bool track,
   opts.sync_batch_lines = batch;
   opts.diff_workers = workers;
   opts.diff_fanout_min_pages = 1;
-  opts.track_lines = track;
 
   double persist_ms = 0;
   {
@@ -79,16 +79,16 @@ double run_pass(unsigned workers, std::size_t batch, bool track,
 
 constexpr int kRepeats = 3;
 
-Row run(const char* config, unsigned workers, std::size_t batch, bool track) {
+Row run(const char* config, unsigned workers, std::size_t batch) {
   // Alternate off/on passes and keep the per-mode minimum: scheduler noise
   // on a shared host only ever inflates a pass, so min-of-N is the honest
   // estimate of each mode's cost.
   double off_ms = 0, on_ms = 0;
   std::uint64_t events = 0, violations = 0;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    const double off = run_pass(workers, batch, track, nullptr);
+    const double off = run_pass(workers, batch, nullptr);
     check::Checker checker;
-    const double on = run_pass(workers, batch, track, &checker);
+    const double on = run_pass(workers, batch, &checker);
     auto report = checker.report();
     events = report.diagnostics.events;
     violations += report.violations.size();
@@ -116,9 +116,7 @@ int main() {
               "batch", "off[ms]", "on[ms]", "ratio", "events", "viol");
 
   std::vector<Row> rows;
-  rows.push_back(run("legacy", 1, 1, false));
-  rows.push_back(run("batched", 4, 256, false));
-  rows.push_back(run("tracked", 4, 256, true));
+  rows.push_back(run("tracked", 4, 256));
   for (const Row& r : rows) {
     std::printf("%10s %8u %6zu %12.3f %11.3f %8.2fx %10" PRIu64 " %6" PRIu64
                 "\n",
@@ -127,15 +125,15 @@ int main() {
     std::fflush(stdout);
   }
 
-  // The acceptance headline: overhead on the batched configuration (the
+  // The acceptance headline: overhead on the tracked configuration (the
   // default-shaped production path).
   double headline = 0;
   std::uint64_t total_violations = 0;
   for (const Row& r : rows) {
-    if (std::strcmp(r.config, "batched") == 0) headline = r.overhead_ratio;
+    if (std::strcmp(r.config, "tracked") == 0) headline = r.overhead_ratio;
     total_violations += r.violations;
   }
-  std::printf("\nchecker-on overhead (batched config): %.2fx, violations: %"
+  std::printf("\nchecker-on overhead (tracked config): %.2fx, violations: %"
               PRIu64 "\n",
               headline, total_violations);
 
@@ -148,7 +146,7 @@ int main() {
   std::fprintf(out, "  \"host_cpus\": %u,\n", cpus);
   std::fprintf(out, "  \"dirty_pages_per_epoch\": %zu,\n", kDirtyPages);
   std::fprintf(out, "  \"epochs\": %d,\n", kEpochs);
-  std::fprintf(out, "  \"overhead_ratio_batched\": %.3f,\n", headline);
+  std::fprintf(out, "  \"overhead_ratio_tracked\": %.3f,\n", headline);
   std::fprintf(out, "  \"violations\": %" PRIu64 ",\n", total_violations);
   std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

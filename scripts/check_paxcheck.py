@@ -3,8 +3,8 @@
 
 Reads BENCH_paxcheck.json (written by bench/abl_paxcheck) and enforces:
 
-  * overhead_ratio_batched <= 2.0 — with the checker attached, persist()
-    on the batched host-sync configuration (the default-shaped production
+  * overhead_ratio_tracked <= 2.0 — with the checker attached, persist()
+    on the tracked host-sync configuration (the default-shaped production
     path) costs at most 2x the unchecked run. The checker is meant to ride
     along in every stress test; past 2x people start turning it off.
   * violations == 0 — the checker must be silent on the correct
@@ -29,10 +29,10 @@ def main() -> int:
 
     failures = []
 
-    ratio = bench["overhead_ratio_batched"]
+    ratio = bench["overhead_ratio_tracked"]
     if ratio > MAX_OVERHEAD_RATIO:
         failures.append(
-            f"checker-on overhead on the batched config is {ratio:.2f}x "
+            f"checker-on overhead on the tracked config is {ratio:.2f}x "
             f"(limit {MAX_OVERHEAD_RATIO}x)"
         )
 
@@ -54,7 +54,7 @@ def main() -> int:
 
     print(
         f"{path}: paxcheck guard ok "
-        f"(batched overhead {ratio:.2f}x <= {MAX_OVERHEAD_RATIO}x, "
+        f"(tracked overhead {ratio:.2f}x <= {MAX_OVERHEAD_RATIO}x, "
         f"0 violations, {len(bench['rows'])} rows live)"
     )
     return 0

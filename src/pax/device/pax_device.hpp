@@ -132,9 +132,9 @@ struct DeviceConfig {
   static DeviceConfig defaults() { return DeviceConfig{}; }
 };
 
-/// Per-stripe snapshot for contention-aware frontends (the libpax
-/// SyncTuner) and operator tooling. Lock counters are sampled lock-free
-/// from atomics; the rest is read under the stripe mutex.
+/// Per-stripe snapshot for operator tooling and benchmarks. Lock counters
+/// are sampled lock-free from atomics; the rest is read under the stripe
+/// mutex.
 struct StripeStats {
   unsigned stripe = 0;
   std::uint64_t write_intents = 0;
@@ -144,7 +144,7 @@ struct StripeStats {
   std::uint64_t epoch_logged_lines = 0;
   /// Stripe-mutex acquisitions by the data path, and how many of those
   /// found the mutex already held (try_lock failed first). contended /
-  /// acquisitions is the contention ratio the SyncTuner sheds workers on.
+  /// acquisitions is the stripe contention ratio.
   std::uint64_t lock_acquisitions = 0;
   std::uint64_t lock_contended = 0;
 };
@@ -338,7 +338,7 @@ class PaxDevice {
   std::vector<StripeStats> stripe_stats() const;
 
   /// Device-wide stripe-mutex acquisition/contention totals, sampled
-  /// lock-free — cheap enough for per-epoch tuner polling.
+  /// lock-free — cheap enough for per-epoch polling.
   void stripe_lock_totals(std::uint64_t* acquisitions,
                           std::uint64_t* contended) const;
 
@@ -377,8 +377,8 @@ class PaxDevice {
   }
 
   // Locks s.mu, counting the acquisition and whether it contended. All
-  // data-path entry points route through this so the contention ratio the
-  // SyncTuner consumes reflects real fights over the stripe. The
+  // data-path entry points route through this so the contention ratio
+  // reflects real fights over the stripe. The
   // coordinator/stats passes pass count = false: they held raw guards
   // before and must not perturb that ratio.
   Guarded<std::unique_lock<std::mutex>> lock_stripe(const Stripe& s,

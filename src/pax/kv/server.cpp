@@ -645,24 +645,21 @@ std::string KvServer::stats_json() const {
     const device::UndoLoggerStats log = rt.device().log_stats();
     appendf(out,
             "    {\"shard\": %zu, \"committed_epoch\": %llu, "
-            "\"persists\": %llu, \"pages_diffed\": %llu, "
+            "\"persists\": %llu, "
             "\"device_calls\": %llu, \"sync_batches\": %llu,\n",
             i, static_cast<unsigned long long>(rt.committed_epoch()),
             static_cast<unsigned long long>(r.persists),
-            static_cast<unsigned long long>(r.pages_diffed),
             static_cast<unsigned long long>(r.device_calls),
             static_cast<unsigned long long>(r.sync_batches));
     appendf(out,
             "     \"sync\": {\"pages_scanned\": %llu, \"lines_diffed\": "
             "%llu, \"lines_skipped\": %llu, \"lines_synced\": %llu, "
-            "\"tuner_decisions\": %llu, \"last_batch_lines\": %zu, "
-            "\"last_diff_workers\": %u},\n",
+            "\"digest_rebuilds\": %llu},\n",
             static_cast<unsigned long long>(sync.pages_scanned),
             static_cast<unsigned long long>(sync.lines_diffed),
             static_cast<unsigned long long>(sync.lines_skipped),
             static_cast<unsigned long long>(sync.lines_synced),
-            static_cast<unsigned long long>(sync.tuner_decisions),
-            sync.last_batch_lines, sync.last_diff_workers);
+            static_cast<unsigned long long>(sync.digest_rebuilds));
     appendf(out,
             "     \"pipeline\": {\"async_persists\": %llu, "
             "\"jobs_drained\": %llu, \"backpressure_waits\": %llu},\n",

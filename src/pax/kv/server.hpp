@@ -135,10 +135,9 @@ class KvServer {
   KvServerStats stats() const;
 
   /// The STATS payload: server counters plus, per shard, the runtime's
-  /// RuntimeStats/SyncStats (including the SyncTuner's current knob
-  /// decisions), PipelineStats, device log-flush counters, and the
-  /// group-commit wave stats — the observability surface for adaptive
-  /// tuning under live traffic.
+  /// RuntimeStats/SyncStats, PipelineStats, device log-flush counters, and
+  /// the group-commit wave stats — the observability surface under live
+  /// traffic.
   std::string stats_json() const;
 
  private:

@@ -27,7 +27,6 @@ libpax::RuntimeOptions KvStoreOptions::serving_runtime_defaults() {
   libpax::RuntimeOptions rt;
   rt.pipeline_depth = 2;     // overlap wave drains with request processing
   rt.log_ring_slots = 1024;  // lock-free undo appends on the hot path
-  rt.track_lines = true;
   return rt;
 }
 

@@ -15,7 +15,6 @@ RuntimeOptions RuntimeOptions::deterministic(RuntimeOptions base) {
   base.start_flusher_thread = false;
   base.diff_workers = 1;
   base.device.persist_workers = 1;
-  if (base.adaptive_sync) base.adaptive_pin_workers = 1;
   return base;
 }
 
@@ -137,7 +136,8 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
     if (it != base_registry().end()) hint = it->second;
   }
   const std::size_t region_size = rt->pool_->data_size() & ~(kPageSize - 1);
-  auto region = VpmRegion::create(region_size, hint, options.track_lines);
+  // Line-granular tracking on: sync_pages skips digest-clean lines.
+  auto region = VpmRegion::create(region_size, hint, true);
   if (!region.ok()) return region.status();
   rt->region_ = std::move(region).value();
   {
@@ -161,20 +161,8 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   rt->sync_batch_lines_ = options.sync_batch_lines;
   rt->diff_workers_ = options.diff_workers;
   rt->diff_fanout_min_pages_ = options.diff_fanout_min_pages;
-  rt->track_lines_ = options.track_lines;
-  unsigned max_parallelism = rt->diff_workers_;
-  if (options.adaptive_sync) {
-    SyncTunerConfig tc;
-    tc.pinned_batch_lines = options.adaptive_pin_batch_lines;
-    tc.pinned_workers = options.adaptive_pin_workers;
-    tc.ewma_alpha = options.adaptive_ewma_alpha;
-    tc.hysteresis = options.adaptive_hysteresis;
-    rt->tuner_.emplace(tc);
-    // The pool must be able to serve whatever the tuner may ask for.
-    max_parallelism = std::max(max_parallelism, tc.max_workers);
-  }
-  if (max_parallelism > 1) {
-    rt->diff_pool_ = std::make_unique<common::ThreadPool>(max_parallelism - 1);
+  if (rt->diff_workers_ > 1) {
+    rt->diff_pool_ = std::make_unique<common::ThreadPool>(rt->diff_workers_ - 1);
   }
 
   rt->pipeline_depth_ = options.pipeline_depth;
@@ -236,83 +224,6 @@ PaxRuntime::~PaxRuntime() {
 }
 
 Status PaxRuntime::sync_pages(const std::vector<PageIndex>& pages) {
-  std::size_t batch = sync_batch_lines_;
-  unsigned workers = diff_workers_;
-  if (tuner_.has_value()) {
-    SyncObservation obs;
-    obs.dirty_pages = pages.size();
-    // Windowed rates since the last decision. Density falls back to 0 (the
-    // tuner floors it at 1 line/page) until a window has synced something.
-    const std::uint64_t dp = sync_stats_.pages_scanned - tuner_window_pages_;
-    const std::uint64_t dl = sync_stats_.lines_synced - tuner_window_lines_;
-    if (dp != 0) {
-      obs.lines_per_page = static_cast<double>(dl) / static_cast<double>(dp);
-    }
-    std::uint64_t acq = 0, con = 0;
-    device_->stripe_lock_totals(&acq, &con);
-    const std::uint64_t da = acq - tuner_window_lock_acq_;
-    const std::uint64_t dc = con - tuner_window_lock_con_;
-    if (da != 0) {
-      obs.stripe_contention =
-          static_cast<double>(dc) / static_cast<double>(da);
-    }
-    tuner_window_pages_ = sync_stats_.pages_scanned;
-    tuner_window_lines_ = sync_stats_.lines_synced;
-    tuner_window_lock_acq_ = acq;
-    tuner_window_lock_con_ = con;
-
-    const SyncDecision d = tuner_->decide(obs);
-    batch = d.batch_lines;
-    workers = d.workers;
-    ++sync_stats_.tuner_decisions;
-  }
-  sync_stats_.last_batch_lines = batch;
-  sync_stats_.last_diff_workers = workers;
-  if (batch <= 1) return sync_pages_legacy(pages);
-  return sync_pages_batched(pages, batch, workers);
-}
-
-Status PaxRuntime::sync_pages_legacy(const std::vector<PageIndex>& pages) {
-  for (PageIndex page : pages) {
-    ++stats_.pages_diffed;
-    ++sync_stats_.pages_scanned;
-    const bool seed_digests =
-        track_lines_ && !region_->line_digests_valid(page);
-    const std::byte* page_bytes = region_->page_span(page).data();
-    for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      ++stats_.lines_diff_checked;
-      ++sync_stats_.lines_diffed;
-      const LineIndex pool_line = region_line_to_pool_line(page, l);
-      const LineData cur = capture_line(page_bytes + l * kCacheLineSize);
-      // Legacy never skips, but it still refreshes the digests so the
-      // batched path can trust them if the knobs change mid-run: after this
-      // iteration the device view equals `cur` whether or not we push.
-      if (track_lines_) {
-        region_->set_line_digest(page, l, line_crc(cur));
-        if (auto* chk = pm_->checker()) {
-          chk->on_digest_apply(pool_line.value);
-        }
-      }
-      ++stats_.device_calls;
-      const LineData device_copy = device_->peek_line(pool_line);
-      if (cur == device_copy) continue;
-      ++stats_.lines_dirty_found;
-      ++sync_stats_.lines_synced;
-      stats_.device_calls += 2;
-      PAX_RETURN_IF_ERROR(device_->write_intent(pool_line));
-      device_->writeback_line(pool_line, cur);
-    }
-    if (seed_digests) {
-      region_->mark_line_digests_valid(page);
-      ++sync_stats_.digest_rebuilds;
-    }
-  }
-  return Status::ok();
-}
-
-Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
-                                      std::size_t batch_lines,
-                                      unsigned workers) {
   if (pages.empty()) return Status::ok();
 
   // Static partition: shard s diffs pages [len*s/shards, len*(s+1)/shards).
@@ -320,10 +231,9 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
   // stripe locking makes concurrent peek_lines/sync_lines safe, and the
   // per-page digests are safe because each page has exactly one shard.
   const std::size_t shards =
-      (diff_pool_ == nullptr || workers <= 1 ||
-       pages.size() < diff_fanout_min_pages_)
+      (diff_pool_ == nullptr || pages.size() < diff_fanout_min_pages_)
           ? 1
-          : std::min<std::size_t>(workers, pages.size());
+          : std::min<std::size_t>(diff_workers_, pages.size());
 
   struct PendingDigest {
     PageIndex page;
@@ -340,7 +250,7 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
   auto diff_shard = [&](std::size_t s) {
     Shard& out = results[s];
     std::vector<device::LineUpdate> batch;
-    batch.reserve(batch_lines);
+    batch.reserve(sync_batch_lines_);
     std::vector<PendingDigest> pending_digests;
     std::vector<PageIndex> pending_valid;
     std::array<LineIndex, kLinesPerPage> lines;
@@ -381,12 +291,11 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
     };
 
     auto push = [&](PageIndex page, std::size_t l) -> Status {
-      ++out.delta.lines_dirty_found;
       ++out.sdelta.lines_synced;
       if (auto* chk = pm_->checker()) chk->on_sync_push(lines[l].value);
       batch.push_back({lines[l], cur[l]});
-      if (track_lines_) pending_digests.push_back({page, l, crc[l]});
-      if (batch.size() >= batch_lines) return flush();
+      pending_digests.push_back({page, l, crc[l]});
+      if (batch.size() >= sync_batch_lines_) return flush();
       return Status::ok();
     };
 
@@ -394,17 +303,16 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
     const std::size_t hi = pages.size() * (s + 1) / shards;
     for (std::size_t p = lo; p < hi; ++p) {
       const PageIndex page = pages[p];
-      ++out.delta.pages_diffed;
       ++out.sdelta.pages_scanned;
       const std::byte* page_bytes = region_->page_span(page).data();
       for (std::size_t l = 0; l < kLinesPerPage; ++l) {
         lines[l] = region_line_to_pool_line(page, l);
         cur[l] = capture_line(page_bytes + l * kCacheLineSize);
-        if (track_lines_) crc[l] = line_crc(cur[l]);
+        crc[l] = line_crc(cur[l]);
       }
 
       if (region_->line_digests_valid(page)) {
-        // Tracked page: only the candidate lines — fault-observed stores
+        // Digests valid: only the candidate lines — fault-observed stores
         // plus digest mismatches — touch the device shadow. A candidate bit
         // forces the memcmp even when its digest matches (the collision
         // fallback); the remaining lines are skipped outright.
@@ -431,7 +339,6 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
                             std::span(shadow.data(), n));
         for (std::size_t i = 0; i < n; ++i) {
           const std::size_t l = slot[i];
-          ++out.delta.lines_diff_checked;
           ++out.sdelta.lines_diffed;
           if (cur[l] == shadow[i]) {
             // Candidate but unchanged (rewrite of the same value, or a
@@ -450,19 +357,16 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
           }
         }
       } else {
-        // Untracked (or first-diff) page: fetch the whole page shadow; with
-        // tracking on, this full compare seeds every digest (the rebuild).
+        // First diff of a page (or digests invalidated): fetch the whole
+        // page shadow; this full compare seeds every digest (the rebuild).
         ++out.delta.device_calls;
         device_->peek_lines(lines, shadow);
         for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          ++out.delta.lines_diff_checked;
           ++out.sdelta.lines_diffed;
           if (cur[l] == shadow[l]) {
-            if (track_lines_) {
-              region_->set_line_digest(page, l, crc[l]);
-              if (auto* chk = pm_->checker()) {
-                chk->on_digest_apply(lines[l].value);
-              }
+            region_->set_line_digest(page, l, crc[l]);
+            if (auto* chk = pm_->checker()) {
+              chk->on_digest_apply(lines[l].value);
             }
             continue;
           }
@@ -472,10 +376,8 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
             return;
           }
         }
-        if (track_lines_) {
-          pending_valid.push_back(page);
-          ++out.sdelta.digest_rebuilds;
-        }
+        pending_valid.push_back(page);
+        ++out.sdelta.digest_rebuilds;
       }
     }
     out.status = flush();
@@ -490,9 +392,6 @@ Status PaxRuntime::sync_pages_batched(const std::vector<PageIndex>& pages,
   // Merge shard deltas (caller holds sync_mu_; workers have joined).
   Status first = Status::ok();
   for (const Shard& sh : results) {
-    stats_.pages_diffed += sh.delta.pages_diffed;
-    stats_.lines_diff_checked += sh.delta.lines_diff_checked;
-    stats_.lines_dirty_found += sh.delta.lines_dirty_found;
     stats_.device_calls += sh.delta.device_calls;
     stats_.sync_batches += sh.delta.sync_batches;
     sync_stats_.pages_scanned += sh.sdelta.pages_scanned;
@@ -661,7 +560,7 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
     snap.bytes = std::make_unique<std::byte[]>(kPageSize);
     std::memcpy(snap.bytes.get(), region_->page_span(page).data(),
                 kPageSize);
-    if (track_lines_ && region_->line_digests_valid(page)) {
+    if (region_->line_digests_valid(page)) {
       std::uint64_t want = region_->candidate_lines(page);
       for (std::size_t l = 0; l < kLinesPerPage; ++l) {
         const std::uint32_t crc =
@@ -674,16 +573,13 @@ Result<Epoch> PaxRuntime::persist_async_pipelined() {
       snap.want = want;
     } else {
       snap.want = ~std::uint64_t{0};
-      if (track_lines_) {
-        for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-          region_->set_line_digest(
-              page, l,
-              crc32c(snap.bytes.get() + l * kCacheLineSize,
-                     kCacheLineSize));
-        }
-        region_->mark_line_digests_valid(page);
-        ++sync_stats_.digest_rebuilds;
+      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
+        region_->set_line_digest(
+            page, l,
+            crc32c(snap.bytes.get() + l * kCacheLineSize, kCacheLineSize));
       }
+      region_->mark_line_digests_valid(page);
+      ++sync_stats_.digest_rebuilds;
     }
     page_lines.push_back(region_line_to_pool_line(page, 0).value);
     job.pages.push_back(std::move(snap));
@@ -754,9 +650,8 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
   SyncStats sdelta;
   Status status = Status::ok();
 
-  const std::size_t batch_lines = std::max<std::size_t>(1, sync_batch_lines_);
   std::vector<device::LineUpdate> batch;
-  batch.reserve(batch_lines);
+  batch.reserve(sync_batch_lines_);
   auto flush = [&]() -> Status {
     if (batch.empty()) return Status::ok();
     ++delta.device_calls;
@@ -775,7 +670,6 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
   std::array<std::size_t, kLinesPerPage> slot;
   std::array<LineData, kLinesPerPage> shadow;
   for (const PipelinePageSnap& snap : job.pages) {
-    ++delta.pages_diffed;
     ++sdelta.pages_scanned;
     std::size_t n = 0;
     for (std::size_t l = 0; l < kLinesPerPage; ++l) {
@@ -791,16 +685,14 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
     device_->peek_lines(std::span(cand.data(), n),
                         std::span(shadow.data(), n));
     for (std::size_t i = 0; i < n && status.is_ok(); ++i) {
-      ++delta.lines_diff_checked;
       ++sdelta.lines_diffed;
       const LineData cur = LineData::from_bytes(
           {snap.bytes.get() + slot[i] * kCacheLineSize, kCacheLineSize});
       if (cur == shadow[i]) continue;
-      ++delta.lines_dirty_found;
       ++sdelta.lines_synced;
       if (chk != nullptr) chk->on_sync_push(cand[i].value);
       batch.push_back({cand[i], cur});
-      if (batch.size() >= batch_lines) status = flush();
+      if (batch.size() >= sync_batch_lines_) status = flush();
     }
     if (!status.is_ok()) break;
   }
@@ -844,9 +736,6 @@ Status PaxRuntime::drain_one(const PipelineJob& job) {
   }
 
   std::lock_guard plock(pipe_mu_);
-  pipe_rt_delta_.pages_diffed += delta.pages_diffed;
-  pipe_rt_delta_.lines_diff_checked += delta.lines_diff_checked;
-  pipe_rt_delta_.lines_dirty_found += delta.lines_dirty_found;
   pipe_rt_delta_.device_calls += delta.device_calls;
   pipe_rt_delta_.sync_batches += delta.sync_batches;
   pipe_sync_delta_.pages_scanned += sdelta.pages_scanned;
@@ -893,9 +782,6 @@ RuntimeStats PaxRuntime::stats() const {
     // Fold in the drain worker's contribution (it never touches stats_
     // directly — sync_mu_ is off-limits to it).
     std::lock_guard plock(pipe_mu_);
-    out.pages_diffed += pipe_rt_delta_.pages_diffed;
-    out.lines_diff_checked += pipe_rt_delta_.lines_diff_checked;
-    out.lines_dirty_found += pipe_rt_delta_.lines_dirty_found;
     out.device_calls += pipe_rt_delta_.device_calls;
     out.sync_batches += pipe_rt_delta_.sync_batches;
   }

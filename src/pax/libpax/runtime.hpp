@@ -42,7 +42,6 @@
 #include "pax/device/recovery.hpp"
 #include "pax/libpax/heap.hpp"
 #include "pax/libpax/stl_allocator.hpp"
-#include "pax/libpax/sync_tuner.hpp"
 #include "pax/libpax/vpm_region.hpp"
 #include "pax/pmem/pool.hpp"
 
@@ -64,9 +63,7 @@ struct RuntimeOptions {
   /// Max lines carried per batched device sync call. Dirty lines accumulate
   /// into per-worker buffers flushed through PaxDevice::sync_lines, which
   /// fuses write_intent + writeback_line and appends a stripe group's undo
-  /// records under one log-mutex hold. 1 = the legacy per-line path
-  /// (peek_line / write_intent / writeback_line), bit-for-bit identical to
-  /// pre-batching behavior.
+  /// records under one log-mutex hold. 1 = one-line batches.
   std::size_t sync_batch_lines = 256;
   /// Parallelism of the dirty-page diff (caller participates; diff_workers
   /// total threads touch pages). 1 = diff on the calling thread only.
@@ -74,27 +71,6 @@ struct RuntimeOptions {
   /// Don't fan out the diff below this many dirty pages — thread-pool
   /// handoff costs more than diffing a handful of pages inline.
   std::size_t diff_fanout_min_pages = 16;
-  /// Line-granular dirty tracking (vpm_region.hpp): per-page candidate
-  /// bitmaps plus per-line digests of the last-synced contents let the diff
-  /// skip lines whose digest still matches without peeking the device
-  /// shadow — persist cost then follows lines written, not pages touched.
-  /// false keeps the diff (and every stat it reports) bit-for-bit on the
-  /// page-granular path.
-  bool track_lines = true;
-  /// Let a SyncTuner pick sync_batch_lines and the effective diff_workers
-  /// per epoch from the observed dirty-set size, dirty-line density, and
-  /// device stripe contention. The static knobs above still size the worker
-  /// pool; the pins below freeze one knob while the other adapts.
-  bool adaptive_sync = false;
-  std::size_t adaptive_pin_batch_lines = 0;  // 0 = adapt batch size
-  unsigned adaptive_pin_workers = 0;         // 0 = adapt worker count
-  /// EWMA smoothing factor for the tuner's density/contention signals
-  /// (SyncTunerConfig::ewma_alpha): 1.0 = raw samples, lower values damp
-  /// epoch-to-epoch oscillation on alternating dense/sparse workloads.
-  double adaptive_ewma_alpha = 1.0;
-  /// Relative hysteresis band for tuner decisions
-  /// (SyncTunerConfig::hysteresis): 0 = every derivation is adopted.
-  double adaptive_hysteresis = 0.0;
   /// Pipelined epochs: persist_async() swaps the dirty set into an
   /// O(dirty-pages) snapshot, re-arms page protection, and returns
   /// immediately; a background drain worker runs diff → sync_lines → seal →
@@ -110,10 +86,9 @@ struct RuntimeOptions {
   std::size_t log_ring_slots = 0;
 
   /// `base` with every source of scheduling nondeterminism pinned: no
-  /// flusher thread, single-threaded diff and device persist workers, and
-  /// the adaptive tuner (if enabled) locked to one worker. A workload run
-  /// under these options emits the identical device event sequence on every
-  /// execution — the contract crash-point exploration (check/crashpoint.hpp)
+  /// flusher thread, single-threaded diff and device persist workers. A
+  /// workload run under these options emits the identical device event
+  /// sequence on every execution — the contract crash-point exploration (check/crashpoint.hpp)
   /// depends on. Byte-identical vPM snapshots additionally require a fixed
   /// vpm_base_hint, which the caller must choose.
   static RuntimeOptions deterministic(RuntimeOptions base);
@@ -124,24 +99,20 @@ struct RuntimeStats {
   /// pipelined persist() counts once. Equals PipelineStats::async_persists
   /// when pipeline_depth > 0.
   std::uint64_t persists = 0;
-  std::uint64_t pages_diffed = 0;
-  std::uint64_t lines_diff_checked = 0;
-  std::uint64_t lines_dirty_found = 0;
   std::uint64_t sync_steps = 0;
-  /// Device API invocations made by the sync path (peek/intent/writeback or
-  /// their batched equivalents). The legacy path costs 3 per dirty line;
-  /// batching amortizes to ~1 call per page of peeks + 1 per batch of syncs.
+  /// Device API invocations made by the sync path: one peek_lines per page
+  /// with candidate lines plus one sync_lines per batch.
   std::uint64_t device_calls = 0;
-  /// Batched sync_lines flushes issued (0 on the legacy path).
+  /// Batched sync_lines flushes issued.
   std::uint64_t sync_batches = 0;
 };
 
-/// Where the sync path's line examinations went. lines_diffed counts lines
-/// memcmp'd against a fetched device shadow; lines_skipped counts lines the
-/// line tracker proved clean (candidate bit clear, digest match) without
-/// touching the shadow; lines_synced counts lines actually pushed. Without
-/// track_lines, lines_skipped stays 0 and lines_diffed == the legacy
-/// lines_diff_checked.
+/// Where the sync path's line examinations went. pages_scanned counts dirty
+/// pages diffed; lines_diffed counts lines memcmp'd against a fetched device
+/// shadow; lines_skipped counts lines the line tracker proved clean
+/// (candidate bit clear, digest match) without touching the shadow;
+/// lines_synced counts lines actually pushed. Per page, lines_diffed +
+/// lines_skipped == kLinesPerPage.
 struct SyncStats {
   std::uint64_t pages_scanned = 0;
   std::uint64_t lines_diffed = 0;
@@ -150,11 +121,6 @@ struct SyncStats {
   /// Pages whose per-line digests were (re)seeded by a full-page compare —
   /// every page's first diff after map/attach goes through this.
   std::uint64_t digest_rebuilds = 0;
-  /// SyncTuner consultations (0 unless adaptive_sync).
-  std::uint64_t tuner_decisions = 0;
-  /// Knob values used by the most recent sync (static or tuner-chosen).
-  std::size_t last_batch_lines = 0;
-  unsigned last_diff_workers = 0;
 };
 
 /// Epoch-pipeline observability (all zero unless pipeline_depth > 0).
@@ -287,26 +253,16 @@ class PaxRuntime {
       std::unique_ptr<pmem::PmemDevice> owned_pm, pmem::PmemDevice* pm,
       const RuntimeOptions& options);
 
-  /// Diffs the given pages line-by-line against the device view and pushes
-  /// changed lines into the device. Consults the tuner (if adaptive_sync)
-  /// for this epoch's knobs, then dispatches to the legacy per-line path
-  /// (batch <= 1) or the parallel batched path. Returns first error.
-  /// Caller must hold sync_mu_.
+  /// Diffs the given pages against the device view at cache-line
+  /// granularity and pushes changed lines into the device. Partitions
+  /// `pages` across the diff worker pool (diff_workers threads including
+  /// the caller); each shard diffs its pages with the TSan-safe line capture
+  /// and flushes dirty lines through PaxDevice::sync_lines in
+  /// sync_batch_lines-sized batches. A page whose digests are valid peeks
+  /// only its candidate lines (bitmap | digest mismatch); otherwise the full
+  /// page shadow is fetched and the digests (re)seeded. Returns the first
+  /// error. Caller must hold sync_mu_.
   Status sync_pages(const std::vector<PageIndex>& pages);
-
-  /// Pre-batching behavior, preserved verbatim: per line, peek_line →
-  /// memdiff → write_intent → writeback_line (3 device calls per dirty
-  /// line).
-  Status sync_pages_legacy(const std::vector<PageIndex>& pages);
-
-  /// Partitions `pages` across the diff worker pool (`workers` threads
-  /// including the caller); each shard diffs its pages with the TSan-safe
-  /// line capture and flushes dirty lines through PaxDevice::sync_lines in
-  /// batch_lines-sized batches. With track_lines, a page whose digests are
-  /// valid peeks only its candidate lines (bitmap | digest mismatch);
-  /// otherwise the full page shadow is fetched and the digests (re)seeded.
-  Status sync_pages_batched(const std::vector<PageIndex>& pages,
-                            std::size_t batch_lines, unsigned workers);
 
   // --- Epoch pipeline (pipeline_depth > 0) --------------------------------
   //
@@ -372,19 +328,7 @@ class PaxRuntime {
   std::size_t sync_batch_lines_ = 1;
   unsigned diff_workers_ = 1;
   std::size_t diff_fanout_min_pages_ = 16;
-  bool track_lines_ = true;
-  std::unique_ptr<common::ThreadPool> diff_pool_;  // max parallelism - 1
-
-  // Adaptive sync (sync_tuner.hpp). The window baselines turn cumulative
-  // counters into per-window rates: density from this runtime's own
-  // SyncStats, contention from the device-wide stripe-lock totals (which
-  // other frontends of a shared device also move — intentionally, since
-  // that contention is exactly what the diff workers would fight).
-  std::optional<SyncTuner> tuner_;
-  std::uint64_t tuner_window_pages_ = 0;
-  std::uint64_t tuner_window_lines_ = 0;
-  std::uint64_t tuner_window_lock_acq_ = 0;
-  std::uint64_t tuner_window_lock_con_ = 0;
+  std::unique_ptr<common::ThreadPool> diff_pool_;  // diff_workers - 1
 
   // Epoch pipeline. All fields below pipe_mu_ are guarded by it; the drain
   // worker never takes sync_mu_ (see the lock-order note above).

@@ -8,12 +8,12 @@
 // hybrid the paper proposes in §5.1: the fault is the device's RdOwn-
 // equivalent first-touch notification, after which libpax tracks the page's
 // modifications at cache-line granularity by diffing against the device's
-// copy (see PaxRuntime::sync_dirty_lines).
+// copy (see PaxRuntime::sync_pages).
 //
 // Faults on non-vPM addresses are forwarded to the previously installed
 // SIGSEGV disposition, so real bugs still crash loudly.
 //
-// Line-granular tracking (optional, `track_lines`): the region additionally
+// Line-granular tracking (`track_lines`): the region additionally
 // keeps, per page, a 64-bit candidate-line bitmap and a per-line 32-bit
 // CRC32C digest of the line's last-synced contents. The fault handler sets
 // the faulting line's candidate bit (the one store the kernel lets us
@@ -24,8 +24,8 @@
 // fallback); a line modified while its page was already writable is caught
 // by its digest mismatch instead, which is probabilistic with a 2^-32
 // per-line false-clean window — the price of sub-page tracking without
-// per-line faults. `track_lines = false` keeps the region bit-for-bit on
-// the page-granular path.
+// per-line faults. PaxRuntime always maps its region with tracking on;
+// `track_lines = false` (page-only tracking) serves the page-WAL baseline.
 #pragma once
 
 #include <atomic>

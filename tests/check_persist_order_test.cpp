@@ -153,7 +153,7 @@ TEST(PaxCheckPersistOrder, FailedBatchClearsPushedLines) {
   EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
 }
 
-// The full libpax stack — pool format, recovery, tracked+adaptive sync,
+// The full libpax stack — pool format, recovery, line-tracked sync,
 // sync persist, non-blocking persist, crash, re-attach — must be silent
 // under an attached checker.
 TEST(PaxCheckPersistOrder, FullRuntimeCycleIsClean) {
@@ -164,7 +164,6 @@ TEST(PaxCheckPersistOrder, FullRuntimeCycleIsClean) {
 
   libpax::RuntimeOptions ro;
   ro.log_size = 1 << 20;
-  ro.track_lines = true;
   for (int round = 0; round < 2; ++round) {
     auto rt = libpax::PaxRuntime::attach(pm.get(), ro);
     ASSERT_TRUE(rt.ok()) << rt.status().to_string();

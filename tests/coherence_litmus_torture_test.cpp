@@ -89,8 +89,8 @@ TEST_P(LitmusTortureTest, RacingOutcomesStayInsideTheSerializedSet) {
 INSTANTIATE_TEST_SUITE_P(Shapes, LitmusTortureTest,
                          ::testing::Values("SB", "LB", "MP", "IRIW",
                                            "2+2W"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& ch : name) {
                              if (ch == '+') ch = 'p';
                            }

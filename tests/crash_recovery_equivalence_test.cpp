@@ -1,9 +1,8 @@
 // Recovery-equivalence property: every enumerated crash point of the demo
 // libpax workloads (persistent-heap object chain, ShardedMap) must recover
-// to exactly pre-epoch or post-epoch bytes — across the legacy, batched,
-// and line-tracked sync configurations. The explorer's snapshot oracle is
-// the property; these tests just pick representative workloads and sweep
-// the configs. Sampled (not k=1) to keep the suite quick; paxctl explore
+// to exactly pre-epoch or post-epoch bytes under the line-tracked, batched
+// sync path. The explorer's snapshot oracle is the property; these tests
+// just pick representative workloads. Sampled (not k=1) to keep the suite quick; paxctl explore
 // and the CI explore job run the exhaustive sweep.
 #include <gtest/gtest.h>
 
@@ -27,25 +26,10 @@ constexpr Epoch kEpochs = 3;
 // execution. Away from the sequential-hint range vpm_region.cpp hands out.
 constexpr std::uintptr_t kVpmBase = 0x7e00'0000'0000ULL;
 
-enum class SyncConfig { kLegacy, kBatched, kTracked };
-
-RuntimeOptions config_options(SyncConfig config) {
+RuntimeOptions explore_options() {
   RuntimeOptions o;
   o.log_size = 512 << 10;
   o.vpm_base_hint = kVpmBase;
-  switch (config) {
-    case SyncConfig::kLegacy:
-      o.sync_batch_lines = 1;
-      o.track_lines = false;
-      break;
-    case SyncConfig::kBatched:
-      o.sync_batch_lines = 256;
-      o.track_lines = false;
-      break;
-    case SyncConfig::kTracked:
-      o.track_lines = true;
-      break;
-  }
   return RuntimeOptions::deterministic(o);
 }
 
@@ -90,10 +74,8 @@ Status map_workload(const RuntimeOptions& opts, pmem::PmemDevice& dev,
   return Status::ok();
 }
 
-class RecoveryEquivalence : public ::testing::TestWithParam<SyncConfig> {};
-
-TEST_P(RecoveryEquivalence, HeapChainRecoversToPreOrPostEpoch) {
-  const RuntimeOptions opts = config_options(GetParam());
+TEST(RecoveryEquivalence, HeapChainRecoversToPreOrPostEpoch) {
+  const RuntimeOptions opts = explore_options();
   CrashExplorerOptions options;
   options.max_crash_points = 32;  // evenly sampled, tail included
   options.seed = 0x9e1f;
@@ -109,8 +91,8 @@ TEST_P(RecoveryEquivalence, HeapChainRecoversToPreOrPostEpoch) {
   EXPECT_EQ(result.value().epochs, static_cast<std::uint64_t>(kEpochs) + 1);
 }
 
-TEST_P(RecoveryEquivalence, ShardedMapRecoversToPreOrPostEpoch) {
-  const RuntimeOptions opts = config_options(GetParam());
+TEST(RecoveryEquivalence, ShardedMapRecoversToPreOrPostEpoch) {
+  const RuntimeOptions opts = explore_options();
   CrashExplorerOptions options;
   options.max_crash_points = 32;
   options.seed = 0x51ab;
@@ -124,18 +106,6 @@ TEST_P(RecoveryEquivalence, ShardedMapRecoversToPreOrPostEpoch) {
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   EXPECT_TRUE(result.value().clean()) << result.value().to_string();
 }
-
-INSTANTIATE_TEST_SUITE_P(AllSyncConfigs, RecoveryEquivalence,
-                         ::testing::Values(SyncConfig::kLegacy,
-                                           SyncConfig::kBatched,
-                                           SyncConfig::kTracked),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case SyncConfig::kLegacy: return "legacy";
-                             case SyncConfig::kBatched: return "batched";
-                             default: return "tracked";
-                           }
-                         });
 
 }  // namespace
 }  // namespace pax::libpax

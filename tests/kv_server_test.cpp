@@ -209,8 +209,9 @@ TEST(KvServerTest, StatsExposesShardRuntimeAndGroupCommit) {
   for (const char* needle :
        {"\"commit_mode\": \"group\"", "\"log_flushes_total\"",
         "\"acked_write_ops\"", "\"group_commit\"", "\"waves\"",
-        "\"shard_stats\"", "\"sync\"", "\"tuner_decisions\"",
-        "\"last_batch_lines\"", "\"pipeline\"", "\"ring_appends\""}) {
+        "\"shard_stats\"", "\"sync\"", "\"pages_scanned\"",
+        "\"lines_synced\"", "\"digest_rebuilds\"", "\"pipeline\"",
+        "\"ring_appends\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n"
                                                     << json;
   }

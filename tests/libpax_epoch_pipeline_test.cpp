@@ -20,7 +20,6 @@ RuntimeOptions options(std::size_t depth = 2, std::size_t ring = 0) {
   RuntimeOptions o;
   o.log_size = 4 << 20;
   o.device.log_flush_batch_bytes = 0;
-  o.track_lines = true;
   o.pipeline_depth = depth;
   o.log_ring_slots = ring;
   return o;
@@ -218,9 +217,12 @@ TEST(EpochPipelineTest, StatsFoldDrainWorkerContribution) {
   ASSERT_TRUE(rt->persist().ok());
   const RuntimeStats rs = rt->stats();
   const SyncStats ss = rt->sync_stats();
-  EXPECT_GT(rs.pages_diffed, 0u);
-  EXPECT_GT(rs.lines_dirty_found, 0u);
+  EXPECT_GT(rs.device_calls, 0u);
+  EXPECT_GT(rs.sync_batches, 0u);
+  EXPECT_GT(ss.pages_scanned, 0u);
   EXPECT_GT(ss.lines_synced, 0u);
+  EXPECT_EQ(ss.lines_diffed + ss.lines_skipped,
+            ss.pages_scanned * kLinesPerPage);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The batched, parallel host sync path: batched configs must persist the
-// exact state the legacy per-line path persists, with far fewer device
-// calls; plus the vPM region's coalesced re-protection and dirty-counter
-// early-out, and the prompt flusher shutdown.
+// The batched, parallel host sync path: every batching/fan-out config must
+// persist exactly the committed image, with one peek per page and one
+// device call per batch; plus the vPM region's coalesced re-protection and
+// dirty-counter early-out, and the prompt flusher shutdown.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,14 +16,6 @@ namespace {
 
 constexpr std::size_t kPool = 16 << 20;
 
-RuntimeOptions legacy_opts() {
-  RuntimeOptions o;
-  o.log_size = 256 * 1024;
-  o.sync_batch_lines = 1;  // per-line peek/intent/writeback
-  o.diff_workers = 1;
-  return o;
-}
-
 RuntimeOptions batched_opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
@@ -33,13 +25,33 @@ RuntimeOptions batched_opts() {
   return o;
 }
 
+// One-line batches on the calling thread: the smallest sync_lines calls.
+RuntimeOptions single_line_opts() {
+  RuntimeOptions o;
+  o.log_size = 256 * 1024;
+  o.sync_batch_lines = 1;
+  o.diff_workers = 1;
+  return o;
+}
+
+constexpr std::size_t kSchedulePages = 23;  // pages [0, 23) of the region
+
+// The bytes run_schedule writes at `round` into page p (1..20).
+std::size_t schedule_offset(int round, std::size_t p) {
+  return p * kPageSize + (round * 256) % kPageSize;
+}
+int schedule_byte(int round, std::size_t p) {
+  return 0x10 + round * 16 + static_cast<int>(p);
+}
+constexpr std::size_t kScheduleLen = 192;
+
 // Applies the same deterministic mutation/persist schedule to a runtime.
 void run_schedule(PaxRuntime& rt) {
   for (int round = 0; round < 4; ++round) {
     for (std::size_t p = 1; p <= 20; ++p) {
       // Partial-page writes: some lines per page change, some don't.
-      std::memset(rt.vpm_base() + p * kPageSize + (round * 256) % kPageSize,
-                  0x10 + round * 16 + static_cast<int>(p), 192);
+      std::memset(rt.vpm_base() + schedule_offset(round, p),
+                  schedule_byte(round, p), kScheduleLen);
     }
     if (round % 2 == 0) {
       ASSERT_TRUE(rt.persist().ok());
@@ -53,73 +65,73 @@ void run_schedule(PaxRuntime& rt) {
   rt.sync_step();
 }
 
-TEST(HostSyncEquivalenceTest, BatchedRecoversExactlyWhatLegacyRecovers) {
-  auto pm_a = pmem::PmemDevice::create_in_memory(kPool);
-  auto pm_b = pmem::PmemDevice::create_in_memory(kPool);
-  std::uint64_t dirty_legacy = 0, dirty_batched = 0;
-  {
-    auto rt = PaxRuntime::attach(pm_a.get(), legacy_opts()).value();
-    run_schedule(*rt);
-    EXPECT_EQ(rt->stats().sync_batches, 0u);
-    dirty_legacy = rt->stats().lines_dirty_found;
+// The oracle: run_schedule's committed stores replayed into a plain buffer
+// over a zeroed pool. Page 0 (heap metadata) is not modelled.
+std::vector<std::byte> expected_schedule_image() {
+  std::vector<std::byte> image(kSchedulePages * kPageSize);
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t p = 1; p <= 20; ++p) {
+      std::memset(image.data() + schedule_offset(round, p),
+                  schedule_byte(round, p), kScheduleLen);
+    }
   }
-  {
-    auto rt = PaxRuntime::attach(pm_b.get(), batched_opts()).value();
-    run_schedule(*rt);
-    EXPECT_GT(rt->stats().sync_batches, 0u);
-    dirty_batched = rt->stats().lines_dirty_found;
-  }
-  EXPECT_EQ(dirty_legacy, dirty_batched);
+  return image;
+}
 
-  pm_a->crash(pmem::CrashConfig::drop_all());
-  pm_b->crash(pmem::CrashConfig::drop_all());
-  auto rt_a = PaxRuntime::attach(pm_a.get(), legacy_opts()).value();
-  auto rt_b = PaxRuntime::attach(pm_b.get(), batched_opts()).value();
-  ASSERT_EQ(rt_a->committed_epoch(), rt_b->committed_epoch());
-  ASSERT_EQ(rt_a->vpm_size(), rt_b->vpm_size());
-  EXPECT_EQ(std::memcmp(rt_a->vpm_base(), rt_b->vpm_base(), rt_a->vpm_size()),
-            0);
+TEST(HostSyncEquivalenceTest, BatchedRecoversTheCommittedImage) {
+  const std::vector<std::byte> expected = expected_schedule_image();
+  for (const RuntimeOptions& opts : {batched_opts(), single_line_opts()}) {
+    SCOPED_TRACE(testing::Message()
+                 << "sync_batch_lines=" << opts.sync_batch_lines
+                 << " diff_workers=" << opts.diff_workers);
+    auto pm = pmem::PmemDevice::create_in_memory(kPool);
+    Epoch committed = 0;
+    {
+      auto rt = PaxRuntime::attach(pm.get(), opts).value();
+      run_schedule(*rt);
+      EXPECT_GT(rt->stats().sync_batches, 0u);
+      committed = rt->committed_epoch();
+    }
+    pm->crash(pmem::CrashConfig::drop_all());
+    auto rt = PaxRuntime::attach(pm.get(), opts).value();
+    EXPECT_EQ(rt->committed_epoch(), committed);
+    ASSERT_GE(rt->vpm_size(), expected.size());
+    EXPECT_EQ(std::memcmp(rt->vpm_base() + kPageSize,
+                          expected.data() + kPageSize,
+                          expected.size() - kPageSize),
+              0);
+  }
 }
 
 TEST(HostSyncEquivalenceTest, DeviceCallAccounting) {
-  // 8 fully-dirtied pages: the legacy path pays 3 device calls per dirty
-  // line (peek + intent + writeback); batching pays one peek per page and
-  // one sync per batch.
-  auto legacy = PaxRuntime::create_in_memory(kPool, legacy_opts()).value();
+  // 8 fully-dirtied pages: batching pays one peek per page and one sync per
+  // batch; one-line batches pay one sync per dirty line.
   RuntimeOptions bo = batched_opts();
   bo.diff_workers = 1;  // deterministic batch count
-  auto batched = PaxRuntime::create_in_memory(kPool, bo).value();
-
-  for (auto* rt : {legacy.get(), batched.get()}) {
+  for (const RuntimeOptions& opts : {bo, single_line_opts()}) {
+    SCOPED_TRACE(testing::Message()
+                 << "sync_batch_lines=" << opts.sync_batch_lines);
+    auto rt = PaxRuntime::create_in_memory(kPool, opts).value();
     ASSERT_TRUE(rt->persist().ok());  // settle heap-format writes
-  }
-  const RuntimeStats lb = legacy->stats();
-  const RuntimeStats bb = batched->stats();
+    const RuntimeStats rb = rt->stats();
+    const SyncStats sb = rt->sync_stats();
 
-  for (auto* rt : {legacy.get(), batched.get()}) {
     for (std::size_t p = 1; p <= 8; ++p) {
       std::memset(rt->vpm_base() + p * kPageSize, 0x5a, kPageSize);
     }
     ASSERT_TRUE(rt->persist().ok());
+    const RuntimeStats rs = rt->stats();
+    const SyncStats ss = rt->sync_stats();
+
+    const std::uint64_t dirty = ss.lines_synced - sb.lines_synced;
+    EXPECT_EQ(dirty, 8 * kLinesPerPage);
+    // One peek_lines per page + one sync_lines per full batch.
+    EXPECT_EQ(rs.sync_batches - rb.sync_batches,
+              dirty / opts.sync_batch_lines);
+    EXPECT_EQ(rs.device_calls - rb.device_calls,
+              (ss.pages_scanned - sb.pages_scanned) +
+                  (rs.sync_batches - rb.sync_batches));
   }
-  const RuntimeStats ls = legacy->stats();
-  const RuntimeStats bs = batched->stats();
-
-  const std::uint64_t dirty = ls.lines_dirty_found - lb.lines_dirty_found;
-  EXPECT_EQ(dirty, 8 * kLinesPerPage);
-  EXPECT_EQ(bs.lines_dirty_found - bb.lines_dirty_found, dirty);
-
-  // Legacy: one peek per checked line + two more calls per dirty line.
-  EXPECT_EQ(ls.device_calls - lb.device_calls,
-            (ls.lines_diff_checked - lb.lines_diff_checked) + 2 * dirty);
-  // Batched: one peek_lines per page + one sync_lines per full batch.
-  EXPECT_EQ(bs.sync_batches - bb.sync_batches,
-            dirty / bo.sync_batch_lines);
-  EXPECT_EQ(bs.device_calls - bb.device_calls,
-            (bs.pages_diffed - bb.pages_diffed) +
-                (bs.sync_batches - bb.sync_batches));
-  EXPECT_LT(bs.device_calls - bb.device_calls,
-            (ls.device_calls - lb.device_calls) / 10);
 }
 
 TEST(HostSyncEquivalenceTest, SnapshotReadsAnyAlignment) {

@@ -1,6 +1,6 @@
-// Tests of the line-granular incremental diff (track_lines): candidate-bit
-// collision fallback, digest-driven skipping, tracking state reset across
-// crash/recovery, and stats equivalence with tracking off.
+// Tests of the line-granular incremental diff: candidate-bit collision
+// fallback, digest-driven skipping, tracking state reset across
+// crash/recovery, and the diffed/skipped line accounting.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,7 +18,6 @@ RuntimeOptions tracked_opts() {
   o.log_size = 2 << 20;
   o.sync_batch_lines = 64;
   o.diff_workers = 1;
-  o.track_lines = true;
   return o;
 }
 
@@ -113,56 +112,38 @@ TEST(IncrementalDiffTest, TrackingStateResetsAcrossCrashRecovery) {
   EXPECT_TRUE(rt->region().line_digests_valid(PageIndex{kPage}));
 }
 
-TEST(IncrementalDiffTest, TrackingOffReproducesLegacyStatsExactly) {
-  // The same deterministic workload against tracking on and off; off must
-  // behave (and count) exactly like the page-granular path, and both must
-  // find the same dirty lines and recover the same state.
-  auto run = [](bool track, RuntimeStats* rstats, SyncStats* sstats,
-                std::vector<std::byte>* image) {
-    auto pm = pmem::PmemDevice::create_in_memory(kPool);
-    RuntimeOptions opts = tracked_opts();
-    opts.track_lines = track;
-    int last = 0;
-    {
-      auto rt = PaxRuntime::attach(pm.get(), opts).value();
-      for (int epoch = 0; epoch < 3; ++epoch) {
-        last = 0x50 + epoch;
-        for (std::size_t p = 1; p <= 6; ++p) {
-          for (std::size_t l = 0; l < 4; ++l) {
-            page_base(*rt, p)[l * kCacheLineSize] =
-                static_cast<std::byte>(last);
-          }
+TEST(IncrementalDiffTest, EveryScannedLineIsDiffedOrSkipped) {
+  // A sparse multi-epoch workload: per scanned page each of the 64 lines is
+  // either memcmp'd or skipped, and the recovered bytes are the last
+  // committed epoch's.
+  auto pm = pmem::PmemDevice::create_in_memory(kPool);
+  int last = 0;
+  {
+    auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      last = 0x50 + epoch;
+      for (std::size_t p = 1; p <= 6; ++p) {
+        for (std::size_t l = 0; l < 4; ++l) {
+          page_base(*rt, p)[l * kCacheLineSize] = static_cast<std::byte>(last);
         }
-        ASSERT_TRUE(rt->persist().ok());
       }
-      *rstats = rt->stats();
-      *sstats = rt->sync_stats();
+      ASSERT_TRUE(rt->persist().ok());
     }
-    pm->crash(pmem::CrashConfig::drop_all());
-    auto rt = PaxRuntime::attach(pm.get(), opts).value();
-    image->assign(rt->vpm_base() + kPageSize, rt->vpm_base() + 7 * kPageSize);
-  };
-
-  RuntimeStats on_r{}, off_r{};
-  SyncStats on_s{}, off_s{};
-  std::vector<std::byte> on_image, off_image;
-  run(true, &on_r, &on_s, &on_image);
-  run(false, &off_r, &off_s, &off_image);
-
-  // Tracking off: no skips, every scanned page is a full 64-line compare —
-  // the PR 2 accounting, untouched.
-  EXPECT_EQ(off_s.lines_skipped, 0u);
-  EXPECT_EQ(off_s.digest_rebuilds, 0u);
-  EXPECT_EQ(off_s.lines_diffed, off_s.pages_scanned * kLinesPerPage);
-  EXPECT_EQ(off_r.lines_diff_checked,
-            off_r.pages_diffed * kLinesPerPage);
-
-  // Both modes push the same lines and recover the same bytes.
-  EXPECT_EQ(on_r.lines_dirty_found, off_r.lines_dirty_found);
-  EXPECT_EQ(on_r.persists, off_r.persists);
-  EXPECT_EQ(on_s.lines_synced, off_s.lines_synced);
-  EXPECT_LT(on_s.lines_diffed, off_s.lines_diffed);  // tracking earns skips
-  EXPECT_EQ(on_image, off_image);
+    const SyncStats s = rt->sync_stats();
+    EXPECT_EQ(s.lines_diffed + s.lines_skipped,
+              s.pages_scanned * kLinesPerPage);
+    EXPECT_GT(s.lines_skipped, 0u);  // tracking earns skips
+    EXPECT_GE(s.lines_synced, 3 * 6 * 4u);  // plus page 0's heap format
+  }
+  pm->crash(pmem::CrashConfig::drop_all());
+  auto rt = PaxRuntime::attach(pm.get(), tracked_opts()).value();
+  for (std::size_t p = 1; p <= 6; ++p) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      EXPECT_EQ(page_base(*rt, p)[l * kCacheLineSize],
+                static_cast<std::byte>(last))
+          << "page " << p << " line " << l;
+    }
+  }
 }
 
 }  // namespace

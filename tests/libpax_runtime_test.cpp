@@ -97,7 +97,7 @@ TEST(PaxRuntimeTest, LineGranularLogging) {
   auto rt = PaxRuntime::create_in_memory(kPool).value();
   ASSERT_TRUE(rt->persist().ok());  // commit the heap-format writes first
   const auto base_logs = rt->device().stats().first_touch_logs;
-  const auto base_found = rt->stats().lines_dirty_found;
+  const auto base_synced = rt->sync_stats().lines_synced;
 
   for (std::size_t p = 1; p <= 10; ++p) {
     std::memset(rt->vpm_base() + p * kPageSize + 128, 0xdd, 8);
@@ -106,20 +106,20 @@ TEST(PaxRuntimeTest, LineGranularLogging) {
   EXPECT_EQ(rt->device().stats().first_touch_logs - base_logs, 10u);
   // Undo log bytes per epoch ≈ 10 × (24 B header + 72 B payload), worlds
   // below 10 pages.
-  EXPECT_EQ(rt->stats().lines_dirty_found - base_found, 10u);
+  EXPECT_EQ(rt->sync_stats().lines_synced - base_synced, 10u);
 }
 
 TEST(PaxRuntimeTest, UntouchedLinesInDirtyPageNotLogged) {
   auto rt = PaxRuntime::create_in_memory(kPool).value();
   ASSERT_TRUE(rt->persist().ok());
   const auto base_logs = rt->device().stats().first_touch_logs;
-  const auto base_checked = rt->stats().lines_diff_checked;
+  const auto base_diffed = rt->sync_stats().lines_diffed;
 
   rt->vpm_base()[2 * kPageSize] = std::byte{1};          // line 0 of page 2
   rt->vpm_base()[2 * kPageSize + 3000] = std::byte{1};   // line 46
   ASSERT_TRUE(rt->persist().ok());
   EXPECT_EQ(rt->device().stats().first_touch_logs - base_logs, 2u);
-  EXPECT_EQ(rt->stats().lines_diff_checked - base_checked, kLinesPerPage);
+  EXPECT_EQ(rt->sync_stats().lines_diffed - base_diffed, kLinesPerPage);
 }
 
 TEST(PaxRuntimeTest, SecondEpochRelogsSameLine) {

@@ -3,8 +3,7 @@
 // diffs pages underneath them (the benign-by-contract race that
 // capture_line keeps outside TSan's view), with §6 async persists at
 // quiesced round boundaries. After a crash, recovery must reproduce the
-// last persisted round exactly — and the batched and legacy sync paths must
-// recover bit-identical state.
+// last persisted round exactly, with and without the epoch pipeline.
 #include <gtest/gtest.h>
 
 #include <barrier>
@@ -131,32 +130,17 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
   return image;
 }
 
-// The four sync-path configurations whose recoveries must be bit-identical:
-// the pre-batching per-line path, the batched path, the line-tracked +
-// adaptive path, and the pipelined-epoch path (snapshot drains racing the
-// resumed mutators, undo appends through the lock-free ring).
-RuntimeOptions legacy_config() {
+// The two sync-path configurations, each of whose recoveries must hold the
+// final round's pattern: the line-tracked batched path with the flusher
+// racing the mutators, and the pipelined-epoch path (snapshot drains racing
+// the resumed mutators, undo appends through the lock-free ring).
+RuntimeOptions tracked_config() {
   RuntimeOptions o;
   o.start_flusher_thread = true;
   o.flusher_interval = std::chrono::microseconds(50);
-  o.sync_batch_lines = 1;
-  o.diff_workers = 1;
-  o.track_lines = false;
-  return o;
-}
-
-RuntimeOptions batched_config() {
-  RuntimeOptions o = legacy_config();
   o.sync_batch_lines = 32;
   o.diff_workers = 3;
   o.diff_fanout_min_pages = 1;
-  return o;
-}
-
-RuntimeOptions tracked_config() {
-  RuntimeOptions o = batched_config();
-  o.track_lines = true;
-  o.adaptive_sync = true;
   return o;
 }
 
@@ -169,33 +153,27 @@ RuntimeOptions pipelined_config() {
 
 void run_all_configs_and_compare(const pmem::CrashConfig& crash,
                                  const char* mode) {
-  auto pm_a = pmem::PmemDevice::create_in_memory(kPool);
-  auto pm_b = pmem::PmemDevice::create_in_memory(kPool);
-  auto pm_c = pmem::PmemDevice::create_in_memory(kPool);
-  auto pm_d = pmem::PmemDevice::create_in_memory(kPool);
-  const std::vector<std::byte> legacy_image =
-      run_and_recover(pm_a.get(), legacy_config(), crash, mode);
-  const std::vector<std::byte> batched_image =
-      run_and_recover(pm_b.get(), batched_config(), crash, mode);
-  const std::vector<std::byte> tracked_image =
-      run_and_recover(pm_c.get(), tracked_config(), crash, mode);
-  const std::vector<std::byte> pipelined_image =
-      run_and_recover(pm_d.get(), pipelined_config(), crash, mode);
-
-  // Every slab byte holds the final round's pattern; the 0xEE garbage died
-  // (dropped outright, or rolled back off its undo record if it survived).
-  for (int t = 0; t < kThreads; ++t) {
-    const auto expected =
-        static_cast<std::byte>(pattern(t, kRounds - 1) & 0xff);
-    for (std::size_t i = 0; i < kSlabBytes; ++i) {
-      ASSERT_EQ(legacy_image[t * kSlabBytes + i], expected)
-          << mode << " legacy slab " << t << " byte " << i;
+  const struct {
+    const char* name;
+    RuntimeOptions opts;
+  } configs[] = {{"tracked", tracked_config()},
+                 {"pipelined", pipelined_config()}};
+  for (const auto& config : configs) {
+    auto pm = pmem::PmemDevice::create_in_memory(kPool);
+    const std::vector<std::byte> image =
+        run_and_recover(pm.get(), config.opts, crash, mode);
+    // Every slab byte holds the final round's pattern; the 0xEE garbage
+    // died (dropped outright, or rolled back off its undo record if it
+    // survived).
+    for (int t = 0; t < kThreads; ++t) {
+      const auto expected =
+          static_cast<std::byte>(pattern(t, kRounds - 1) & 0xff);
+      for (std::size_t i = 0; i < kSlabBytes; ++i) {
+        ASSERT_EQ(image[t * kSlabBytes + i], expected)
+            << mode << " " << config.name << " slab " << t << " byte " << i;
+      }
     }
   }
-  // And all sync paths recovered identical state.
-  EXPECT_EQ(legacy_image, batched_image) << mode;
-  EXPECT_EQ(legacy_image, tracked_image) << mode;
-  EXPECT_EQ(legacy_image, pipelined_image) << mode;
 }
 
 TEST(HostSyncTortureTest, RacingFlusherRecoversLastPersistedRound) {

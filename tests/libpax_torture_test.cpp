@@ -58,15 +58,6 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
   opts.device.log_flush_batch_bytes = 256;
   opts.device.hbm.capacity_lines = 256;  // small buffer: eviction pressure
   opts.device.hbm.ways = 4;
-  // The hundreds digit of the seed picks the sync-path flavor, so the same
-  // generational grinder covers every diff configuration: 3xx = line
-  // tracking with static knobs (the default), 4xx = tracking plus the
-  // adaptive tuner, 5xx = tracking off (the page-granular PR 2 path).
-  if (seed >= 500) {
-    opts.track_lines = false;
-  } else if (seed >= 400) {
-    opts.adaptive_sync = true;
-  }
 
   std::map<std::uint64_t, std::uint64_t> committed_oracle;
   Epoch committed_epoch = 0;
@@ -147,8 +138,7 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TortureTest,
-                         ::testing::Values(301, 302, 303, 304, 401, 402, 501,
-                                           502));
+                         ::testing::Values(301, 302, 303, 304));
 
 }  // namespace
 }  // namespace pax::libpax
