@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "pax/check/crashpoint.hpp"
@@ -106,6 +107,8 @@ int main() {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"crash_explore\",\n");
+  std::fprintf(out, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out, "  \"pages\": %zu,\n", kPages);
   std::fprintf(out, "  \"epochs\": %d,\n", kEpochs);
   std::fprintf(out, "  \"rows\": [\n");

@@ -1,19 +1,18 @@
 // Ablation — pipelined epochs + lock-free undo-append ring.
 //
-// PR "pipelined epochs": persist() used to block the mutator for the whole
-// diff → sync_lines → undo-durable → seal → commit chain. With
-// pipeline_depth > 0, persist_async() swaps the dirty set into an
-// O(dirty-pages) snapshot, re-arms write protection, and returns; a
-// background drain worker runs the chain while the mutator builds epoch
-// N+1. log_ring_slots > 0 additionally moves the hot-path undo appends off
-// the log mutex onto a pre-framed MPMC ring.
+// A blocking persist() holds the mutator for the whole
+// diff → sync_lines → undo-durable → commit chain. persist_async() copies
+// the dirty set into an O(dirty-pages) snapshot, re-arms write protection,
+// and returns; the background drain worker runs the same chain while the
+// mutator builds epoch N+1. log_ring_slots > 0 additionally moves the
+// hot-path undo appends off the log mutex onto a pre-framed MPMC ring.
 //
 // The workload dirties kDirtyPages pages at 12.5% line density (8 of 64
 // lines per page — the regime where line tracking pays and the drain has
 // real work), then spends think time before the next epoch, like any
 // closed-loop client. Mutation stall = wall time the mutator spends inside
-// persist calls: the swap plus any back-pressure for pipelined mode, the
-// full diff → sync → seal → commit chain for blocking mode. The think time
+// persist calls: the snapshot plus any back-pressure for persist_async(),
+// the full diff → sync → commit chain for persist(). The think time
 // is a sleep rather than compute so that on this single-core container the
 // drain worker actually gets the CPU during it — the same overlap real
 // application work gives it on a multi-core host. The final wait for
@@ -79,7 +78,6 @@ Row run(bool pipelined, bool ring) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
-  opts.pipeline_depth = pipelined ? 2 : 0;
   opts.log_ring_slots = ring ? 512 : 0;
 
   double stall_us = 0, tail_us = 0;

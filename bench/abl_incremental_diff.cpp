@@ -53,8 +53,6 @@ Row run(std::size_t density) {
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
-  opts.diff_workers = 4;
-  opts.diff_fanout_min_pages = 1;
 
   double persist_ms = 0;
   SyncStats base{}, after{};

@@ -8,6 +8,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pax/litmus/runner.hpp"
@@ -94,7 +95,10 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_litmus.json\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"litmus\",\n  \"rows\": [\n");
+  std::fprintf(out, "{\n  \"bench\": \"litmus\",\n");
+  std::fprintf(out, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(out, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(

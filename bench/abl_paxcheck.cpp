@@ -34,7 +34,6 @@ constexpr int kEpochs = 4;
 
 struct Row {
   const char* config;
-  unsigned workers;
   std::size_t batch;
   double persist_ms_off;
   double persist_ms_on;
@@ -45,8 +44,7 @@ struct Row {
 
 // One timed pass of the dirty-page persist workload; `checker` may be null
 // (the baseline). Returns mean persist wall ms per epoch.
-double run_pass(unsigned workers, std::size_t batch,
-                check::Checker* checker) {
+double run_pass(std::size_t batch, check::Checker* checker) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   if (checker != nullptr) pm->set_checker(checker);
 
@@ -55,8 +53,6 @@ double run_pass(unsigned workers, std::size_t batch,
   opts.device.stripes = 16;
   opts.device.persist_workers = 4;
   opts.sync_batch_lines = batch;
-  opts.diff_workers = workers;
-  opts.diff_fanout_min_pages = 1;
 
   double persist_ms = 0;
   {
@@ -79,16 +75,16 @@ double run_pass(unsigned workers, std::size_t batch,
 
 constexpr int kRepeats = 3;
 
-Row run(const char* config, unsigned workers, std::size_t batch) {
+Row run(const char* config, std::size_t batch) {
   // Alternate off/on passes and keep the per-mode minimum: scheduler noise
   // on a shared host only ever inflates a pass, so min-of-N is the honest
   // estimate of each mode's cost.
   double off_ms = 0, on_ms = 0;
   std::uint64_t events = 0, violations = 0;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    const double off = run_pass(workers, batch, nullptr);
+    const double off = run_pass(batch, nullptr);
     check::Checker checker;
-    const double on = run_pass(workers, batch, &checker);
+    const double on = run_pass(batch, &checker);
     auto report = checker.report();
     events = report.diagnostics.events;
     violations += report.violations.size();
@@ -96,7 +92,6 @@ Row run(const char* config, unsigned workers, std::size_t batch) {
     on_ms = rep == 0 ? on : std::min(on_ms, on);
   }
   return Row{config,
-             workers,
              batch,
              off_ms,
              on_ms,
@@ -112,15 +107,14 @@ int main() {
   std::printf("=== PaxCheck overhead: persist() with checker off vs on ===\n");
   std::printf("host cpus: %u, dirty pages/epoch: %zu (%zu lines)\n", cpus,
               kDirtyPages, kDirtyPages * kLinesPerPage);
-  std::printf("%10s %8s %6s %12s %11s %9s %10s %6s\n", "config", "workers",
-              "batch", "off[ms]", "on[ms]", "ratio", "events", "viol");
+  std::printf("%10s %6s %12s %11s %9s %10s %6s\n", "config", "batch",
+              "off[ms]", "on[ms]", "ratio", "events", "viol");
 
   std::vector<Row> rows;
-  rows.push_back(run("tracked", 4, 256));
+  rows.push_back(run("tracked", 256));
   for (const Row& r : rows) {
-    std::printf("%10s %8u %6zu %12.3f %11.3f %8.2fx %10" PRIu64 " %6" PRIu64
-                "\n",
-                r.config, r.workers, r.batch, r.persist_ms_off,
+    std::printf("%10s %6zu %12.3f %11.3f %8.2fx %10" PRIu64 " %6" PRIu64 "\n",
+                r.config, r.batch, r.persist_ms_off,
                 r.persist_ms_on, r.overhead_ratio, r.events, r.violations);
     std::fflush(stdout);
   }
@@ -152,12 +146,11 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"config\": \"%s\", \"diff_workers\": %u, "
+                 "    {\"config\": \"%s\", "
                  "\"sync_batch_lines\": %zu, \"persist_ms_off\": %.3f, "
                  "\"persist_ms_on\": %.3f, \"overhead_ratio\": %.3f, "
                  "\"events\": %" PRIu64 ", \"violations\": %" PRIu64 "}%s\n",
-                 r.config, r.workers, r.batch, r.persist_ms_off,
-                 r.persist_ms_on, r.overhead_ratio, r.events, r.violations,
+                 r.config, r.batch, r.persist_ms_off, r.persist_ms_on, r.overhead_ratio, r.events, r.violations,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

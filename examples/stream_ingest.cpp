@@ -62,7 +62,6 @@ IngestCost run_ingest(PaxRuntime& rt, Persistent<Telemetry>& table,
     // this is what an asynchronous commit overlaps with.
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
-  (void)rt.complete_persist();
   cost.persist_ms =
       std::chrono::duration<double, std::milli>(in_persist).count();
   return cost;
@@ -89,8 +88,9 @@ int main() {
   }
 
   // --- Non-blocking persist -------------------------------------------------
-  // The background flusher completes sealed commits between batches, so the
-  // ingest path pays only the seal.
+  // The drain worker commits sealed batches in the background, so the
+  // ingest path pays only the snapshot; the flusher pre-stages the next
+  // batch's lines while the queue is idle.
   auto pm_async = pmem::PmemDevice::create_in_memory(64 << 20);
   libpax::RuntimeOptions async_opts = opts;
   async_opts.start_flusher_thread = true;
@@ -100,15 +100,19 @@ int main() {
   {
     auto rt = PaxRuntime::attach(pm_async.get(), async_opts).value();
     auto table = Persistent<Telemetry>::open(*rt).value();
+    Epoch last_sealed = 0;
     async_cost = run_ingest(*rt, table, [&] {
-      if (!rt->persist_async().ok()) std::abort();
+      auto sealed = rt->persist_async();
+      if (!sealed.ok()) std::abort();
+      last_sealed = sealed.value();
     }, 0);
-    // One more sealed-but-never-completed batch, then crash.
+    if (!rt->wait_persisted(last_sealed).ok()) std::abort();
+    // One more sealed-but-never-waited batch, then crash.
     for (std::uint64_t r = 0; r < kRecordsPerBatch; ++r) {
       (*table)[1 << 30 | r] = 0xdead;
     }
     sealed_before_crash = rt->committed_epoch();
-    if (!rt->persist_async().ok()) std::abort();  // sealed, NOT completed
+    if (!rt->persist_async().ok()) std::abort();  // sealed, NOT waited on
   }
   pm_async->crash(pmem::CrashConfig::drop_all());
 
@@ -133,10 +137,10 @@ int main() {
                   100.0);
 
   // Crash-check: the pool recovers to the last COMPLETED epoch. The final
-  // batch was sealed but its completion raced the crash against the
-  // background flusher — both outcomes are legitimate, and each must be
-  // all-or-nothing: either the batch is entirely absent (seal never
-  // completed) or entirely present (the flusher finished the commit first).
+  // batch was sealed but its commit raced the crash against the drain
+  // worker — both outcomes are legitimate, and each must be all-or-nothing:
+  // either the batch is entirely absent (never committed) or entirely
+  // present (the drain finished the commit first).
   auto rt = PaxRuntime::attach(pm_async.get(), opts).value();
   auto table = Persistent<Telemetry>::open(*rt).value();
   const std::uint64_t expect = kBatches * kRecordsPerBatch;
@@ -151,11 +155,11 @@ int main() {
               last_batch_visible == 0 ? "dropped whole" : "committed whole");
   const bool dropped = epoch == sealed_before_crash &&
                        last_batch_visible == 0 && table->size() == expect;
-  const bool committed_by_flusher =
+  const bool committed_by_drain =
       epoch == sealed_before_crash + 1 &&
       last_batch_visible == kRecordsPerBatch &&
       table->size() == expect + kRecordsPerBatch;
-  const bool ok = dropped || committed_by_flusher;
+  const bool ok = dropped || committed_by_drain;
   std::printf("%s\n", ok ? "ASYNC SNAPSHOTS SAFE" : "TORN BATCH");
   return ok ? 0 : 1;
 }

@@ -465,6 +465,7 @@ struct TracePass {
       case EventType::kPullInvoke:
       case EventType::kDigestApply:
       case EventType::kPipelinePage:
+      case EventType::kEpochSubmit:
         break;
     }
   }

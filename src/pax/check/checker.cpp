@@ -56,6 +56,7 @@ const char* event_type_name(EventType t) {
     case EventType::kTaskBegin: return "TASK_BEGIN";
     case EventType::kTaskEnd: return "TASK_END";
     case EventType::kTaskJoin: return "TASK_JOIN";
+    case EventType::kEpochSubmit: return "EPOCH_SUBMIT";
   }
   return "?";
 }
@@ -76,8 +77,7 @@ const char* rule_name(Rule r) {
     case Rule::kCommitWithoutFence: return "commit-without-fence";
     case Rule::kWritebackBeforeUndoDurable:
       return "writeback-before-undo-durable";
-    case Rule::kDigestBeforeBatchOutcome:
-      return "digest-before-batch-outcome";
+    case Rule::kPushAfterFailedBatch: return "push-after-failed-batch";
     case Rule::kLockOrderInversion: return "lock-order-inversion";
     case Rule::kLockSelfDeadlock: return "lock-self-deadlock";
     case Rule::kDoubleStripeLock: return "double-stripe-lock";
@@ -166,8 +166,6 @@ struct Checker::Ring {
 struct Checker::LineState {
   std::uint64_t key = kNoLine;  // kNoLine = empty slot
   bool pending = false;         // stored to PM, not yet flushed
-  bool pushed = false;          // in an in-flight sync_lines batch
-  std::uint16_t pushed_tid = 0;
 };
 
 namespace {
@@ -415,15 +413,12 @@ void Checker::process(const Event& e) {
     case EventType::kCrash:
       // Power loss resolves the pending overlay; in-flight sync state and
       // log watermarks restart from scratch with the next attach.
-      for (LineState& ls : line_slots_) {
-        ls.pending = false;
-        ls.pushed = false;
-      }
-      for (auto& pushed : pushed_by_tid_) pushed.clear();
+      for (LineState& ls : line_slots_) ls.pending = false;
       pending_count_ = 0;
       flushes_since_drain_ = 0;
       log_durable_.clear();
       pipeline_fifo_.clear();
+      submitter_.clear();
       break;
     case EventType::kLogAppend:
       break;
@@ -451,25 +446,36 @@ void Checker::process(const Event& e) {
     }
     case EventType::kEpochSeal: {
       if (!options_.persist_order) break;
-      if (!pipeline_fifo_.empty() && pipeline_fifo_.front().epoch != e.a) {
+      // Only pre-v3 runtimes drove the device's own seal: runtime 0.
+      const auto& fifo = pipeline_fifo_[0];
+      if (!fifo.empty() && fifo.front().epoch != e.a) {
         add_violation(Rule::kPipelineCommitOrder, e, e.a,
                       "device sealed epoch " + std::to_string(e.a) +
                           " while pipeline snapshot for epoch " +
-                          std::to_string(pipeline_fifo_.front().epoch) +
+                          std::to_string(fifo.front().epoch) +
                           " is at the head of the drain queue");
       }
       break;
     }
     case EventType::kEpochCommit: {
       if (!options_.persist_order) break;
-      if (!pipeline_fifo_.empty()) {
-        if (pipeline_fifo_.front().epoch == e.a) {
-          pipeline_fifo_.erase(pipeline_fifo_.begin());
+      // The device commits on the thread that submitted the epoch; a
+      // commit nobody submitted (device-level callers, pre-v3 traces)
+      // belongs to runtime 0.
+      std::uint32_t runtime = 0;
+      if (const auto it = submitter_.find(e.tid); it != submitter_.end()) {
+        runtime = it->second;
+        submitter_.erase(it);
+      }
+      auto& fifo = pipeline_fifo_[runtime];
+      if (!fifo.empty()) {
+        if (fifo.front().epoch == e.a) {
+          fifo.erase(fifo.begin());
         } else {
           add_violation(Rule::kPipelineCommitOrder, e, e.a,
                         "epoch " + std::to_string(e.a) +
                             " committed while pipeline snapshot for epoch " +
-                            std::to_string(pipeline_fifo_.front().epoch) +
+                            std::to_string(fifo.front().epoch) +
                             " is at the head of the drain queue");
         }
       }
@@ -520,58 +526,61 @@ void Checker::process(const Event& e) {
       // While snapshots are outstanding, the drain worker is the only sync
       // producer and must push only the head snapshot's pages — anything
       // else is live next-epoch mutation bleeding into the sealed epoch.
-      if (!pipeline_fifo_.empty() &&
-          pipeline_fifo_.front().pages.count(e.line >> 6) == 0) {
+      const auto& fifo = pipeline_fifo_[e.runtime];
+      if (!fifo.empty() && fifo.front().pages.count(e.line >> 6) == 0) {
         add_violation(Rule::kSealedEpochMutation, e, e.line,
                       "line " + std::to_string(e.line) +
                           " pushed while sealed epoch " +
-                          std::to_string(pipeline_fifo_.front().epoch) +
+                          std::to_string(fifo.front().epoch) +
                           "'s snapshot (which does not cover it) heads the "
                           "drain queue");
       }
-      LineState& ls = line_state(e.line);
-      ls.pushed = true;
-      ls.pushed_tid = e.tid;
-      if (pushed_by_tid_.size() <= e.tid) pushed_by_tid_.resize(e.tid + 1);
-      pushed_by_tid_[e.tid].push_back(e.line);
+      if (const auto it = failed_batch_seq_.find(e.runtime);
+          it != failed_batch_seq_.end()) {
+        add_violation(Rule::kPushAfterFailedBatch, e, e.line,
+                      "line " + std::to_string(e.line) + " pushed by runtime " +
+                          std::to_string(e.runtime) +
+                          " after its sync_lines batch failed at #" +
+                          std::to_string(it->second));
+      }
       break;
     }
+    case EventType::kEpochSubmit: {
+      if (!options_.persist_order) break;
+      submitter_[e.tid] = e.runtime;
+      if (const auto it = failed_batch_seq_.find(e.runtime);
+          it != failed_batch_seq_.end()) {
+        add_violation(Rule::kPushAfterFailedBatch, e, e.a,
+                      "epoch " + std::to_string(e.a) +
+                          " submitted for commit by runtime " +
+                          std::to_string(e.runtime) +
+                          " after its sync_lines batch failed at #" +
+                          std::to_string(it->second));
+      }
+      break;
+    }
+    case EventType::kSyncBatchFail:
+      // The first failure is sticky for the runtime (see the failure model
+      // in runtime.hpp): nothing may be pushed or submitted after it.
+      // Runtime 0 marks events from traces older than v3, whose runtime
+      // could retry after a failure.
+      if (options_.persist_order && e.runtime != 0) {
+        failed_batch_seq_.try_emplace(e.runtime, e.seq);
+      }
+      break;
     case EventType::kSyncBatchOk:
-    case EventType::kSyncBatchFail: {
-      if (!options_.persist_order) break;
-      if (e.tid < pushed_by_tid_.size()) {
-        for (std::uint64_t line : pushed_by_tid_[e.tid]) {
-          // A later re-push by another thread owns the line now: leave it.
-          if (LineState* ls = find_line(line);
-              ls != nullptr && ls->pushed && ls->pushed_tid == e.tid) {
-            ls->pushed = false;
-          }
-        }
-        pushed_by_tid_[e.tid].clear();
-      }
+    case EventType::kDigestApply:  // only in traces of the older sync path
       break;
-    }
-    case EventType::kDigestApply: {
-      if (!options_.persist_order) break;
-      LineState& ls = line_state(e.line);
-      if (ls.pushed) {
-        add_violation(Rule::kDigestBeforeBatchOutcome, e, e.line,
-                      "digest for line " + std::to_string(e.line) +
-                          " applied while its sync_lines batch is still "
-                          "in flight");
-      }
-      break;
-    }
     case EventType::kPipelineSeal: {
       if (!options_.persist_order) break;
-      pipeline_fifo_.push_back({e.a, {}});
+      pipeline_fifo_[e.runtime].push_back({e.a, {}});
       break;
     }
     case EventType::kPipelinePage: {
       if (!options_.persist_order) break;
       // Pages arrive right after their seal event; match from the back.
-      for (auto it = pipeline_fifo_.rbegin(); it != pipeline_fifo_.rend();
-           ++it) {
+      auto& fifo = pipeline_fifo_[e.runtime];
+      for (auto it = fifo.rbegin(); it != fifo.rend(); ++it) {
         if (it->epoch == e.a) {
           it->pages.insert(e.line >> 6);
           break;
@@ -633,6 +642,16 @@ Report Checker::replay(std::span<const Event> events) {
 std::vector<Event> Checker::recorded_events() {
   std::lock_guard lock(engine_mu_);
   settle_locked();
+  // A thread can take its seq before another thread's ordering point and
+  // publish the event after that point settled (persist_async() sealing
+  // while the drain worker commits), so the engine processed it one settle
+  // late. Traces are in sequence order.
+  const auto by_seq = [](const Event& a, const Event& b) {
+    return a.seq < b.seq;
+  };
+  if (!std::is_sorted(recorded_.begin(), recorded_.end(), by_seq)) {
+    std::stable_sort(recorded_.begin(), recorded_.end(), by_seq);
+  }
   return recorded_;
 }
 
@@ -750,44 +769,50 @@ void Checker::on_pull_invoke(std::uint64_t line) {
   emit(e);
 }
 
-void Checker::on_sync_push(std::uint64_t line) {
+void Checker::on_sync_push(std::uint32_t runtime, std::uint64_t line) {
   Event e;
   e.type = EventType::kSyncPush;
   e.line = line;
+  e.runtime = runtime;
   emit(e);
 }
 
-void Checker::on_sync_batch_ok() {
+void Checker::on_sync_batch_ok(std::uint32_t runtime) {
   Event e;
   e.type = EventType::kSyncBatchOk;
+  e.runtime = runtime;
   emit(e);
 }
 
-void Checker::on_sync_batch_fail() {
+void Checker::on_sync_batch_fail(std::uint32_t runtime) {
   Event e;
   e.type = EventType::kSyncBatchFail;
+  e.runtime = runtime;
   emit(e);
 }
 
-void Checker::on_digest_apply(std::uint64_t line) {
+void Checker::on_epoch_submit(std::uint32_t runtime, std::uint64_t epoch) {
   Event e;
-  e.type = EventType::kDigestApply;
-  e.line = line;
+  e.type = EventType::kEpochSubmit;
+  e.a = epoch;
+  e.runtime = runtime;
   emit(e);
 }
 
-void Checker::on_pipeline_seal(std::uint64_t epoch,
+void Checker::on_pipeline_seal(std::uint32_t runtime, std::uint64_t epoch,
                                std::span<const std::uint64_t> page_lines) {
   Event seal;
   seal.type = EventType::kPipelineSeal;
   seal.a = epoch;
   seal.b = page_lines.size();
+  seal.runtime = runtime;
   emit(seal);
   for (std::uint64_t line : page_lines) {
     Event page;
     page.type = EventType::kPipelinePage;
     page.line = line;
     page.a = epoch;
+    page.runtime = runtime;
     emit(page);
   }
 }

@@ -17,9 +17,12 @@
 //       record that can roll it back (kWritebackBeforeUndoDurable) — the
 //       paper's §3.3 gating invariant, checked from the event trace instead
 //       of trusted from the implementation;
-//     * no tracked line digest advances while the sync_lines batch carrying
-//       the line is still in flight (kDigestBeforeBatchOutcome) — a stale
-//       digest would make the incremental diff skip a divergent line;
+//     * a runtime pushes nothing and submits no epoch for commit after one
+//       of its sync_lines batches failed (kPushAfterFailedBatch) — its
+//       first failure is sticky, because the failed epoch's digests
+//       already describe bytes the device never received. Events carry the
+//       runtime's id (Event::runtime), so a re-attached runtime or another
+//       runtime sharing the checker starts clean;
 //     * flushes of already-clean lines are counted as a perf diagnostic
 //       (redundant_flushes), not a violation: the WAL flush path may
 //       legitimately re-flush the line holding the durable boundary.
@@ -63,13 +66,13 @@ enum class Rule : std::uint8_t {
   kUnflushedLineAtCommit,
   kCommitWithoutFence,
   kWritebackBeforeUndoDurable,
-  kDigestBeforeBatchOutcome,
+  kPushAfterFailedBatch,
   kLockOrderInversion,
   kLockSelfDeadlock,
   kDoubleStripeLock,
   kPullWhileLocked,
-  // Epoch pipeline (pipelined persist_async; dormant when no kPipelineSeal
-  // events are emitted):
+  // Epoch pipeline, per runtime (Event::runtime; dormant when no
+  // kPipelineSeal events are emitted):
   //   * while runtime-sealed snapshots are outstanding, every kSyncPush must
   //     target a page captured by the OLDEST outstanding snapshot — a push
   //     outside that set means live epoch-(N+1) mutation leaked into the
@@ -183,14 +186,17 @@ class Checker {
   void on_epoch_seal(std::uint64_t epoch);
   void on_epoch_commit(std::uint64_t epoch);
   void on_pull_invoke(std::uint64_t line);
-  void on_sync_push(std::uint64_t line);
-  void on_sync_batch_ok();
-  void on_sync_batch_fail();
-  void on_digest_apply(std::uint64_t line);
-  /// Pipelined persist_async sealed a dirty-set snapshot: one kPipelineSeal
-  /// followed by one kPipelinePage per captured page (`page_lines` holds
-  /// each page's first pool line).
-  void on_pipeline_seal(std::uint64_t epoch,
+  /// libpax sync path; `runtime` is the emitting runtime's nonzero id.
+  void on_sync_push(std::uint32_t runtime, std::uint64_t line);
+  void on_sync_batch_ok(std::uint32_t runtime);
+  void on_sync_batch_fail(std::uint32_t runtime);
+  /// The runtime is about to ask the device, on this thread, to commit
+  /// `epoch`.
+  void on_epoch_submit(std::uint32_t runtime, std::uint64_t epoch);
+  /// The runtime sealed a dirty-set snapshot: one kPipelineSeal followed
+  /// by one kPipelinePage per captured page (`page_lines` holds each
+  /// page's first pool line).
+  void on_pipeline_seal(std::uint32_t runtime, std::uint64_t epoch,
                         std::span<const std::uint64_t> page_lines);
   void on_lock_acquire(LockClass cls, std::uint32_t id, bool shared);
   void on_lock_release(LockClass cls, std::uint32_t id);
@@ -207,8 +213,8 @@ class Checker {
   /// recovery) order after the trace. Returns the cumulative report.
   Report replay(std::span<const Event> events);
 
-  /// Copy of every event processed so far, in engine order. Populated only
-  /// when CheckerOptions::record_events is set; settles first.
+  /// Copy of every event processed so far, in sequence order. Populated
+  /// only when CheckerOptions::record_events is set; settles first.
   std::vector<Event> recorded_events();
 
   const CheckerOptions& options() const { return options_; }
@@ -245,32 +251,38 @@ class Checker {
   // Engine state; engine_mu_ serializes draining + replay. Per-line state
   // lives in an open-addressed table of 16-byte slots (one cache-friendly
   // probe per line event, no allocation once warm) with a pending counter
-  // so clean epoch commits never scan it; in-flight batch membership is a
-  // per-thread line list; backtraces are mined from a global recent-event
-  // ring (sequential writes) only when a violation actually fires.
+  // so clean epoch commits never scan it; backtraces are mined from a
+  // global recent-event ring (sequential writes) only when a violation
+  // actually fires.
   std::mutex engine_mu_;
   std::vector<Event> staged_;  // drained but not yet replayed
   std::vector<LineState> line_slots_;  // power-of-2 open addressing
   std::size_t line_count_ = 0;
   std::uint64_t pending_count_ = 0;  // lines stored but not flushed
-  std::vector<std::vector<std::uint64_t>> pushed_by_tid_;
+  // Runtime id -> seq of its first kSyncBatchFail.
+  std::unordered_map<std::uint32_t, std::uint64_t> failed_batch_seq_;
   std::vector<Event> recent_;  // power-of-2 ring of replayed events
   std::uint64_t recent_pos_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> log_durable_;
-  // Epoch-pipeline FIFO: runtime-sealed snapshots awaiting their device
-  // commit, oldest first. Page keys are pool-line-index >> 6 (pages are
-  // line-aligned). Cleared on kCrash like the rest of the in-flight state.
+  // Epoch-pipeline FIFOs, one per runtime id: sealed snapshots awaiting
+  // their device commit, oldest first. Page keys are pool-line-index >> 6
+  // (pages are line-aligned). Cleared on kCrash like the rest of the
+  // in-flight state. A destroyed runtime's abandoned snapshots stay in its
+  // own FIFO, where no later runtime's events look.
   struct PipelineEpoch {
     std::uint64_t epoch = 0;
     std::set<std::uint64_t> pages;
   };
-  std::vector<PipelineEpoch> pipeline_fifo_;
+  std::unordered_map<std::uint32_t, std::vector<PipelineEpoch>>
+      pipeline_fifo_;
+  // Thread ring id -> runtime whose kEpochSubmit awaits its kEpochCommit.
+  std::unordered_map<std::uint16_t, std::uint32_t> submitter_;
   std::unordered_map<std::uint16_t, std::vector<Event>> lock_stacks_;
   std::uint64_t flushes_since_drain_ = 0;
   std::set<std::pair<std::uint8_t, std::uint64_t>> reported_;
   std::vector<Violation> violations_;
   CheckDiagnostics diag_;
-  std::vector<Event> recorded_;  // engine-order copy (record_events only)
+  std::vector<Event> recorded_;  // record_events only
 };
 
 }  // namespace pax::check

@@ -37,7 +37,8 @@ enum class EventType : std::uint8_t {
   kSyncPush,      // line queued into a sync_lines batch
   kSyncBatchOk,   // the emitting thread's in-flight batch succeeded
   kSyncBatchFail, // ... or failed (nothing from it reached the device)
-  kDigestApply,   // line's tracked digest advanced to the captured value
+  kDigestApply,   // line's digest advanced; emitted only by the older
+                  // trailing-digest sync path, kept so its traces decode
   // Lock discipline.
   kLockAcquire,  // a := LockClass, b := instance id; flag kFlagSharedLock
   kLockRelease,  // a := LockClass, b := instance id
@@ -56,6 +57,9 @@ enum class EventType : std::uint8_t {
   kTaskBegin,     // a worker (or the coordinator itself) starts a slice
   kTaskEnd,       // that slice finished
   kTaskJoin,      // coordinator observed all slices complete
+  // Trace v3; not crash-countable.
+  kEpochSubmit,  // a runtime hands a pushed snapshot to the device for
+                 // commit; a := epoch
 };
 
 /// Lock classes in their required acquisition order (LOCK ORDER comment in
@@ -89,6 +93,10 @@ struct Event {
   EventType type = EventType::kStore;
   std::uint8_t flags = 0;
   std::uint16_t tid = 0;      // ring id of the emitting thread
+  // Id of the libpax runtime that emitted a sync or pipeline event
+  // (kSyncPush, the batch outcomes, kPipelineSeal/Page, kEpochSubmit);
+  // 0 for every other event and in traces older than v3.
+  std::uint32_t runtime = 0;
 };
 
 const char* event_type_name(EventType t);

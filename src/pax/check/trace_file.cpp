@@ -27,8 +27,11 @@ T get(const std::byte* src, std::size_t off) {
 // the vocabulary the file claims, so a v1 artifact containing a v2 type is
 // corruption, not silent acceptance.
 std::uint8_t max_event_type_for(std::uint32_t version) {
-  return version == 1 ? static_cast<std::uint8_t>(EventType::kPipelinePage)
-                      : static_cast<std::uint8_t>(EventType::kTaskJoin);
+  switch (version) {
+    case 1: return static_cast<std::uint8_t>(EventType::kPipelinePage);
+    case 2: return static_cast<std::uint8_t>(EventType::kTaskJoin);
+    default: return static_cast<std::uint8_t>(EventType::kEpochSubmit);
+  }
 }
 
 }  // namespace
@@ -45,7 +48,7 @@ std::vector<std::byte> encode_trace(std::span<const Event> events) {
     put(p, 32, static_cast<std::uint8_t>(e.type));
     put(p, 33, e.flags);
     put(p, 34, e.tid);
-    put(p, 36, std::uint32_t{0});
+    put(p, 36, e.runtime);
     p += kTraceRecordSize;
   }
   std::byte* h = out.data();
@@ -118,6 +121,7 @@ Result<Trace> decode_trace_versioned(std::span<const std::byte> bytes) {
     e.type = static_cast<EventType>(raw_type);
     e.flags = get<std::uint8_t>(p, 33);
     e.tid = get<std::uint16_t>(p, 34);
+    e.runtime = get<std::uint32_t>(p, 36);  // zero padding before v3
     events.push_back(e);
   }
   return trace;

@@ -16,7 +16,7 @@
 //   [24..28)  CRC32C of the event payload
 //   [28..32)  CRC32C of header bytes [0, 28)
 //   [32.. )   events, 40 bytes each: seq, line, a, b (u64), type (u8),
-//             flags (u8), tid (u16), zero padding (u32)
+//             flags (u8), tid (u16), runtime (u32; zero padding before v3)
 //
 // decode_trace rejects — with a Status, never UB — truncated buffers
 // (size inconsistent with the count), bit flips (either CRC), unknown
@@ -29,7 +29,11 @@
 //   v1 — event types through kPipelinePage.
 //   v2 — adds the fork-join types (kTaskDispatch..kTaskJoin) and the
 //        kFlagGateObserved flag on kWriteback. v1 files decode
-//        byte-for-byte identically; the writer always emits v2.
+//        byte-for-byte identically.
+//   v3 — adds kEpochSubmit and the emitting runtime's id on the sync and
+//        pipeline events (the old padding word, so v1/v2 files read as
+//        runtime 0, which the push-after-failed-batch rule ignores). The
+//        writer always emits v3.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@
 namespace pax::check {
 
 inline constexpr std::uint64_t kTraceMagic = 0x0a31545645584150ULL;  // "PAXEVT1\n"
-inline constexpr std::uint32_t kTraceVersion = 2;
+inline constexpr std::uint32_t kTraceVersion = 3;
 inline constexpr std::size_t kTraceHeaderSize = 32;
 inline constexpr std::size_t kTraceRecordSize = 40;
 

@@ -25,7 +25,6 @@ libpax::RuntimeOptions shard_runtime_options(const KvStoreOptions& options,
 
 libpax::RuntimeOptions KvStoreOptions::serving_runtime_defaults() {
   libpax::RuntimeOptions rt;
-  rt.pipeline_depth = 2;     // overlap wave drains with request processing
   rt.log_ring_slots = 1024;  // lock-free undo appends on the hot path
   return rt;
 }

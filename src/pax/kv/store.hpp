@@ -66,12 +66,11 @@ struct KvStoreOptions {
   std::size_t shard_pool_bytes = 64 << 20;
   /// ShardedMap slices within each shard (lock granularity).
   std::size_t map_shards = 16;
-  /// Per-shard runtime knobs. pipeline_depth > 0 is what lets group-commit
-  /// waves overlap request processing; the serving defaults keep it on.
+  /// Per-shard runtime knobs. Group-commit waves seal with persist_async(),
+  /// whose drain worker overlaps request processing.
   libpax::RuntimeOptions runtime = serving_runtime_defaults();
 
-  /// The serving configuration: pipelined epochs + lock-free undo ring,
-  /// line-granular tracking on.
+  /// The serving configuration: the lock-free undo ring.
   static libpax::RuntimeOptions serving_runtime_defaults();
 };
 

@@ -19,8 +19,10 @@
 // Thread safety: many application threads may mutate the region; persist()
 // must be called while no thread is mutating (§3.5, the paper's contract).
 // The optional background flusher thread performs the same work as
-// sync_step() under an internal lock and respects the same contract
-// (it only *adds* log/write-back progress; it never commits an epoch).
+// sync_step() under an internal lock: it copies dirty pages while mutators
+// may be writing them (relaxed word loads — stores racing it are defined
+// behaviour only as word-sized atomics, see capture_line in runtime.cpp),
+// and it only *adds* log/write-back progress; it never commits an epoch.
 #pragma once
 
 #include <atomic>
@@ -36,7 +38,6 @@
 
 #include "pax/check/checker.hpp"
 #include "pax/common/status.hpp"
-#include "pax/common/thread_pool.hpp"
 #include "pax/common/types.hpp"
 #include "pax/device/pax_device.hpp"
 #include "pax/device/recovery.hpp"
@@ -61,24 +62,10 @@ struct RuntimeOptions {
   /// pointers at the address the origin used (replication failover).
   std::uintptr_t vpm_base_hint = 0;
   /// Max lines carried per batched device sync call. Dirty lines accumulate
-  /// into per-worker buffers flushed through PaxDevice::sync_lines, which
-  /// fuses write_intent + writeback_line and appends a stripe group's undo
-  /// records under one log-mutex hold. 1 = one-line batches.
+  /// into a buffer flushed through PaxDevice::sync_lines, which fuses
+  /// write_intent + writeback_line and appends a stripe group's undo records
+  /// under one log-mutex hold. 1 = one-line batches.
   std::size_t sync_batch_lines = 256;
-  /// Parallelism of the dirty-page diff (caller participates; diff_workers
-  /// total threads touch pages). 1 = diff on the calling thread only.
-  unsigned diff_workers = 4;
-  /// Don't fan out the diff below this many dirty pages — thread-pool
-  /// handoff costs more than diffing a handful of pages inline.
-  std::size_t diff_fanout_min_pages = 16;
-  /// Pipelined epochs: persist_async() swaps the dirty set into an
-  /// O(dirty-pages) snapshot, re-arms page protection, and returns
-  /// immediately; a background drain worker runs diff → sync_lines → seal →
-  /// commit per queued snapshot, overlapping persist(N) with mutation of
-  /// N+1. The value bounds the drain queue (snapshots enqueued or in
-  /// flight); persist_async back-pressures only when it is full. 0 keeps
-  /// the non-pipelined behavior above, bit for bit.
-  std::size_t pipeline_depth = 0;
   /// Lock-free undo-append ring (device.log_ring_slots passthrough): > 0
   /// switches each log bank's hot-path appends from the log mutex to a
   /// bounded MPMC ring of this many pre-framed slots (rounded up to a power
@@ -86,7 +73,7 @@ struct RuntimeOptions {
   std::size_t log_ring_slots = 0;
 
   /// `base` with every source of scheduling nondeterminism pinned: no
-  /// flusher thread, single-threaded diff and device persist workers. A
+  /// flusher thread, single-threaded device persist workers. A
   /// workload run under these options emits the identical device event
   /// sequence on every execution — the contract crash-point exploration (check/crashpoint.hpp)
   /// depends on. Byte-identical vPM snapshots additionally require a fixed
@@ -95,9 +82,8 @@ struct RuntimeOptions {
 };
 
 struct RuntimeStats {
-  /// Epochs sealed by persist() or persist_async(), pipelined or not; a
-  /// pipelined persist() counts once. Equals PipelineStats::async_persists
-  /// when pipeline_depth > 0.
+  /// Epochs sealed by persist() or persist_async(). Equals
+  /// PipelineStats::async_persists when only persist_async() is used.
   std::uint64_t persists = 0;
   std::uint64_t sync_steps = 0;
   /// Device API invocations made by the sync path: one peek_lines per page
@@ -123,10 +109,12 @@ struct SyncStats {
   std::uint64_t digest_rebuilds = 0;
 };
 
-/// Epoch-pipeline observability (all zero unless pipeline_depth > 0).
+/// Epoch-pipeline observability: the persist_async() queue and its drain
+/// worker. Blocking persist() and sync_step() move none of these.
 struct PipelineStats {
   std::uint64_t async_persists = 0;   // snapshots enqueued
   std::uint64_t jobs_drained = 0;     // snapshots fully committed
+  /// Pages copied into persist_async() snapshots (persist() copies none).
   std::uint64_t pages_snapshotted = 0;
   /// persist_async calls that blocked because the drain queue was full.
   std::uint64_t backpressure_waits = 0;
@@ -177,45 +165,44 @@ class PaxRuntime {
   std::size_t vpm_size() const { return region_->size(); }
 
   /// Commits everything modified since the last persist() as one atomic
-  /// snapshot (§3.3). Call only while no thread is mutating vPM. With
-  /// pipeline_depth > 0 this is persist_async() + a wait for that epoch's
-  /// drain to commit (earlier queued epochs commit first, in order).
+  /// snapshot (§3.3). Call only while no thread is mutating vPM. Waits for
+  /// every queued persist_async() epoch to commit first, then diffs, pushes
+  /// and commits this epoch on the calling thread. The job reads the live
+  /// pages without copying them — the caller's quiescence keeps them still.
   Result<Epoch> persist();
 
-  /// Non-blocking persist (the paper's §6 extension): captures the epoch's
-  /// modified lines into the device, re-arms page tracking, and returns the
-  /// sealed epoch number without waiting for any durable work. The commit
-  /// completes on the next sync_step() (the background flusher does this),
-  /// complete_persist(), or persist(). Until then the sealed epoch is NOT
-  /// yet crash-durable. Same quiescence contract as persist() — but only
-  /// for the duration of the call: mutation of the next epoch may resume
-  /// the moment it returns.
-  ///
-  /// With pipeline_depth > 0 the call does no device work at all: it swaps
-  /// the dirty set (page snapshot + candidate bitmaps + digests) into a
-  /// sealed-epoch snapshot in O(dirty pages), re-arms write protection, and
-  /// hands the snapshot to the background drain worker, which runs the
-  /// diff → sync_lines → undo-durable → seal → commit sequence while the
-  /// application mutates epoch N+1. Blocks only when pipeline_depth
-  /// snapshots are already outstanding (back-pressure), or to surface a
-  /// sticky drain error.
+  /// Snapshots queued or in flight before persist_async() back-pressures.
+  static constexpr std::size_t kPipelineDepth = 2;
+
+  /// Non-blocking persist (the paper's §6 extension): copies the dirty
+  /// pages into an epoch snapshot in O(dirty pages), re-arms write
+  /// protection, and hands the snapshot to the background drain worker,
+  /// which diffs, pushes and commits it while the application mutates the
+  /// next epoch. Returns the epoch number the snapshot will commit as; it
+  /// is NOT crash-durable until wait_persisted() (or complete_persist(), or
+  /// a later persist()) returns for it. Blocks only while kPipelineDepth
+  /// snapshots are outstanding (back-pressure). Same quiescence contract as
+  /// persist(), but only for the duration of the call.
   Result<Epoch> persist_async();
 
-  /// Completes a pending non-blocking persist; returns the now-committed
-  /// epoch (or the last committed epoch if nothing was pending). With
-  /// pipeline_depth > 0 this waits for the OLDEST outstanding snapshot's
-  /// commit (one queue head, not the whole queue).
+  /// Waits for the OLDEST outstanding persist_async() snapshot to commit and
+  /// returns its epoch (the last committed epoch if nothing is queued).
   Result<Epoch> complete_persist();
 
-  /// Blocks until `epoch` (a value previously returned by persist_async())
-  /// is durably committed, surfacing any sticky drain error. The group-
-  /// commit hook: a coordinator seals one epoch per shard runtime with
-  /// persist_async(), lets the drains overlap, then waits on each sealed
-  /// epoch here (group_commit.hpp). With pipeline_depth > 0 this parks on
-  /// the pipeline CVs only — it is safe concurrently with persist_async()
-  /// calls from other threads; otherwise it completes the sealed epoch
-  /// like complete_persist().
+  /// Blocks until `epoch` (a value returned by persist_async() or persist())
+  /// is durably committed. The group-commit hook: a coordinator seals one
+  /// epoch per shard runtime with persist_async(), lets the drains overlap,
+  /// then waits on each sealed epoch here (group_commit.hpp). Parks on the
+  /// pipeline only, so it is safe concurrently with persist_async() calls
+  /// from other threads.
   Result<Epoch> wait_persisted(Epoch epoch);
+
+  // Failure model (every entry point): the first failed push or commit is
+  // sticky. The epoch it belonged to never commits; persist(),
+  // persist_async(), complete_persist() and wait_persisted() return that
+  // error from then on (for any epoch not already committed) and
+  // sync_step() does nothing. Destroy the runtime and attach again to
+  // recover to the last committed epoch.
 
   /// Snapshot-isolated read: copies [offset, offset+out.size()) of the vPM
   /// region *as of the last committed epoch*, concurrently with writers —
@@ -225,12 +212,17 @@ class PaxRuntime {
   /// value). See PaxDevice::read_committed_line.
   void read_snapshot(PoolOffset region_offset, std::span<std::byte> out);
 
-  /// The most recent durable snapshot epoch.
-  Epoch committed_epoch() const { return pool_->committed_epoch(); }
+  /// The most recent durable snapshot epoch. Advances together with the
+  /// pipeline's bookkeeping, so once it reaches an epoch, wait_persisted()
+  /// and pipeline_stats() already reflect that epoch's commit.
+  Epoch committed_epoch() const;
 
-  /// One deterministic unit of background work: diff currently-dirty pages,
-  /// stage undo records, let the device flush/write back (§3.2). persist()
-  /// does all of this itself; sync_step() just moves work off its path.
+  /// One unit of background work (§3.2): copies the currently-dirty pages
+  /// (mutators may race it), diffs and pushes them into the device without
+  /// committing, then lets the device flush its log and write back. The
+  /// pages stay writable and dirty, so the next persist re-examines them;
+  /// sync_step() only moves work off its path. Does nothing while
+  /// persist_async() snapshots are outstanding.
   void sync_step();
 
   // --- Introspection ------------------------------------------------------
@@ -253,56 +245,55 @@ class PaxRuntime {
       std::unique_ptr<pmem::PmemDevice> owned_pm, pmem::PmemDevice* pm,
       const RuntimeOptions& options);
 
-  /// Diffs the given pages against the device view at cache-line
-  /// granularity and pushes changed lines into the device. Partitions
-  /// `pages` across the diff worker pool (diff_workers threads including
-  /// the caller); each shard diffs its pages with the TSan-safe line capture
-  /// and flushes dirty lines through PaxDevice::sync_lines in
-  /// sync_batch_lines-sized batches. A page whose digests are valid peeks
-  /// only its candidate lines (bitmap | digest mismatch); otherwise the full
-  /// page shadow is fetched and the digests (re)seeded. Returns the first
-  /// error. Caller must hold sync_mu_.
-  Status sync_pages(const std::vector<PageIndex>& pages);
-
-  // --- Epoch pipeline (pipeline_depth > 0) --------------------------------
+  // --- One persist implementation: snapshot → push → commit --------------
   //
-  // Double-buffered dirty sets: persist_async snapshots the active dirty
-  // set (page bytes, want-bitmaps, digests advanced to the snapshot) into a
-  // PipelineJob and re-arms protection; the region's live bitmaps then
-  // track epoch N+1 while the drain worker replays the snapshot against the
-  // device. Lock order: sync_mu_ (app side) > pipe_mu_ (queue state); the
-  // drain worker takes ONLY pipe_mu_, so an app thread may block on the
-  // pipeline CVs while holding sync_mu_ without deadlocking it.
+  // Every entry point turns the dirty set into an EpochJob (snapshot()),
+  // diffs it against the device and pushes the changed lines (push()), and
+  // — unless it is sync_step()'s pre-staging — commits it with
+  // PaxDevice::persist, pulling the epoch-boundary image from the job
+  // (commit()). persist() runs the job on the calling thread;
+  // persist_async() queues it for the drain worker. Lock order: sync_mu_
+  // (app side) > pipe_mu_ (queue state and stats); the drain worker takes
+  // ONLY pipe_mu_, so an app thread may block on the pipeline CVs while
+  // holding sync_mu_ without deadlocking it.
 
-  struct PipelinePageSnap {
+  struct JobPage {
     PageIndex page{0};
     /// Lines to examine against the device shadow: candidate bits plus
     /// snapshot-vs-digest mismatches (all lines when digests were invalid).
     std::uint64_t want = 0;
-    std::unique_ptr<std::byte[]> bytes;  // kPageSize copy, quiesced
+    const std::byte* bytes = nullptr;  // kPageSize: live page or job copy
   };
-  struct PipelineJob {
-    Epoch epoch = 0;
-    std::vector<PipelinePageSnap> pages;
+  struct EpochJob {
+    Epoch epoch = 0;                    // 0 for sync_step()'s pre-staging
+    std::vector<JobPage> pages;         // ascending page order
+    std::unique_ptr<std::byte[]> copy;  // page copies, when copied
   };
 
-  /// persist_async body once sync_mu_ is held and pipelining is on.
-  Result<Epoch> persist_async_pipelined();
-  /// Waits (pipe_mu_ CVs) until `epoch` committed or the pipeline failed.
-  Result<Epoch> wait_for_pipeline_epoch(Epoch epoch);
+  /// Builds the job for `dirty` (ascending) and advances each page's
+  /// digests to the snapshot. `copy` captures every page into the job with
+  /// relaxed word loads (safe against racing mutators); otherwise the job
+  /// points at the live pages and the caller must stay quiesced until it
+  /// is committed. Caller holds sync_mu_.
+  EpochJob snapshot(const std::vector<PageIndex>& dirty, bool copy);
+  /// Re-arms `dirty`, numbers the job, and announces it to PaxCheck.
+  Status seal(EpochJob& job, const std::vector<PageIndex>& dirty);
+  /// The one diff loop: peeks the wanted lines, compares them with the
+  /// job's bytes, and pushes the changed ones through sync_lines in
+  /// sync_batch_lines batches.
+  Status push(const EpochJob& job);
+  /// push() + PaxDevice::persist pulling from the job. The caller records
+  /// the outcome: the committed cursor advances, or the failure sticks.
+  Status push_and_commit(const EpochJob& job);
+  /// Records the sticky failure and wakes every waiter; returns `st`.
+  Status fail(Status st);
   void drain_worker_loop();
-  /// Diff snapshot vs device shadow, push, seal (pulling from the
-  /// snapshot), commit. Runs on the drain worker; takes no runtime locks.
-  Status drain_one(const PipelineJob& job);
 
   /// PaxCheck discipline event for sync_mu_ (construct right after locking
-  /// it). The id distinguishes runtimes sharing one checker.
+  /// it).
   check::LockToken sync_lock_token() const {
-    return check::LockToken(
-        pm_->checker(), check::LockClass::kSyncMu,
-        static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(this) >>
-                                   4),
-        /*shared=*/false);
+    return check::LockToken(pm_->checker(), check::LockClass::kSyncMu,
+                            check_id_, /*shared=*/false);
   }
 
   PoolOffset page_pool_offset(PageIndex page) const {
@@ -312,6 +303,10 @@ class PaxRuntime {
     return LineIndex{(page_pool_offset(page) / kCacheLineSize) + line};
   }
 
+  // Names this runtime in its PaxCheck events: unique within the process,
+  // so a re-attached runtime or another one sharing the checker never
+  // inherits this one's state.
+  std::uint32_t check_id_ = 0;
   std::unique_ptr<pmem::PmemDevice> owned_pm_;
   pmem::PmemDevice* pm_ = nullptr;
   std::optional<pmem::PmemPool> pool_;
@@ -321,30 +316,21 @@ class PaxRuntime {
   std::unique_ptr<PaxHeap> heap_;
 
   mutable std::mutex sync_mu_;  // serializes sync_step/persist internals
-  RuntimeStats stats_;
-  SyncStats sync_stats_;
+  std::size_t sync_batch_lines_ = 1;  // frozen at build() (validated there)
 
-  // Sync-path tuning, frozen at build() (validated there).
-  std::size_t sync_batch_lines_ = 1;
-  unsigned diff_workers_ = 1;
-  std::size_t diff_fanout_min_pages_ = 16;
-  std::unique_ptr<common::ThreadPool> diff_pool_;  // diff_workers - 1
-
-  // Epoch pipeline. All fields below pipe_mu_ are guarded by it; the drain
-  // worker never takes sync_mu_ (see the lock-order note above).
-  std::size_t pipeline_depth_ = 0;
+  // Epoch pipeline and stats. All fields below pipe_mu_ are guarded by it;
+  // the drain worker never takes sync_mu_ (see the lock-order note above).
   mutable std::mutex pipe_mu_;
   std::condition_variable pipe_cv_;       // producers + commit waiters
   std::condition_variable pipe_work_cv_;  // wakes the drain worker
-  std::deque<PipelineJob> pipe_queue_;
+  std::deque<EpochJob> pipe_queue_;
   bool pipe_inflight_ = false;     // worker holds a popped job
   Epoch pipe_next_epoch_ = 0;      // epoch the next snapshot will seal
-  Epoch pipe_committed_ = 0;       // last epoch committed via the pipeline
-  Status pipe_error_ = Status::ok();  // sticky first drain failure
+  Epoch pipe_committed_ = 0;       // last epoch committed by this runtime
+  Status pipe_error_ = Status::ok();  // sticky first push/commit failure
   PipelineStats pipe_stats_;
-  // Drain-side stat deltas, folded into stats()/sync_stats() on read.
-  RuntimeStats pipe_rt_delta_;
-  SyncStats pipe_sync_delta_;
+  RuntimeStats stats_;
+  SyncStats sync_stats_;
   std::thread drain_thread_;
   bool stop_drain_ = false;  // under pipe_mu_
 

@@ -163,9 +163,9 @@ class ShardedMap {
   /// Non-blocking variant (§6): seals under quiescence, commits later.
   ///
   /// Quiescence is needed only for the swap itself, not for the drain: the
-  /// shard locks are held exactly for the duration of this call. Under a
-  /// pipelined runtime (RuntimeOptions::pipeline_depth > 0) persist_async
-  /// copies the dirty pages into a sealed-epoch snapshot before returning,
+  /// shard locks are held exactly for the duration of this call:
+  /// persist_async copies the dirty pages into an epoch snapshot before
+  /// returning,
   /// so once the locks drop, readers (get) and writers (put) proceed
   /// concurrently with the background drain of that snapshot — the drain
   /// reads only its private copy, never the live shards. Covered by the

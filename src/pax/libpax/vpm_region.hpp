@@ -8,7 +8,7 @@
 // hybrid the paper proposes in §5.1: the fault is the device's RdOwn-
 // equivalent first-touch notification, after which libpax tracks the page's
 // modifications at cache-line granularity by diffing against the device's
-// copy (see PaxRuntime::sync_pages).
+// copy (see PaxRuntime::push).
 //
 // Faults on non-vPM addresses are forwarded to the previously installed
 // SIGSEGV disposition, so real bugs still crash loudly.
@@ -118,15 +118,6 @@ class VpmRegion {
   void mark_line_digests_valid(PageIndex page) {
     digests_valid_[page.value].store(1, std::memory_order_release);
   }
-  /// Drops the page back to the full-compare path (its next diff reseeds
-  /// every digest). The pipelined runtime calls this when a drain job fails
-  /// after snapshot-time digests were already advanced: invalidating is
-  /// always safe — it only costs one full-page compare.
-  void invalidate_line_digests(PageIndex page) {
-    if (track_lines_) {
-      digests_valid_[page.value].store(0, std::memory_order_release);
-    }
-  }
 
   /// Candidate-line bitmap: bit l set means line l must be memcmp'd against
   /// the device shadow regardless of its digest (set by the fault handler
@@ -135,9 +126,9 @@ class VpmRegion {
     return line_bits_[page.value].load(std::memory_order_acquire);
   }
 
-  /// CRC32C of the line's last-synced contents. Only meaningful while
-  /// line_digests_valid(page). Written by the (single, sync_mu_-serialized)
-  /// diff owner of the page; the test suite also pokes it to simulate
+  /// CRC32C of the line's last-snapshotted contents. Only meaningful while
+  /// line_digests_valid(page). Written by the sync_mu_-serialized
+  /// snapshot; the test suite also pokes it to simulate
   /// digest collisions.
   std::uint32_t line_digest(PageIndex page, std::size_t line) const {
     return digests_[page.value * kLinesPerPage + line];

@@ -89,7 +89,8 @@ struct ModelParams {
   /// boundary op pays only the O(dirty-pages) dirty-set swap; a single
   /// background drain worker serializes the full persists, and the boundary
   /// op stalls only when the bounded drain queue is full (back-pressure).
-  /// Mirrors RuntimeOptions::pipeline_depth in the host runtime.
+  /// Mirrors persist_async() in the host runtime, whose queue holds
+  /// PaxRuntime::kPipelineDepth (2) snapshots.
   bool pax_pipelined_epochs = false;
   unsigned pax_pipeline_depth = 1;    // snapshots queued or in flight
   double pax_swap_cost_ns = 400;      // dirty-set swap + page re-protection

@@ -210,7 +210,7 @@ TEST(PaxevtVersioning, WriterEmitsCurrentVersion) {
   auto trace = decode_trace_versioned(buf);
   ASSERT_TRUE(trace.ok()) << trace.status().to_string();
   EXPECT_EQ(trace.value().version, kTraceVersion);
-  EXPECT_EQ(kTraceVersion, 2u);
+  EXPECT_EQ(kTraceVersion, 3u);
 }
 
 TEST(PaxevtVersioning, V2RoundTripPreservesTaskAndGateRecords) {
@@ -243,6 +243,72 @@ TEST(PaxevtVersioning, V1FileDecodesByteForByte) {
   }
   // The unversioned reader accepts it too.
   EXPECT_TRUE(decode_trace(v1).ok());
+}
+
+TEST(PaxevtVersioning, DigestApplyTracesStillDecodeAndReplayClean) {
+  // The trailing-digest sync path emitted DIGEST_APPLY after each batch
+  // outcome. No code emits it any more, but v1 and v2 files holding it
+  // must still decode, and replay must not mistake it for a violation.
+  std::vector<Event> events;
+  for (EventType type : {EventType::kSyncPush, EventType::kSyncBatchOk,
+                         EventType::kDigestApply, EventType::kEpochCommit}) {
+    Event e;
+    e.seq = events.size() + 1;
+    e.type = type;
+    e.line = type == EventType::kSyncBatchOk ||
+                     type == EventType::kEpochCommit
+                 ? kNoLine
+                 : 9;
+    e.a = type == EventType::kEpochCommit ? 1 : 0;
+    events.push_back(e);
+  }
+  for (std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "version " << version);
+    auto trace =
+        decode_trace_versioned(with_version(encode_trace(events), version));
+    ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+    ASSERT_EQ(trace.value().events.size(), events.size());
+    EXPECT_EQ(trace.value().events[2].type, EventType::kDigestApply);
+    Checker checker;
+    const Report report = checker.replay(trace.value().events);
+    EXPECT_TRUE(report.clean()) << report.to_string();
+  }
+}
+
+TEST(PaxevtVersioning, PreV3BatchFailuresDoNotArmTheStickyRule) {
+  // Before v3 the sync events carried no runtime id, and the runtime that
+  // wrote them could retry after a failed batch. Replayed, a retry after a
+  // failure must not read as a push or commit by a failed runtime.
+  std::vector<Event> events;
+  for (EventType type : {EventType::kSyncPush, EventType::kSyncBatchFail,
+                         EventType::kSyncPush, EventType::kSyncBatchOk,
+                         EventType::kEpochCommit}) {
+    Event e;
+    e.seq = events.size() + 1;
+    e.type = type;
+    e.line = type == EventType::kSyncPush ? 9 : kNoLine;
+    e.a = type == EventType::kEpochCommit ? 1 : 0;
+    events.push_back(e);
+  }
+  auto trace = decode_trace_versioned(with_version(encode_trace(events), 2));
+  ASSERT_TRUE(trace.ok()) << trace.status().to_string();
+  Checker checker;
+  const Report report = checker.replay(trace.value().events);
+  EXPECT_TRUE(report.clean()) << report.to_string();
+}
+
+TEST(PaxevtVersioning, V2RejectsV3EventTypes) {
+  Event submit;
+  submit.seq = 1;
+  submit.type = EventType::kEpochSubmit;
+  submit.a = 1;
+  submit.b = 1;
+  const std::vector<Event> events{submit};
+  EXPECT_TRUE(decode_trace_versioned(encode_trace(events)).ok());
+  auto trace = decode_trace_versioned(with_version(encode_trace(events), 2));
+  ASSERT_FALSE(trace.ok());
+  EXPECT_NE(trace.status().to_string().find("type"), std::string::npos)
+      << trace.status().to_string();
 }
 
 TEST(PaxevtVersioning, V1RejectsV2EventTypes) {

@@ -3,6 +3,8 @@
 // equivalent correct sequence (docs/ANALYSIS.md).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pax/check/checker.hpp"
 #include "pax/libpax/runtime.hpp"
 #include "pax/pmem/pmem_device.hpp"
@@ -118,39 +120,129 @@ TEST(PaxCheckPersistOrder, DurableWritebackIsClean) {
   EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
 }
 
-// Injected bug: a tracked-line digest applied before the sync_lines batch
-// carrying the line resolved — a crash of the batch would leave the digest
-// claiming the device holds data it never received.
-TEST(PaxCheckPersistOrder, DigestBeforeBatchOutcomeFires) {
+// Injected bug: a push after a failed sync_lines batch. The failed epoch's
+// digests already describe bytes the device never received, so a runtime
+// that retried would commit an image missing them.
+TEST(PaxCheckPersistOrder, PushAfterFailedBatchFires) {
   Checker checker;
-  checker.on_sync_push(/*line=*/9);
-  checker.on_digest_apply(9);  // applied early: the batch is in flight
-  checker.on_sync_batch_ok();
+  checker.on_sync_push(/*runtime=*/1, /*line=*/9);
+  checker.on_sync_batch_fail(1);
+  checker.on_sync_push(1, 9);  // the retry a non-sticky runtime would make
+  checker.on_sync_batch_ok(1);
 
   auto report = checker.report();
-  EXPECT_EQ(report.count(Rule::kDigestBeforeBatchOutcome), 1u);
+  EXPECT_EQ(report.count(Rule::kPushAfterFailedBatch), 1u);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations.front().line, 9u);
 }
 
-TEST(PaxCheckPersistOrder, DigestAfterBatchOutcomeIsClean) {
+// Injected bug: submitting the epoch whose batch failed for commit.
+TEST(PaxCheckPersistOrder, CommitAfterFailedBatchFires) {
   Checker checker;
-  checker.on_sync_push(9);
-  checker.on_sync_batch_ok();
-  checker.on_digest_apply(9);
+  checker.on_sync_push(1, 9);
+  checker.on_sync_batch_fail(1);
+  checker.on_epoch_submit(1, /*epoch=*/1);
+
+  auto report = checker.report();
+  EXPECT_EQ(report.count(Rule::kPushAfterFailedBatch), 1u);
+  ASSERT_EQ(report.violations.size(), 1u);
+}
+
+// Successful batches never arm the rule, and a failure arms it only for
+// the runtime that failed: another runtime on the same checker (a shared
+// checker, or a re-attach after destroying the failed one) pushes and
+// commits cleanly, with or without a crash in between. Id 0 (traces older
+// than v3) never arms it.
+TEST(PaxCheckPersistOrder, FailureIsScopedToItsRuntime) {
+  Checker checker;
+  checker.on_sync_push(1, 9);
+  checker.on_sync_batch_ok(1);
+  checker.on_epoch_submit(1, 1);
+  checker.on_epoch_commit(1);
+  checker.on_sync_push(1, 11);
+  checker.on_sync_batch_fail(1);
+  checker.on_sync_push(2, 11);
+  checker.on_sync_batch_ok(2);
+  checker.on_epoch_submit(2, 1);
+  checker.on_epoch_commit(1);
+  checker.on_crash();
+  checker.on_sync_push(3, 11);
+  checker.on_sync_batch_ok(3);
+  checker.on_sync_push(0, 12);
+  checker.on_sync_batch_fail(0);
+  checker.on_sync_push(0, 12);
   EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
 }
 
-// A failed batch also clears its pushed lines: the digests were never
-// applied, so the retry re-pushes them without a stale-push false positive.
-TEST(PaxCheckPersistOrder, FailedBatchClearsPushedLines) {
+// The runtime side of the rule: a persist() that fails on log exhaustion
+// poisons the runtime, so every later entry point returns the same error
+// without pushing or committing anything.
+TEST(PaxCheckPersistOrder, FailedPersistIsStickyAndClean) {
+  auto pm = pmem::PmemDevice::create_in_memory(8 << 20);
   Checker checker;
-  checker.on_sync_push(9);
-  checker.on_sync_batch_fail();
-  checker.on_sync_push(9);
-  checker.on_sync_batch_ok();
-  checker.on_digest_apply(9);
-  EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
+  pm->set_checker(&checker);
+  {
+    libpax::RuntimeOptions ro;
+    ro.log_size = 2 * kPageSize;  // ~85 line records
+    auto rt = libpax::PaxRuntime::attach(pm.get(), ro).value();
+    std::memset(rt->vpm_base() + kPageSize, 0x77, 32 * kPageSize);
+    auto first = rt->persist();
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), StatusCode::kOutOfSpace);
+    std::memset(rt->vpm_base() + kPageSize, 0x78, kPageSize);
+    EXPECT_EQ(rt->persist().status().code(), StatusCode::kOutOfSpace);
+    EXPECT_EQ(rt->persist_async().status().code(), StatusCode::kOutOfSpace);
+    EXPECT_EQ(rt->complete_persist().status().code(),
+              StatusCode::kOutOfSpace);
+    rt->sync_step();
+    EXPECT_EQ(rt->committed_epoch(), 0u);
+  }
+  pm->crash(pmem::CrashConfig::drop_all());
+  auto report = checker.report();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  pm->set_checker(nullptr);
+}
+
+// The recovery the failure model prescribes: destroy the failed runtime
+// and attach again, with no crash in between. The new runtime's pushes and
+// commits are its own, and so are those of a runtime on another device
+// sharing the checker while the failed one is still alive.
+TEST(PaxCheckPersistOrder, ReattachAfterFailedPersistIsClean) {
+  auto pm = pmem::PmemDevice::create_in_memory(8 << 20);
+  auto other_pm = pmem::PmemDevice::create_in_memory(8 << 20);
+  Checker checker;
+  pm->set_checker(&checker);
+  other_pm->set_checker(&checker);
+  libpax::RuntimeOptions ro;
+  ro.log_size = 2 * kPageSize;  // ~85 line records
+  {
+    auto rt = libpax::PaxRuntime::attach(pm.get(), ro).value();
+    std::memset(rt->vpm_base() + kPageSize, 0x77, 32 * kPageSize);
+    ASSERT_EQ(rt->persist().status().code(), StatusCode::kOutOfSpace);
+
+    libpax::RuntimeOptions other_ro;
+    other_ro.log_size = 1 << 20;
+    auto other = libpax::PaxRuntime::attach(other_pm.get(), other_ro).value();
+    std::memset(other->vpm_base() + kPageSize, 0x11, kPageSize);
+    ASSERT_TRUE(other->persist().ok());
+    std::memset(other->vpm_base() + kPageSize, 0x12, kPageSize);
+    ASSERT_TRUE(other->persist_async().ok());
+    ASSERT_TRUE(other->complete_persist().ok());
+  }
+  auto rt = libpax::PaxRuntime::attach(pm.get(), ro).value();
+  EXPECT_EQ(rt->committed_epoch(), 0u);
+  std::memset(rt->vpm_base() + kPageSize, 0x79, 8 * kCacheLineSize);
+  auto e = rt->persist();
+  ASSERT_TRUE(e.ok()) << e.status().to_string();
+  std::memset(rt->vpm_base() + kPageSize, 0x7a, 8 * kCacheLineSize);
+  ASSERT_TRUE(rt->persist_async().ok());
+  ASSERT_TRUE(rt->complete_persist().ok());
+
+  auto report = checker.report();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  rt.reset();
+  pm->set_checker(nullptr);
+  other_pm->set_checker(nullptr);
 }
 
 // The full libpax stack — pool format, recovery, line-tracked sync,

@@ -1,6 +1,6 @@
-// Pipelined-epoch tests: persist_async() with pipeline_depth > 0 swaps the
-// dirty set into a sealed-epoch snapshot and returns while a background
-// drain worker runs diff → sync → seal → commit. These tests cover snapshot
+// Pipelined-epoch tests: persist_async() copies the dirty set into an
+// epoch snapshot and returns while a background drain worker runs
+// diff → sync → commit. These tests cover snapshot
 // isolation (epoch N+1 mutations must never leak into epoch N's image),
 // in-order commits, back-pressure, the lock-free log ring, and crash
 // behavior with snapshots still queued.
@@ -16,11 +16,10 @@ namespace {
 
 constexpr std::size_t kPool = 32 << 20;
 
-RuntimeOptions options(std::size_t depth = 2, std::size_t ring = 0) {
+RuntimeOptions options(std::size_t ring = 0) {
   RuntimeOptions o;
   o.log_size = 4 << 20;
   o.device.log_flush_batch_bytes = 0;
-  o.pipeline_depth = depth;
   o.log_ring_slots = ring;
   return o;
 }
@@ -36,7 +35,7 @@ TEST(EpochPipelineTest, PipelinedPersistIsDurable) {
   {
     auto rt = PaxRuntime::attach(pm.get(), options()).value();
     rt->vpm_base()[8192] = std::byte{0x41};
-    ASSERT_TRUE(rt->persist().ok());  // async swap + wait
+    ASSERT_TRUE(rt->persist().ok());  // commits on this thread
     EXPECT_EQ(rt->committed_epoch(), 1u);
   }
   pm->crash(pmem::CrashConfig::drop_all());
@@ -90,7 +89,7 @@ TEST(EpochPipelineTest, RevertedLineStillReachesTheDevice) {
 
 TEST(EpochPipelineTest, QueuedSnapshotsCommitInOrder) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
-  auto rt = PaxRuntime::attach(pm.get(), options(/*depth=*/3)).value();
+  auto rt = PaxRuntime::attach(pm.get(), options()).value();
   for (int e = 1; e <= 6; ++e) {
     rt->vpm_base()[8192 + e * 64] = static_cast<std::byte>(e);
     auto sealed = rt->persist_async();
@@ -113,7 +112,7 @@ TEST(EpochPipelineTest, QueuedSnapshotsCommitInOrder) {
 
 TEST(EpochPipelineTest, BackPressureBoundsTheQueue) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
-  auto rt = PaxRuntime::attach(pm.get(), options(/*depth=*/1)).value();
+  auto rt = PaxRuntime::attach(pm.get(), options()).value();
   // Large dirty footprint per epoch so drains take long enough for the
   // producer to catch the queue full at least once across many rounds.
   for (int e = 1; e <= 12; ++e) {
@@ -125,13 +124,13 @@ TEST(EpochPipelineTest, BackPressureBoundsTheQueue) {
   }
   const PipelineStats ps = rt->pipeline_stats();
   EXPECT_EQ(ps.jobs_drained, 12u);
-  EXPECT_LE(ps.queue_occupancy_max, 1u);
+  EXPECT_LE(ps.queue_occupancy_max, PaxRuntime::kPipelineDepth);
 }
 
 TEST(EpochPipelineTest, AbandonedSnapshotsBehaveLikeACrash) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   {
-    auto rt = PaxRuntime::attach(pm.get(), options(/*depth=*/4)).value();
+    auto rt = PaxRuntime::attach(pm.get(), options()).value();
     rt->vpm_base()[8192] = std::byte{7};
     ASSERT_TRUE(rt->persist().ok());  // epoch 1 durable
     // Queue more epochs and tear down without waiting: whatever the drain
@@ -164,7 +163,7 @@ TEST(EpochPipelineTest, LogRingEliminatesAppendMutexAcquisitions) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   {
     auto rt = PaxRuntime::attach(pm.get(),
-                                 options(/*depth=*/2, /*ring=*/256))
+                                 options(/*ring=*/256))
                   .value();
     for (int e = 1; e <= 4; ++e) {
       std::memset(rt->vpm_base() + 4096, 0x30 + e, 64 << 10);
@@ -214,7 +213,9 @@ TEST(EpochPipelineTest, StatsFoldDrainWorkerContribution) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   auto rt = PaxRuntime::attach(pm.get(), options()).value();
   std::memset(rt->vpm_base() + 4096, 0x11, 256 << 10);
-  ASSERT_TRUE(rt->persist().ok());
+  ASSERT_TRUE(rt->persist_async().ok());
+  ASSERT_TRUE(rt->complete_persist().ok());
+  EXPECT_EQ(rt->pipeline_stats().jobs_drained, 1u);
   const RuntimeStats rs = rt->stats();
   const SyncStats ss = rt->sync_stats();
   EXPECT_GT(rs.device_calls, 0u);

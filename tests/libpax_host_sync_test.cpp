@@ -1,5 +1,5 @@
-// The batched, parallel host sync path: every batching/fan-out config must
-// persist exactly the committed image, with one peek per page and one
+// The batched host sync path: every batch size must persist exactly the
+// committed image, with one peek per page and one
 // device call per batch; plus the vPM region's coalesced re-protection and
 // dirty-counter early-out, and the prompt flusher shutdown.
 #include <gtest/gtest.h>
@@ -20,17 +20,14 @@ RuntimeOptions batched_opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
   o.sync_batch_lines = 64;
-  o.diff_workers = 3;
-  o.diff_fanout_min_pages = 1;  // always fan out, even tiny dirty sets
   return o;
 }
 
-// One-line batches on the calling thread: the smallest sync_lines calls.
+// One-line batches: the smallest sync_lines calls.
 RuntimeOptions single_line_opts() {
   RuntimeOptions o;
   o.log_size = 256 * 1024;
   o.sync_batch_lines = 1;
-  o.diff_workers = 1;
   return o;
 }
 
@@ -82,8 +79,7 @@ TEST(HostSyncEquivalenceTest, BatchedRecoversTheCommittedImage) {
   const std::vector<std::byte> expected = expected_schedule_image();
   for (const RuntimeOptions& opts : {batched_opts(), single_line_opts()}) {
     SCOPED_TRACE(testing::Message()
-                 << "sync_batch_lines=" << opts.sync_batch_lines
-                 << " diff_workers=" << opts.diff_workers);
+                 << "sync_batch_lines=" << opts.sync_batch_lines);
     auto pm = pmem::PmemDevice::create_in_memory(kPool);
     Epoch committed = 0;
     {
@@ -106,9 +102,7 @@ TEST(HostSyncEquivalenceTest, BatchedRecoversTheCommittedImage) {
 TEST(HostSyncEquivalenceTest, DeviceCallAccounting) {
   // 8 fully-dirtied pages: batching pays one peek per page and one sync per
   // batch; one-line batches pay one sync per dirty line.
-  RuntimeOptions bo = batched_opts();
-  bo.diff_workers = 1;  // deterministic batch count
-  for (const RuntimeOptions& opts : {bo, single_line_opts()}) {
+  for (const RuntimeOptions& opts : {batched_opts(), single_line_opts()}) {
     SCOPED_TRACE(testing::Message()
                  << "sync_batch_lines=" << opts.sync_batch_lines);
     auto rt = PaxRuntime::create_in_memory(kPool, opts).value();

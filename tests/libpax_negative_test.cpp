@@ -3,6 +3,7 @@
 // an error (or a clean fallback), never UB.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <unordered_map>
 
@@ -73,9 +74,12 @@ TEST(NegativeTest, SecondPersistentOpenReturnsSameRoot) {
 }
 
 TEST(NegativeTest, FlusherThreadStress) {
-  // The background flusher races application mutations and explicit
-  // persists for a while; everything must stay consistent and shut down
-  // cleanly.
+  // The background flusher races application mutations, blocking persists
+  // and the persist_async() drain for a while; everything must stay
+  // consistent and shut down cleanly. Stores that race the flusher keep
+  // the runtime's contract: word-sized atomic stores, because the flusher
+  // copies pages with relaxed word loads. So the map is built, allocator
+  // and all, before the flusher starts, and the rounds only store values.
   using PMap = std::unordered_map<
       std::uint64_t, std::uint64_t, std::hash<std::uint64_t>,
       std::equal_to<std::uint64_t>,
@@ -84,21 +88,30 @@ TEST(NegativeTest, FlusherThreadStress) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   RuntimeOptions o;
   o.log_size = 4 << 20;
+  {
+    auto rt = PaxRuntime::attach(pm.get(), o).value();
+    auto map = Persistent<PMap>::open(*rt).value();
+    for (std::uint64_t k = 0; k < 200; ++k) (*map)[k] = 0;
+    ASSERT_TRUE(rt->persist().ok());
+  }
   o.start_flusher_thread = true;
   o.flusher_interval = std::chrono::microseconds(50);
   Epoch last = 0;
   {
     auto rt = PaxRuntime::attach(pm.get(), o).value();
     auto map = Persistent<PMap>::open(*rt).value();
-    for (int round = 0; round < 20; ++round) {
+    for (std::uint64_t round = 1; round <= 20; ++round) {
       for (std::uint64_t k = 0; k < 200; ++k) {
-        (*map)[k] = round;  // invariant per snapshot: all values equal
+        // Invariant per snapshot: all values equal.
+        std::atomic_ref<std::uint64_t>(map->at(k))
+            .store(round, std::memory_order_relaxed);
       }
-      auto e = rt->persist();
+      auto e = round % 2 == 0 ? rt->persist() : rt->persist_async();
       ASSERT_TRUE(e.ok()) << e.status().to_string();
       last = e.value();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    ASSERT_TRUE(rt->wait_persisted(last).ok());
   }
   pm->crash(pmem::CrashConfig::drop_all());
   auto rt = PaxRuntime::attach(pm.get(), o).value();
@@ -106,6 +119,7 @@ TEST(NegativeTest, FlusherThreadStress) {
   auto map = Persistent<PMap>::open(*rt).value();
   ASSERT_EQ(map->size(), 200u);
   const std::uint64_t v0 = map->at(0);
+  EXPECT_EQ(v0, 20u);
   for (std::uint64_t k = 0; k < 200; ++k) {
     ASSERT_EQ(map->at(k), v0) << "torn snapshot at key " << k;
   }

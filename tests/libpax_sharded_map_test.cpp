@@ -176,8 +176,8 @@ TEST(ShardedMapTest, AsyncPersistUnderQuiescence) {
 }
 
 TEST(ShardedMapTest, ConcurrentGetsDuringPipelinedDrain) {
-  // persist_async()'s quiescence covers only the dirty-set swap: with a
-  // pipelined runtime the drain of the sealed snapshot runs while readers
+  // persist_async()'s quiescence covers only the dirty-set swap: the drain
+  // of the sealed snapshot runs while readers
   // (and writers) are back inside the map. TSan (this test runs in the CI
   // TSan job) proves the drain worker touches only its private snapshot,
   // never the live shards.
@@ -185,7 +185,6 @@ TEST(ShardedMapTest, ConcurrentGetsDuringPipelinedDrain) {
   Epoch last_epoch = 0;
   {
     RuntimeOptions o = options();
-    o.pipeline_depth = 2;
     o.log_ring_slots = 256;
     auto rt = PaxRuntime::attach(pm.get(), o).value();
     auto map = Map::open(*rt, 16).value();

@@ -3,7 +3,7 @@
 // diffs pages underneath them (the benign-by-contract race that
 // capture_line keeps outside TSan's view), with §6 async persists at
 // quiesced round boundaries. After a crash, recovery must reproduce the
-// last persisted round exactly, with and without the epoch pipeline.
+// last persisted round exactly, with the mutex and the ring undo append.
 #include <gtest/gtest.h>
 
 #include <barrier>
@@ -130,23 +130,20 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
   return image;
 }
 
-// The two sync-path configurations, each of whose recoveries must hold the
-// final round's pattern: the line-tracked batched path with the flusher
-// racing the mutators, and the pipelined-epoch path (snapshot drains racing
-// the resumed mutators, undo appends through the lock-free ring).
+// The two configurations, each of whose recoveries must hold the final
+// round's pattern. Both run the one persist path with the flusher racing
+// the mutators and snapshot drains racing the resumed mutators; the second
+// appends undo records through the lock-free ring.
 RuntimeOptions tracked_config() {
   RuntimeOptions o;
   o.start_flusher_thread = true;
   o.flusher_interval = std::chrono::microseconds(50);
   o.sync_batch_lines = 32;
-  o.diff_workers = 3;
-  o.diff_fanout_min_pages = 1;
   return o;
 }
 
-RuntimeOptions pipelined_config() {
+RuntimeOptions ring_config() {
   RuntimeOptions o = tracked_config();
-  o.pipeline_depth = 2;
   o.log_ring_slots = 128;
   return o;
 }
@@ -157,7 +154,7 @@ void run_all_configs_and_compare(const pmem::CrashConfig& crash,
     const char* name;
     RuntimeOptions opts;
   } configs[] = {{"tracked", tracked_config()},
-                 {"pipelined", pipelined_config()}};
+                 {"ring", ring_config()}};
   for (const auto& config : configs) {
     auto pm = pmem::PmemDevice::create_in_memory(kPool);
     const std::vector<std::byte> image =

@@ -61,12 +61,25 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
 
   std::map<std::uint64_t, std::uint64_t> committed_oracle;
   Epoch committed_epoch = 0;
+  // Epochs persist_async() sealed that nobody waited on, with their images:
+  // each may or may not have committed before the crash.
+  std::map<Epoch, std::map<std::uint64_t, std::uint64_t>> unwaited;
 
   constexpr int kGenerations = 25;
   for (int gen = 0; gen < kGenerations; ++gen) {
     // --- Recover and verify against the committed oracle ---------------
     auto rt = PaxRuntime::attach(pm.get(), opts).value();
-    ASSERT_EQ(rt->committed_epoch(), committed_epoch) << "gen " << gen;
+    // Recovery lands on exactly one committed epoch, no older than the last
+    // one waited on.
+    if (rt->committed_epoch() != committed_epoch) {
+      auto it = unwaited.find(rt->committed_epoch());
+      ASSERT_NE(it, unwaited.end())
+          << "gen " << gen << " recovered epoch " << rt->committed_epoch()
+          << ", last waited " << committed_epoch;
+      committed_oracle = it->second;
+      committed_epoch = it->first;
+    }
+    unwaited.clear();
     auto map = Persistent<PMap>::open(*rt).value();
     ASSERT_EQ(map->size(), committed_oracle.size()) << "gen " << gen;
     for (const auto& [k, v] : committed_oracle) {
@@ -78,9 +91,6 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
     // --- Mutate with a random feature mixture ---------------------------
     std::map<std::uint64_t, std::uint64_t> working = committed_oracle;
     const std::uint64_t ops = 50 + rng.next_below(400);
-    bool sealed_pending = false;
-    std::map<std::uint64_t, std::uint64_t> sealed_oracle;
-    Epoch sealed_epoch = 0;
 
     for (std::uint64_t i = 0; i < ops; ++i) {
       const double dice = rng.next_double();
@@ -92,31 +102,28 @@ TEST_P(TortureTest, GenerationsOfCrashesNeverLoseACommittedSnapshot) {
       } else if (dice < 0.7) {
         map->erase(key);
         working.erase(key);
+      } else if (dice < 0.77) {
+        rt->sync_step();  // pushes live data, commits nothing
       } else if (dice < 0.8) {
-        rt->sync_step();
-        if (sealed_pending) {
-          // sync_step completes a pending async commit.
-          committed_oracle = sealed_oracle;
-          committed_epoch = sealed_epoch;
-          sealed_pending = false;
+        if (!unwaited.empty()) {
+          // Waiting on the newest sealed epoch covers every older one.
+          const Epoch newest = unwaited.rbegin()->first;
+          auto e = rt->wait_persisted(newest);
+          ASSERT_TRUE(e.ok()) << e.status().to_string();
+          committed_oracle = unwaited.rbegin()->second;
+          committed_epoch = newest;
+          unwaited.clear();
         }
       } else if (dice < 0.9) {
-        auto e = rt->persist();  // completes any pending seal too
+        auto e = rt->persist();  // waits for every queued epoch first
         ASSERT_TRUE(e.ok()) << e.status().to_string();
         committed_oracle = working;
         committed_epoch = e.value();
-        sealed_pending = false;
+        unwaited.clear();
       } else {
         auto e = rt->persist_async();
         ASSERT_TRUE(e.ok()) << e.status().to_string();
-        if (sealed_pending) {
-          // The previous seal was committed as part of this call.
-          committed_oracle = sealed_oracle;
-          committed_epoch = sealed_epoch;
-        }
-        sealed_oracle = working;
-        sealed_epoch = e.value();
-        sealed_pending = true;
+        unwaited[e.value()] = working;
       }
     }
 

@@ -23,9 +23,8 @@
 //                             after every N-th device event under drop_all /
 //                             random / torn, recover, and audit each
 //                             recovery (PaxCheck + snapshot equivalence);
-//                             --pipelined runs the workload with the epoch
-//                             pipeline + undo-append ring active; exit 1 on
-//                             any finding
+//                             --pipelined runs the workload with the
+//                             undo-append ring active; exit 1 on any finding
 //   paxctl calibrate <fit.json> [<check.json>] [--wave-us W]
 //                  [--tolerance T]   fit the serving DES (pax::model::
 //                             calibrate) to a closed-loop paxkv-loadgen
@@ -434,10 +433,9 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
   // The demo workload crash exploration enumerates: a full libpax stack
   // (attach, page mutation, blocking persists, crash-semantics teardown)
   // pinned deterministic so every re-execution counts the same events.
-  // --pipelined runs it with the epoch pipeline (and the undo-append ring)
-  // active: persist() still waits for its own epoch, so the workload thread
-  // quiesces while the drain worker runs alone — the event sequence stays
-  // deterministic with the drain thread live at every crash point.
+  // --pipelined runs it with the undo-append ring active. persist() commits
+  // on the workload thread, so the event sequence stays deterministic with
+  // the (idle) drain thread live at every crash point.
   const auto workload = [pages, epochs, pipelined](
                             pmem::PmemDevice& dev,
                             check::CrashOracle& oracle) -> Status {
@@ -445,7 +443,6 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
     opts.log_size = 256 << 10;
     opts.vpm_base_hint = 0x7d00'0000'0000ULL;  // byte-identical snapshots
     if (pipelined) {
-      opts.pipeline_depth = 1;
       opts.log_ring_slots = 64;
     }
     opts = libpax::RuntimeOptions::deterministic(opts);
