@@ -5,13 +5,15 @@
 // periodically to limit undo log growth." This bench quantifies both sides
 // of that trade-off on the *functional* libpax stack:
 //
-//   * cost amortization: faults, undo records, and PM write-backs per
-//     operation drop as the interval grows (first-touch costs amortize);
+//   * cost amortization: first writes to a protected page ("faults"), undo
+//     records, and PM write-backs per operation drop as the interval grows
+//     (first-touch costs amortize);
 //   * log footprint: the peak undo-log size grows with the interval.
 //
 // Plus the modelled throughput effect from the Fig 2b DES.
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 #include "pax/common/rng.hpp"
 #include "pax/libpax/persistent.hpp"
@@ -88,7 +90,8 @@ int main() {
   std::printf("=== Ablation 1: group-commit interval (persist every k ops) ===\n");
   std::printf(
       "workload: 40k random u64 upserts over 20k keys through libpax "
-      "std::unordered_map\n\n");
+      "std::unordered_map (host_cpus %u)\n\n",
+      std::thread::hardware_concurrency());
   std::printf("%10s %12s %12s %12s %12s %12s %14s\n", "interval",
               "faults/op", "undo rec/op", "log B/op", "peak log B",
               "PM wb/op", "model Mops@32");

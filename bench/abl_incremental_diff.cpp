@@ -2,9 +2,9 @@
 //
 // A page-granular diff memcmps all 64 lines of every dirty page against a
 // fetched device shadow, so persist() pays for pages touched, not lines
-// written. The region instead keeps per-page candidate bitmaps and per-line
-// digests of the last-synced contents; the diff skips digest-clean lines
-// without touching the shadow and fetches only the candidates. This bench
+// written. The runtime instead keeps a 64-bit digest per line of its
+// last-snapshotted contents; the diff skips digest-clean lines without
+// touching the shadow and fetches only the changed ones. This bench
 // sweeps dirty-line density over a fixed dirty-page set and reports bytes
 // memcmp'd per epoch (the quantity tracking is meant to crush) and persist
 // wall time.

@@ -78,7 +78,11 @@ Status PageWalRuntime::recover(pmem::PmemPool& pool) {
 
 Result<Epoch> PageWalRuntime::persist() {
   ++stats_.persists;
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
+  // Re-protects the pages as it returns them; this runtime is quiesced
+  // until the commit below.
+  auto taken = region_->take_written();
+  if (!taken.ok()) return taken.status();
+  const std::vector<PageIndex>& dirty = taken.value();
 
   // 1. Log the PM pre-image of every dirty page; all records durable before
   //    any write-back.
@@ -109,8 +113,6 @@ Result<Epoch> PageWalRuntime::persist() {
   pool_->commit_epoch(committed);
   writer_->reset();
   epoch_ = committed + 1;
-
-  PAX_RETURN_IF_ERROR(region_->protect_pages(dirty));
   return committed;
 }
 

@@ -10,7 +10,7 @@
 //     Abl 2 bench quantifies this).
 //
 // The implementation reuses the same substrates as libpax (VpmRegion for
-// fault tracking, PmemPool's epoch cell, the wal record format) so the two
+// write tracking, PmemPool's epoch cell, the wal record format) so the two
 // systems differ only in the property under study: logging granularity.
 #pragma once
 
@@ -42,8 +42,9 @@ class PageWalRuntime {
   std::byte* base() const { return region_->base(); }
   std::size_t size() const { return region_->size(); }
 
-  /// Snapshot commit: logs the pre-image of every dirty *page*, writes the
-  /// pages back, commits the epoch cell, re-protects.
+  /// Snapshot commit: takes and re-protects the written pages, logs the
+  /// pre-image of every one of them (whole *pages*), writes the pages back
+  /// and commits the epoch cell.
   Result<Epoch> persist();
 
   Epoch committed_epoch() const { return pool_->committed_epoch(); }

@@ -2,14 +2,33 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 
 #include "pax/common/check.hpp"
-#include "pax/common/crc.hpp"
 #include "pax/common/log.hpp"
 
 namespace pax::libpax {
+
+std::uint64_t line_digest(const std::byte* line) {
+  // Two interleaved lanes (even and odd words) of a = rotl((a ^ w) * k, r).
+  // Every step is a bijection of the lane state for a fixed word and of the
+  // word for a fixed state, and the final mix is a bijection too, so any
+  // change confined to one 8-byte word changes the digest. Two independent
+  // lanes also halve the dependency chain.
+  std::uint64_t w[kCacheLineSize / sizeof(std::uint64_t)];
+  std::memcpy(w, line, kCacheLineSize);
+  std::uint64_t a = 0x243F6A8885A308D3ULL;
+  std::uint64_t b = 0x13198A2E03707344ULL;
+  for (std::size_t i = 0; i < std::size(w); i += 2) {
+    a = std::rotl((a ^ w[i]) * 0x9E3779B97F4A7C15ULL, 31);
+    b = std::rotl((b ^ w[i + 1]) * 0xC2B2AE3D27D4EB4FULL, 29);
+  }
+  std::uint64_t h = a ^ std::rotl(b, 32);
+  h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCDULL;
+  return h ^ (h >> 33);
+}
 
 RuntimeOptions RuntimeOptions::deterministic(RuntimeOptions base) {
   base.start_flusher_thread = false;
@@ -132,10 +151,13 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
     if (it != base_registry().end()) hint = it->second;
   }
   const std::size_t region_size = rt->pool_->data_size() & ~(kPageSize - 1);
-  // Line-granular tracking on: push() skips digest-clean lines.
-  auto region = VpmRegion::create(region_size, hint, true);
+  auto region = VpmRegion::create(region_size, hint);
   if (!region.ok()) return region.status();
   rt->region_ = std::move(region).value();
+  // Default-initialised: untouched pages' digests stay non-resident.
+  rt->digests_.reset(
+      new std::uint64_t[rt->region_->page_count() * kLinesPerPage]);
+  rt->digests_valid_.assign(rt->region_->page_count(), false);
   {
     std::lock_guard lock(g_base_mu);
     base_registry()[pm] =
@@ -219,9 +241,8 @@ PaxRuntime::EpochJob PaxRuntime::snapshot(const std::vector<PageIndex>& dirty,
   // Digests advance to the snapshot here, not after the push: the device
   // WILL hold these bytes once the job is pushed, and the next snapshot's
   // want-computation must compare against them — deferring would let a
-  // line rewritten to its pre-snapshot value slip past the digest check
-  // (the candidate bit only covers the page's first faulting line). A
-  // failed push or commit is sticky, so a digest never outlives a device
+  // line rewritten to its pre-snapshot value slip past the digest check.
+  // A failed push or commit is sticky, so a digest never outlives a device
   // that does not hold its bytes.
   std::uint64_t rebuilds = 0;
   for (std::size_t i = 0; i < dirty.size(); ++i) {
@@ -236,18 +257,17 @@ PaxRuntime::EpochJob PaxRuntime::snapshot(const std::vector<PageIndex>& dirty,
       }
       jp.bytes = dst;
     }
-    const bool valid = region_->line_digests_valid(page);
-    jp.want = valid ? region_->candidate_lines(page) : ~std::uint64_t{0};
+    const bool valid = digests_valid_[page.value];
+    std::uint64_t* digests = &digests_[page.value * kLinesPerPage];
     for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-      const std::uint32_t crc =
-          crc32c(jp.bytes + l * kCacheLineSize, kCacheLineSize);
-      if (!valid || crc != region_->line_digest(page, l)) {
+      const std::uint64_t d = line_digest(jp.bytes + l * kCacheLineSize);
+      if (!valid || d != digests[l]) {
         jp.want |= std::uint64_t{1} << l;
-        region_->set_line_digest(page, l, crc);
+        digests[l] = d;
       }
     }
     if (!valid) {
-      region_->mark_line_digests_valid(page);
+      digests_valid_[page.value] = true;
       ++rebuilds;
     }
     job.pages.push_back(jp);
@@ -257,15 +277,17 @@ PaxRuntime::EpochJob PaxRuntime::snapshot(const std::vector<PageIndex>& dirty,
   return job;
 }
 
-Status PaxRuntime::seal(EpochJob& job, const std::vector<PageIndex>& dirty) {
+Result<PaxRuntime::EpochJob> PaxRuntime::seal(bool copy) {
   // Re-protecting is the ownership-revocation half of the RdShared analogy:
-  // the next epoch's first stores fault again. A failure is sticky: the
-  // digests already describe a snapshot nothing will push.
-  if (Status st = region_->protect_pages(dirty); !st.is_ok()) return fail(st);
+  // the next epoch's first stores are tracked again. A failure is sticky:
+  // the scan may have re-protected pages it could not report.
+  auto dirty = region_->take_written();
+  if (!dirty.ok()) return fail(dirty.status());
+  EpochJob job = snapshot(dirty.value(), copy);
   std::vector<std::uint64_t> page_lines;
-  page_lines.reserve(dirty.size());
-  for (PageIndex page : dirty) {
-    page_lines.push_back(region_line_to_pool_line(page, 0).value);
+  page_lines.reserve(job.pages.size());
+  for (const JobPage& jp : job.pages) {
+    page_lines.push_back(region_line_to_pool_line(jp.page, 0).value);
   }
   {
     std::lock_guard plock(pipe_mu_);
@@ -277,7 +299,7 @@ Status PaxRuntime::seal(EpochJob& job, const std::vector<PageIndex>& dirty) {
   if (auto* chk = pm_->checker()) {
     chk->on_pipeline_seal(check_id_, job.epoch, page_lines);
   }
-  return Status::ok();
+  return job;
 }
 
 Status PaxRuntime::push(const EpochJob& job) {
@@ -401,10 +423,11 @@ void PaxRuntime::sync_step() {
     }
   }
   // Mutators may race the copy (see capture_line); the digests describe the
-  // bytes actually pushed, and the pages stay writable and dirty until a
+  // bytes actually pushed, and the pages stay writable and written until a
   // persist re-protects them, so later stores are re-examined there.
-  const EpochJob job = snapshot(region_->dirty_pages(), /*copy=*/true);
-  Status s = push(job);
+  auto dirty = region_->written_pages();
+  Status s = dirty.status();
+  if (s.is_ok()) s = push(snapshot(dirty.value(), /*copy=*/true));
   if (!s.is_ok()) {
     PAX_LOG_WARN("background sync: %s", fail(s).to_string().c_str());
     return;
@@ -431,9 +454,9 @@ Result<Epoch> PaxRuntime::persist_async() {
   // The §3.5 quiescence contract holds for the duration of this call;
   // mutation of the next epoch resumes once the pages are re-protected and
   // we return.
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
-  EpochJob job = snapshot(dirty, /*copy=*/true);
-  PAX_RETURN_IF_ERROR(seal(job, dirty));
+  auto sealed_job = seal(/*copy=*/true);
+  if (!sealed_job.ok()) return sealed_job.status();
+  EpochJob job = std::move(sealed_job).value();
   const Epoch sealed = job.epoch;
   {
     std::lock_guard plock(pipe_mu_);
@@ -478,9 +501,9 @@ Result<Epoch> PaxRuntime::persist() {
   }
   // Zero-copy: the caller stays quiesced until we return, so the job reads
   // the live pages (re-protected by seal(), which leaves them readable).
-  const std::vector<PageIndex> dirty = region_->dirty_pages();
-  EpochJob job = snapshot(dirty, /*copy=*/false);
-  PAX_RETURN_IF_ERROR(seal(job, dirty));
+  auto sealed = seal(/*copy=*/false);
+  if (!sealed.ok()) return sealed.status();
+  const EpochJob job = std::move(sealed).value();
   if (Status st = push_and_commit(job); !st.is_ok()) return fail(st);
   {
     std::lock_guard plock(pipe_mu_);

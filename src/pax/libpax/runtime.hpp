@@ -5,16 +5,16 @@
 //
 //   pool file / in-memory PM  →  PmemPool  →  recovery (§3.4)
 //        →  PaxDevice (undo logger, HBM buffer, write-back coordinator)
-//        →  VpmRegion (write-fault tracking — the §5.1 paging frontend)
+//        →  VpmRegion (write tracking — the §5.1 paging frontend)
 //        →  PaxHeap + PaxStlAllocator (unmodified std:: containers)
 //
-// The application mutates the region with plain loads and stores. First
-// stores to a page fault once per epoch (the RdOwn-equivalent); persist()
-// diffs dirty pages against the device's copy at cache-line granularity,
-// undo-logs and writes back exactly the changed lines, commits the epoch
-// cell, and re-arms the page protections. After a crash, map_pool() rolls
-// the pool back to the last persist() — the application cannot observe a
-// partially applied epoch.
+// The application mutates the region with plain loads and stores. The
+// kernel records the first store to a page once per epoch (the RdOwn-
+// equivalent); persist() diffs the written pages against the device's copy
+// at cache-line granularity, undo-logs and writes back exactly the changed
+// lines, commits the epoch cell, and re-arms the page protections. After a
+// crash, map_pool() rolls the pool back to the last persist() — the
+// application cannot observe a partially applied epoch.
 //
 // Thread safety: many application threads may mutate the region; persist()
 // must be called while no thread is mutating (§3.5, the paper's contract).
@@ -47,6 +47,11 @@
 #include "pax/pmem/pool.hpp"
 
 namespace pax::libpax {
+
+/// The diff's line filter: a 64-bit digest of one cache line. Any change
+/// confined to one 8-byte word changes it; other changes slip through with
+/// probability about 2^-64.
+std::uint64_t line_digest(const std::byte* line);
 
 struct RuntimeOptions {
   /// Undo-log extent size (page-aligned). Bounds the per-epoch write set:
@@ -87,7 +92,7 @@ struct RuntimeStats {
   std::uint64_t persists = 0;
   std::uint64_t sync_steps = 0;
   /// Device API invocations made by the sync path: one peek_lines per page
-  /// with candidate lines plus one sync_lines per batch.
+  /// with changed-digest lines plus one sync_lines per batch.
   std::uint64_t device_calls = 0;
   /// Batched sync_lines flushes issued.
   std::uint64_t sync_batches = 0;
@@ -95,10 +100,9 @@ struct RuntimeStats {
 
 /// Where the sync path's line examinations went. pages_scanned counts dirty
 /// pages diffed; lines_diffed counts lines memcmp'd against a fetched device
-/// shadow; lines_skipped counts lines the line tracker proved clean
-/// (candidate bit clear, digest match) without touching the shadow;
-/// lines_synced counts lines actually pushed. Per page, lines_diffed +
-/// lines_skipped == kLinesPerPage.
+/// shadow; lines_skipped counts lines whose digest still matched, skipped
+/// without touching the shadow; lines_synced counts lines actually pushed.
+/// Per page, lines_diffed + lines_skipped == kLinesPerPage.
 struct SyncStats {
   std::uint64_t pages_scanned = 0;
   std::uint64_t lines_diffed = 0;
@@ -259,8 +263,8 @@ class PaxRuntime {
 
   struct JobPage {
     PageIndex page{0};
-    /// Lines to examine against the device shadow: candidate bits plus
-    /// snapshot-vs-digest mismatches (all lines when digests were invalid).
+    /// Lines to examine against the device shadow: snapshot-vs-digest
+    /// mismatches (all lines when digests were invalid).
     std::uint64_t want = 0;
     const std::byte* bytes = nullptr;  // kPageSize: live page or job copy
   };
@@ -276,8 +280,9 @@ class PaxRuntime {
   /// points at the live pages and the caller must stay quiesced until it
   /// is committed. Caller holds sync_mu_.
   EpochJob snapshot(const std::vector<PageIndex>& dirty, bool copy);
-  /// Re-arms `dirty`, numbers the job, and announces it to PaxCheck.
-  Status seal(EpochJob& job, const std::vector<PageIndex>& dirty);
+  /// Takes and re-protects the written pages (a failure is sticky),
+  /// snapshots them, numbers the job, and announces it to PaxCheck.
+  Result<EpochJob> seal(bool copy);
   /// The one diff loop: peeks the wanted lines, compares them with the
   /// job's bytes, and pushes the changed ones through sync_lines in
   /// sync_batch_lines batches.
@@ -314,6 +319,11 @@ class PaxRuntime {
   std::unique_ptr<device::PaxDevice> device_;
   std::unique_ptr<VpmRegion> region_;
   std::unique_ptr<PaxHeap> heap_;
+  // line_digest() of each line's last-snapshotted contents, kLinesPerPage
+  // per page, meaningful once the page's digests_valid_ flag is set (each
+  // page's first snapshot after attach seeds them). Under sync_mu_.
+  std::unique_ptr<std::uint64_t[]> digests_;
+  std::vector<bool> digests_valid_;
 
   mutable std::mutex sync_mu_;  // serializes sync_step/persist internals
   std::size_t sync_batch_lines_ = 1;  // frozen at build() (validated there)

@@ -1,14 +1,53 @@
 #include "pax/libpax/vpm_region.hpp"
 
-#include <signal.h>
+#include <fcntl.h>
+#include <linux/fs.h>
+#include <linux/userfaultfd.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <sys/utsname.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <mutex>
+#include <string>
 
-#include "pax/common/check.hpp"
 #include "pax/common/log.hpp"
+
+// uapi additions of Linux 6.7 (async write-protect and PAGEMAP_SCAN), for
+// builds against older kernel headers. Values are the kernel's ABI.
+#ifndef UFFD_FEATURE_WP_UNPOPULATED
+#define UFFD_FEATURE_WP_UNPOPULATED (1 << 13)
+#endif
+#ifndef UFFD_FEATURE_WP_ASYNC
+#define UFFD_FEATURE_WP_ASYNC (1 << 15)
+#endif
+#ifndef PAGEMAP_SCAN
+struct page_region {
+  __u64 start;
+  __u64 end;
+  __u64 categories;
+};
+struct pm_scan_arg {
+  __u64 size;
+  __u64 flags;
+  __u64 start;
+  __u64 end;
+  __u64 walk_end;
+  __u64 vec;
+  __u64 vec_len;
+  __u64 max_pages;
+  __u64 category_inverted;
+  __u64 category_mask;
+  __u64 category_anyof_mask;
+  __u64 return_mask;
+};
+#define PAGEMAP_SCAN _IOWR('f', 16, struct pm_scan_arg)
+#define PAGE_IS_WRITTEN (1 << 1)
+#define PM_SCAN_WP_MATCHING (1 << 0)
+#define PM_SCAN_CHECK_WPASYNC (1 << 1)
+#endif
 
 namespace pax::libpax {
 namespace {
@@ -34,66 +73,28 @@ constexpr std::uintptr_t kVpmBaseHint = 0x0040'0000'0000ULL;
 constexpr std::uintptr_t kVpmBaseHint = 0x2000'0000'0000ULL;
 #endif
 
-// Registry of live regions consulted by the global SIGSEGV handler.
-// Fixed-size atomic slots: the handler can read it lock-free at any moment
-// without racing a container reallocation.
-constexpr std::size_t kMaxRegions = 64;
-std::mutex g_registry_mu;  // serializes registration/unregistration only
-std::atomic<VpmRegion*> g_regions[kMaxRegions]{};
 std::atomic<std::uintptr_t> g_next_hint{kVpmBaseHint};
-struct sigaction g_prev_sigsegv;
-bool g_handler_installed = false;
 
-void forward_to_previous(int sig, siginfo_t* info, void* ctx) {
-  if (g_prev_sigsegv.sa_flags & SA_SIGINFO) {
-    if (g_prev_sigsegv.sa_sigaction != nullptr) {
-      g_prev_sigsegv.sa_sigaction(sig, info, ctx);
-      return;
-    }
-  } else if (g_prev_sigsegv.sa_handler != SIG_DFL &&
-             g_prev_sigsegv.sa_handler != SIG_IGN &&
-             g_prev_sigsegv.sa_handler != nullptr) {
-    g_prev_sigsegv.sa_handler(sig);
-    return;
-  }
-  // Restore default disposition and re-raise: genuine crash.
-  signal(SIGSEGV, SIG_DFL);
-  raise(SIGSEGV);
-}
+// Written ranges returned per PAGEMAP_SCAN call; more ranges cost another
+// call (the walk resumes at walk_end).
+constexpr std::size_t kScanRanges = 512;
 
-void sigsegv_handler(int sig, siginfo_t* info, void* ctx) {
-  // NOTE: only async-signal-safe operations here. The registry is read
-  // without the mutex — regions are registered before any page of theirs is
-  // protected and unregistered after all are unprotected, and the vector is
-  // only mutated while no fault can target its regions.
-  void* addr = info->si_addr;
-  for (auto& slot : g_regions) {
-    VpmRegion* region = slot.load(std::memory_order_acquire);
-    if (region != nullptr && region->handle_fault(addr)) return;
-  }
-  forward_to_previous(sig, info, ctx);
-}
-
-void install_handler_once() {
-  std::lock_guard lock(g_registry_mu);
-  if (g_handler_installed) return;
-  struct sigaction sa {};
-  sa.sa_sigaction = sigsegv_handler;
-  sa.sa_flags = SA_SIGINFO | SA_NODEFER;
-  sigemptyset(&sa.sa_mask);
-  PAX_CHECK(sigaction(SIGSEGV, &sa, &g_prev_sigsegv) == 0);
-  g_handler_installed = true;
+Status unsupported(const char* what) {
+  const int err = errno;
+  struct utsname u {};
+  ::uname(&u);
+  return failed_precondition(
+      std::string("vPM write tracking needs Linux >= 6.7: ") + what +
+      " failed (" + std::strerror(err) + ") on kernel " + u.release);
 }
 
 }  // namespace
 
 Result<std::unique_ptr<VpmRegion>> VpmRegion::create(
-    std::size_t size, std::uintptr_t fixed_hint, bool track_lines) {
+    std::size_t size, std::uintptr_t fixed_hint) {
   if (size == 0 || size % kPageSize != 0) {
     return invalid_argument("vPM region size must be page-aligned");
   }
-  install_handler_once();
-
   const std::uintptr_t hint =
       fixed_hint != 0
           ? fixed_hint
@@ -113,151 +114,109 @@ Result<std::unique_ptr<VpmRegion>> VpmRegion::create(
       return io_error(std::string("mmap vPM region: ") + std::strerror(errno));
     }
   }
-
+  // The region owns the mapping and both descriptors from here, so a failed
+  // check below unwinds them.
   auto region = std::unique_ptr<VpmRegion>(
-      new VpmRegion(static_cast<std::byte*>(base), size, track_lines));
-  {
-    std::lock_guard lock(g_registry_mu);
-    bool placed = false;
-    for (auto& slot : g_regions) {
-      VpmRegion* expected = nullptr;
-      if (slot.compare_exchange_strong(expected, region.get())) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      return failed_precondition("too many live vPM regions");
-    }
+      new VpmRegion(static_cast<std::byte*>(base), size));
+  region->uffd_ = static_cast<int>(
+      ::syscall(SYS_userfaultfd, UFFD_USER_MODE_ONLY | O_CLOEXEC));
+  if (region->uffd_ < 0) return unsupported("userfaultfd(UFFD_USER_MODE_ONLY)");
+  region->pagemap_ = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (region->pagemap_ < 0) return unsupported("open(/proc/self/pagemap)");
+
+  uffdio_api api{};
+  api.api = UFFD_API;
+  api.features = UFFD_FEATURE_WP_ASYNC | UFFD_FEATURE_WP_UNPOPULATED;
+  if (::ioctl(region->uffd_, UFFDIO_API, &api) != 0) {
+    return unsupported("UFFDIO_API(UFFD_FEATURE_WP_ASYNC|WP_UNPOPULATED)");
+  }
+  uffdio_register reg{};
+  reg.range.start = reinterpret_cast<std::uintptr_t>(base);
+  reg.range.len = size;
+  reg.mode = UFFDIO_REGISTER_MODE_WP;
+  if (::ioctl(region->uffd_, UFFDIO_REGISTER, &reg) != 0) {
+    return unsupported("UFFDIO_REGISTER(UFFDIO_REGISTER_MODE_WP)");
+  }
+  if (auto probe = region->written_pages(); !probe.ok()) {
+    return unsupported("ioctl(PAGEMAP_SCAN)");
   }
   return region;
 }
 
-VpmRegion::VpmRegion(std::byte* b, std::size_t size, bool track_lines)
-    : base_(b),
-      size_(size),
-      track_lines_(track_lines),
-      dirty_(new std::atomic<std::uint8_t>[size / kPageSize]) {
-  for (std::size_t i = 0; i < page_count(); ++i) {
-    dirty_[i].store(0, std::memory_order_relaxed);
-  }
-  if (track_lines_) {
-    line_bits_.reset(new std::atomic<std::uint64_t>[page_count()]);
-    digests_valid_.reset(new std::atomic<std::uint8_t>[page_count()]);
-    digests_.reset(new std::uint32_t[page_count() * kLinesPerPage]);
-    for (std::size_t i = 0; i < page_count(); ++i) {
-      line_bits_[i].store(0, std::memory_order_relaxed);
-      digests_valid_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
+VpmRegion::VpmRegion(std::byte* base, std::size_t size)
+    : base_(base), size_(size) {}
 
 VpmRegion::~VpmRegion() {
-  // Unprotect first so no fault can race the unregistration.
-  ::mprotect(base_, size_, PROT_READ | PROT_WRITE);
-  {
-    std::lock_guard lock(g_registry_mu);
-    for (auto& slot : g_regions) {
-      VpmRegion* expected = this;
-      slot.compare_exchange_strong(expected, nullptr);
-    }
-  }
   ::munmap(base_, size_);
+  if (uffd_ >= 0) ::close(uffd_);
+  if (pagemap_ >= 0) ::close(pagemap_);
 }
 
 Status VpmRegion::protect_all() {
+  uffdio_writeprotect wp{};
+  wp.range.start = reinterpret_cast<std::uintptr_t>(base_);
+  wp.range.len = size_;
+  wp.mode = UFFDIO_WRITEPROTECT_MODE_WP;
   protect_syscalls_.fetch_add(1, std::memory_order_relaxed);
-  if (::mprotect(base_, size_, PROT_READ) != 0) {
-    return io_error(std::string("mprotect: ") + std::strerror(errno));
-  }
-  for (std::size_t i = 0; i < page_count(); ++i) {
-    if (dirty_[i].exchange(0, std::memory_order_acq_rel) != 0) {
-      dirty_count_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    // A protected page cannot change without faulting again, so its digests
-    // (if valid) stay truthful and its candidate set restarts empty.
-    if (track_lines_) line_bits_[i].store(0, std::memory_order_release);
+  if (::ioctl(uffd_, UFFDIO_WRITEPROTECT, &wp) != 0) {
+    return io_error(std::string("UFFDIO_WRITEPROTECT: ") +
+                    std::strerror(errno));
   }
   return Status::ok();
 }
 
-Status VpmRegion::protect_pages(std::span<const PageIndex> pages) {
-  // Merge runs of adjacent pages into one mprotect each: persist() hands us
-  // the sorted dirty set, which is typically dense (sequential workloads
-  // dirty whole extents), so this turns O(pages) syscalls into O(runs).
-  std::size_t i = 0;
-  while (i < pages.size()) {
-    PAX_CHECK(pages[i].value < page_count());
-    std::size_t j = i + 1;
-    while (j < pages.size() && pages[j].value == pages[j - 1].value + 1) {
-      PAX_CHECK(pages[j].value < page_count());
-      ++j;
-    }
-    protect_syscalls_.fetch_add(1, std::memory_order_relaxed);
-    if (::mprotect(base_ + pages[i].byte_offset(), (j - i) * kPageSize,
-                   PROT_READ) != 0) {
-      return io_error(std::string("mprotect pages: ") + std::strerror(errno));
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      if (dirty_[pages[k].value].exchange(0, std::memory_order_acq_rel) != 0) {
-        dirty_count_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      if (track_lines_) {
-        line_bits_[pages[k].value].store(0, std::memory_order_release);
-      }
-    }
-    i = j;
+Result<std::vector<PageIndex>> VpmRegion::take_written() {
+  std::uint64_t calls = 0;
+  auto pages = scan(/*reprotect=*/true, &calls);
+  protect_syscalls_.fetch_add(calls, std::memory_order_relaxed);
+  if (pages.ok()) {
+    taken_.fetch_add(pages.value().size(), std::memory_order_relaxed);
   }
-  return Status::ok();
+  return pages;
 }
 
-std::vector<PageIndex> VpmRegion::dirty_pages() const {
-  const std::size_t approx = dirty_count_.load(std::memory_order_acquire);
+Result<std::vector<PageIndex>> VpmRegion::written_pages() const {
+  std::uint64_t calls = 0;
+  return scan(/*reprotect=*/false, &calls);
+}
+
+std::uint64_t VpmRegion::fault_count() const {
+  auto now = written_pages();
+  return taken_.load(std::memory_order_relaxed) +
+         (now.ok() ? now.value().size() : 0);
+}
+
+Result<std::vector<PageIndex>> VpmRegion::scan(bool reprotect,
+                                               std::uint64_t* calls) const {
+  // A page is written when it is present (or swapped) without its uffd-wp
+  // bit; pages never touched since protection carry the bit or a marker.
+  auto ranges = std::make_unique_for_overwrite<page_region[]>(kScanRanges);
+  pm_scan_arg arg{};
+  arg.size = sizeof(arg);
+  arg.flags = reprotect ? PM_SCAN_WP_MATCHING | PM_SCAN_CHECK_WPASYNC : 0;
+  arg.start = reinterpret_cast<std::uintptr_t>(base_);
+  arg.end = arg.start + size_;
+  arg.vec = reinterpret_cast<std::uintptr_t>(ranges.get());
+  arg.vec_len = kScanRanges;
+  arg.category_mask = PAGE_IS_WRITTEN;
+  arg.return_mask = PAGE_IS_WRITTEN;
   std::vector<PageIndex> out;
-  if (approx == 0) return out;  // clean region: skip the full scan
-  out.reserve(approx);
-  for (std::size_t i = 0; i < page_count(); ++i) {
-    if (dirty_[i].load(std::memory_order_acquire) != 0) {
-      out.push_back(PageIndex{i});
+  for (;;) {
+    ++*calls;
+    const int n = ::ioctl(pagemap_, PAGEMAP_SCAN, &arg);
+    if (n < 0) {
+      return io_error(std::string("PAGEMAP_SCAN: ") + std::strerror(errno));
     }
+    for (int i = 0; i < n; ++i) {
+      for (std::uintptr_t a = ranges[i].start; a < ranges[i].end;
+           a += kPageSize) {
+        out.push_back(PageIndex{
+            (a - reinterpret_cast<std::uintptr_t>(base_)) / kPageSize});
+      }
+    }
+    if (arg.walk_end >= arg.end) return out;
+    arg.start = arg.walk_end;
   }
-  return out;
-}
-
-bool VpmRegion::is_dirty(PageIndex page) const {
-  PAX_CHECK(page.value < page_count());
-  return dirty_[page.value].load(std::memory_order_acquire) != 0;
-}
-
-bool VpmRegion::handle_fault(void* addr) {
-  auto* p = static_cast<std::byte*>(addr);
-  if (p < base_ || p >= base_ + size_) return false;
-
-  const std::size_t page = static_cast<std::size_t>(p - base_) / kPageSize;
-  faults_.fetch_add(1, std::memory_order_relaxed);
-  if (track_lines_) {
-    // The faulting store is the one line-level event the kernel shows us:
-    // record it so the diff memcmps this line even on a digest collision.
-    // Lock-free atomic or-in only — this runs inside the signal handler.
-    const std::size_t line =
-        (static_cast<std::size_t>(p - base_) / kCacheLineSize) % kLinesPerPage;
-    line_bits_[page].fetch_or(std::uint64_t{1} << line,
-                              std::memory_order_release);
-  }
-  // exchange (not store) so the 0→1 transition is counted exactly once even
-  // when two threads fault the same page. Lock-free atomics only: this runs
-  // inside the signal handler.
-  if (dirty_[page].exchange(1, std::memory_order_acq_rel) == 0) {
-    dirty_count_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  // Unprotect the page; the faulting store retries and succeeds. If two
-  // threads fault the same page, both mark it dirty and both mprotect —
-  // idempotent.
-  if (::mprotect(base_ + page * kPageSize, kPageSize,
-                 PROT_READ | PROT_WRITE) != 0) {
-    return false;  // fall through to the previous handler → crash loudly
-  }
-  return true;
 }
 
 }  // namespace pax::libpax

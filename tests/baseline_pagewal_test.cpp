@@ -56,6 +56,10 @@ TEST(PageWalTest, TrapPerPageNotPerWrite) {
   ASSERT_TRUE(rt->persist().ok());
   rt->base()[0] = std::byte{1};
   EXPECT_EQ(rt->fault_count(), 2u);  // re-armed per epoch
+  ASSERT_TRUE(rt->persist().ok());
+  ASSERT_TRUE(rt->persist().ok());  // nothing written: nothing new counted
+  EXPECT_EQ(rt->fault_count(), 2u);
+  EXPECT_EQ(rt->stats().pages_logged, 2u);
 }
 
 TEST(PageWalTest, WriteAmplificationIsPageGranular) {

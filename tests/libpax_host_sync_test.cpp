@@ -166,39 +166,40 @@ TEST(HostSyncEquivalenceTest, FlusherShutdownIsPrompt) {
   EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
-TEST(VpmRegionBatchingTest, ProtectPagesCoalescesContiguousRuns) {
+TEST(VpmRegionBatchingTest, OneWriteProtectIoctlPerSeal) {
   auto region = VpmRegion::create(64 * kPageSize).value();
   ASSERT_TRUE(region->protect_all().is_ok());
-  // Dirty three runs: {3,4,5}, {10}, {20,21}.
+  // Write three runs: {3,4,5}, {10}, {20,21}.
   for (std::size_t p : {3, 4, 5, 10, 20, 21}) {
     region->base()[p * kPageSize] = std::byte{1};
   }
-  auto dirty = region->dirty_pages();
-  ASSERT_EQ(dirty.size(), 6u);
-  EXPECT_EQ(region->dirty_page_count(), 6u);
-
   const auto base_calls = region->protect_syscall_count();
-  ASSERT_TRUE(region->protect_pages(dirty).is_ok());
-  EXPECT_EQ(region->protect_syscall_count() - base_calls, 3u);  // one per run
-  EXPECT_EQ(region->dirty_page_count(), 0u);
+  auto taken = region->take_written();
+  ASSERT_TRUE(taken.ok());
+  ASSERT_EQ(taken.value().size(), 6u);
+  // One PAGEMAP_SCAN both reports and re-protects every run.
+  EXPECT_EQ(region->protect_syscall_count() - base_calls, 1u);
+  EXPECT_TRUE(region->written_pages().value().empty());
+  // The read-only scan protects nothing.
+  EXPECT_EQ(region->protect_syscall_count() - base_calls, 1u);
 
-  // Re-protected pages fault again on the next write.
+  // Re-protected pages are tracked again on the next write.
   const auto base_faults = region->fault_count();
   region->base()[4 * kPageSize] = std::byte{2};
   EXPECT_EQ(region->fault_count() - base_faults, 1u);
-  EXPECT_TRUE(region->is_dirty(PageIndex{4}));
+  ASSERT_EQ(region->written_pages().value().size(), 1u);
+  EXPECT_EQ(region->written_pages().value()[0], PageIndex{4});
 }
 
-TEST(VpmRegionBatchingTest, CleanRegionSkipsTheScan) {
+TEST(VpmRegionBatchingTest, CleanRegionReportsNothing) {
   auto region = VpmRegion::create(16 * kPageSize).value();
   ASSERT_TRUE(region->protect_all().is_ok());
-  EXPECT_EQ(region->dirty_page_count(), 0u);
-  EXPECT_TRUE(region->dirty_pages().empty());
+  EXPECT_TRUE(region->written_pages().value().empty());
+  EXPECT_TRUE(region->take_written().value().empty());
 
   region->base()[5 * kPageSize + 9] = std::byte{1};
   region->base()[5 * kPageSize + 10] = std::byte{2};  // same page: counted once
-  EXPECT_EQ(region->dirty_page_count(), 1u);
-  auto dirty = region->dirty_pages();
+  auto dirty = region->written_pages().value();
   ASSERT_EQ(dirty.size(), 1u);
   EXPECT_EQ(dirty[0], PageIndex{5});
 }

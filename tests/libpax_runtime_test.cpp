@@ -136,6 +136,25 @@ TEST(PaxRuntimeTest, SecondEpochRelogsSameLine) {
   EXPECT_EQ(rt->region().fault_count() - base_faults, 2u);  // re-protected
 }
 
+TEST(PaxRuntimeTest, OneWriteProtectIoctlPerSeal) {
+  auto rt = PaxRuntime::create_in_memory(kPool).value();
+  ASSERT_TRUE(rt->persist().ok());
+  const auto base_calls = rt->region().protect_syscall_count();
+  const auto base_faults = rt->region().fault_count();
+  for (std::size_t p : {3, 4, 9, 20, 21}) {
+    rt->vpm_base()[p * kPageSize] = std::byte{1};
+  }
+  rt->sync_step();  // reads the written set without re-protecting it
+  EXPECT_EQ(rt->region().protect_syscall_count() - base_calls, 0u);
+  EXPECT_EQ(rt->region().fault_count() - base_faults, 5u);
+  ASSERT_TRUE(rt->persist().ok());
+  EXPECT_EQ(rt->region().protect_syscall_count() - base_calls, 1u);
+  ASSERT_TRUE(rt->persist_async().ok());  // an empty seal still scans once
+  ASSERT_TRUE(rt->complete_persist().ok());
+  EXPECT_EQ(rt->region().protect_syscall_count() - base_calls, 2u);
+  EXPECT_EQ(rt->region().fault_count() - base_faults, 5u);
+}
+
 TEST(PaxRuntimeTest, EmptyPersistIsCheap) {
   auto rt = PaxRuntime::create_in_memory(kPool).value();
   ASSERT_TRUE(rt->persist().ok());  // commits heap-format writes
