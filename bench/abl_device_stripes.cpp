@@ -1,10 +1,9 @@
 // Ablation — striped device data path: throughput scaling vs stripe count.
 //
-// PR "kill the global device lock": the PaxDevice partitions its state into
-// per-LineIndex stripes, each with its own lock, so data-path operations on
-// different stripes proceed in parallel, and persist() fans per-stripe
-// write-back across a small worker pool. This bench sweeps
-// stripes x threads, with each thread hammering a disjoint hot line range
+// The PaxDevice partitions its state into per-LineIndex stripes, each with
+// its own lock, so data-path operations on different stripes proceed in
+// parallel; persist() writes the epoch back on the calling thread. This
+// bench sweeps stripes x threads, with each thread hammering a disjoint hot line range
 // (write_intent + writeback_line + reads, the CXL.cache op mix), and
 // reports aggregate ops/s plus persist() latency. stripes=1 reproduces the
 // old single-mutex device, so the 1-stripe column is the baseline the
@@ -54,7 +53,6 @@ Row run(unsigned stripes, unsigned threads) {
   cfg.hbm.capacity_lines = 16384;
   cfg.hbm.ways = 8;
   cfg.stripes = stripes;
-  cfg.persist_workers = 4;
   device::PaxDevice dev(&pool, cfg);
 
   const std::uint64_t first = pool.data_offset() / kCacheLineSize;

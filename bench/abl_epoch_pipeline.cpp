@@ -76,7 +76,6 @@ Row run(bool pipelined, bool ring) {
   RuntimeOptions opts;
   opts.log_size = 8 << 20;
   opts.device.stripes = 16;
-  opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
   opts.log_ring_slots = ring ? 512 : 0;
 

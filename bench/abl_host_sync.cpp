@@ -42,7 +42,6 @@ Row run(std::size_t batch) {
   RuntimeOptions opts;
   opts.log_size = 8 << 20;
   opts.device.stripes = 16;
-  opts.device.persist_workers = 4;
   opts.sync_batch_lines = batch;
 
   double persist_ms = 0;

@@ -51,7 +51,6 @@ Row run(std::size_t density) {
   RuntimeOptions opts;
   opts.log_size = 8 << 20;
   opts.device.stripes = 16;
-  opts.device.persist_workers = 4;
   opts.sync_batch_lines = 256;
 
   double persist_ms = 0;

@@ -51,7 +51,6 @@ double run_pass(std::size_t batch, check::Checker* checker) {
   RuntimeOptions opts;
   opts.log_size = 8 << 20;
   opts.device.stripes = 16;
-  opts.device.persist_workers = 4;
   opts.sync_batch_lines = batch;
 
   double persist_ms = 0;

@@ -720,41 +720,6 @@ void Checker::on_writeback(std::uint64_t line, std::uint64_t logger,
   emit(e);
 }
 
-void Checker::on_task_dispatch(std::uint64_t token) {
-  Event e;
-  e.type = EventType::kTaskDispatch;
-  e.a = token;
-  emit(e);
-}
-
-void Checker::on_task_begin(std::uint64_t token) {
-  Event e;
-  e.type = EventType::kTaskBegin;
-  e.a = token;
-  emit(e);
-}
-
-void Checker::on_task_end(std::uint64_t token) {
-  Event e;
-  e.type = EventType::kTaskEnd;
-  e.a = token;
-  emit(e);
-}
-
-void Checker::on_task_join(std::uint64_t token) {
-  Event e;
-  e.type = EventType::kTaskJoin;
-  e.a = token;
-  emit(e);
-}
-
-void Checker::on_epoch_seal(std::uint64_t epoch) {
-  Event e;
-  e.type = EventType::kEpochSeal;
-  e.a = epoch;
-  emit(e);
-}
-
 void Checker::on_epoch_commit(std::uint64_t epoch) {
   Event e;
   e.type = EventType::kEpochCommit;

@@ -176,14 +176,6 @@ class Checker {
   /// as kFlagGateObserved for the offline happens-before analysis.
   void on_writeback(std::uint64_t line, std::uint64_t logger,
                     std::uint64_t end, bool gate_observed = false);
-  /// Fork-join bracketing of a parallel section (one token per section):
-  /// dispatch before handing work out, begin/end inside each slice, join
-  /// after all slices completed. Offline-analysis material only.
-  void on_task_dispatch(std::uint64_t token);
-  void on_task_begin(std::uint64_t token);
-  void on_task_end(std::uint64_t token);
-  void on_task_join(std::uint64_t token);
-  void on_epoch_seal(std::uint64_t epoch);
   void on_epoch_commit(std::uint64_t epoch);
   void on_pull_invoke(std::uint64_t line);
   /// libpax sync path; `runtime` is the emitting runtime's nonzero id.

@@ -23,13 +23,15 @@ enum class EventType : std::uint8_t {
   kFlush,        // line := CLWB'd; flag kFlagEmptyFlush if nothing pending
   kDrain,        // SFENCE ordering point
   kCrash,        // simulated power loss (pending overlay resolved + cleared)
-  // Undo logger (one logger instance per bank).
+  // Undo logger (the device's one log; traces of older builds may name a
+  // second, banked logger).
   kLogAppend,    // line, a := logger id, b := record end offset
   kLogFlush,     // a := logger id, b := new durable watermark
-  kLogReset,     // a := logger id (bank reclaimed after its epoch committed)
+  kLogReset,     // a := logger id (log reclaimed after its epoch committed)
   // PAX device.
   kWriteback,    // line written to PM media; a := logger id, b := record end
-  kEpochSeal,    // a := sealed epoch number (§6 non-blocking persist)
+  kEpochSeal,    // a := sealed epoch number; emitted only by older builds'
+                 // device-level epoch overlap, kept so their traces decode
   kEpochCommit,  // a := epoch number; emitted just before the epoch-cell
                  // store, so the cell's own store/flush/drain follow it
   kPullInvoke,   // line := host pull (RdShared) about to be invoked
@@ -48,11 +50,12 @@ enum class EventType : std::uint8_t {
                   // b := snapshotted page count
   kPipelinePage,  // one page of that snapshot; line := the page's first
                   // pool line, a := epoch
-  // Fork/join (trace v2; not crash-countable). The PAX device brackets each
-  // parallel persist fan-out with these so the offline happens-before
-  // analysis (analyze.hpp) sees the pool's synchronization: dispatch
-  // happens-before every begin of the same token, and every end
+  // Fork/join (trace v2; not crash-countable). Older builds' PAX device
+  // bracketed each parallel persist fan-out with these so the offline
+  // happens-before analysis (analyze.hpp) saw the pool's synchronization:
+  // dispatch happens-before every begin of the same token, and every end
   // happens-before the join. a := fork token, unique per parallel section.
+  // No current emitter; kept so v2/v3 traces decode and analyze.
   kTaskDispatch,  // coordinator announces a parallel section
   kTaskBegin,     // a worker (or the coordinator itself) starts a slice
   kTaskEnd,       // that slice finished

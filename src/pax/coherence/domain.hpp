@@ -51,7 +51,7 @@
 // entering the device — the stop-the-world epoch boundary the paper's
 // runtime imposes (§3.5). The exclusive gate quiesces all dispatch, so
 // the persist-time pull touches the core simulators without core mutexes
-// (cross-worker pulls are already serialized by the device's pull mutex);
+// (the device invokes the pull from the one thread running persist());
 // without the gate, a dispatch thread blocked on the device's epoch gate
 // while holding its core mutex would deadlock against the commit thread
 // pulling under the exclusive epoch lock. The raw pull_fn() keeps the
@@ -166,8 +166,8 @@ class CoherenceDomain {
                         std::span<const std::byte> data);
 
   // The persist-time pull under the exclusive gate: no core mutexes — the
-  // gate has quiesced dispatch, and the device's pull mutex serializes the
-  // fan-out workers.
+  // gate has quiesced dispatch, and the device pulls from the one thread
+  // running persist().
   std::optional<LineData> pull_newest_quiesced(LineIndex line);
 
   std::vector<std::unique_ptr<HostCacheSim>> cores_;

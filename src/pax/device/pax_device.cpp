@@ -1,7 +1,6 @@
 #include "pax/device/pax_device.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "pax/common/check.hpp"
 #include "pax/common/log.hpp"
@@ -45,19 +44,9 @@ PaxDevice::PaxDevice(pmem::PmemPool* pool, const DeviceConfig& config)
     stripes_.back()->index = i;
   }
 
-  // Split the log extent into two banks (§6 epoch overlap). Synchronous-only
-  // workloads never leave bank 0.
-  const std::size_t half =
-      (pool->log_size() / 2) & ~(kCacheLineSize - 1);
-  PAX_CHECK_MSG(half >= kCacheLineSize, "log extent too small to bank");
-  loggers_[0] =
-      std::make_unique<UndoLogger>(pm_, pool->log_offset(), half);
-  loggers_[1] = std::make_unique<UndoLogger>(
-      pm_, pool->log_offset() + half, pool->log_size() - half);
-  if (config.log_ring_slots > 0) {
-    loggers_[0]->enable_ring(config.log_ring_slots);
-    loggers_[1]->enable_ring(config.log_ring_slots);
-  }
+  logger_ = std::make_unique<UndoLogger>(pm_, pool->log_offset(),
+                                         pool->log_size());
+  if (config.log_ring_slots > 0) logger_->enable_ring(config.log_ring_slots);
 }
 
 void PaxDevice::check_line_in_data_extent(LineIndex line) const {
@@ -78,7 +67,7 @@ void PaxDevice::evict_victim(Stripe& s,
   if (!victim || !victim->dirty) return;
   if (!record_is_durable(victim->log_record_end)) {
     ++s.stats.forced_log_flushes;
-    flush_all_logs();
+    flush_log();
   }
   write_line_to_pm(s, victim->line, victim->data, victim->log_record_end);
 }
@@ -99,7 +88,7 @@ LineData PaxDevice::read_line(LineIndex line) {
 
   // Fill the HBM cache with the clean copy; handle any dirty victim.
   auto victim = s.hbm.insert(line, data, /*dirty=*/false, 0,
-                             loggers_[active_bank_]->durable());
+                             logger_->durable());
   evict_victim(s, victim);
   return data;
 }
@@ -171,22 +160,9 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
 
     if (!first_touch.empty()) {
       record_ends.clear();
-      if (loggers_[active_bank_]->ring_enabled()) {
-        // Lock-free hot path: one fetch_add reservation covers the group;
-        // the log mutex is never taken on the append path.
-        PAX_RETURN_IF_ERROR(loggers_[active_bank_]->ring_append_batch(
-            epoch_, first_touch, &record_ends));
-      } else {
-        // One log-mutex acquisition covers the whole group's undo records.
-        auto log_lock = lock_log();
-        log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-        PAX_RETURN_IF_ERROR(
-            loggers_[active_bank_]->log_lines(epoch_, first_touch,
-                                              &record_ends));
-      }
+      PAX_RETURN_IF_ERROR(append_undo_batch(first_touch, &record_ends));
       for (std::size_t k = 0; k < first_touch.size(); ++k) {
-        s.epoch_logged.emplace(first_touch[k].first,
-                               pack_record(active_bank_, record_ends[k]));
+        s.epoch_logged.emplace(first_touch[k].first, record_ends[k]);
       }
       s.stats.first_touch_logs += first_touch.size();
     }
@@ -196,7 +172,7 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
       const LineUpdate& u = updates[j];
       auto victim = s.hbm.insert(u.line, u.data, /*dirty=*/true,
                                  s.epoch_logged.at(u.line),
-                                 loggers_[active_bank_]->durable());
+                                 logger_->durable());
       evict_victim(s, victim);
     }
     return Status::ok();
@@ -252,43 +228,57 @@ Status PaxDevice::write_intent(LineIndex line) {
   if (s.epoch_logged.contains(line)) return Status::ok();  // already captured
 
   // First touch this epoch: the device's current view of the line *is* the
-  // epoch-boundary value — everything from prior epochs was either written
-  // back and committed, or (with an epoch sealed for async commit) captured
-  // into the device at seal time.
-  const LineData old_data = device_view(s, line);
-  std::uint64_t end;
-  if (loggers_[active_bank_]->ring_enabled()) {
-    auto appended = loggers_[active_bank_]->ring_append(epoch_, line, old_data);
-    if (!appended.ok()) return appended.status();
-    end = appended.value();
-  } else {
-    auto log_lock = lock_log();
-    log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    auto appended = loggers_[active_bank_]->log_line(epoch_, line, old_data);
-    if (!appended.ok()) return appended.status();
-    end = appended.value();
-  }
-
+  // epoch-boundary value — everything from prior epochs was written back
+  // and committed.
+  auto appended = append_undo(line, device_view(s, line));
+  if (!appended.ok()) return appended.status();
   ++s.stats.first_touch_logs;
-  s.epoch_logged.emplace(line, pack_record(active_bank_, end));
+  s.epoch_logged.emplace(line, appended.value());
   return Status::ok();
 }
 
+Result<std::uint64_t> PaxDevice::append_undo(LineIndex line,
+                                             const LineData& old_data) {
+  Result<std::uint64_t> appended = [&] {
+    if (logger_->ring_enabled()) {
+      return logger_->ring_append(epoch_, line, old_data);
+    }
+    auto log_lock = lock_log();
+    log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    return logger_->log_line(epoch_, line, old_data);
+  }();
+  if (!appended.ok()) flush_log();
+  return appended;
+}
+
+Status PaxDevice::append_undo_batch(
+    std::span<const std::pair<LineIndex, LineData>> items,
+    std::vector<std::uint64_t>* ends) {
+  Status st = [&] {
+    if (logger_->ring_enabled()) {
+      // Lock-free hot path: one fetch_add reservation covers the group;
+      // the log mutex is never taken on the append path.
+      return logger_->ring_append_batch(epoch_, items, ends);
+    }
+    // One log-mutex acquisition covers the whole group's undo records.
+    auto log_lock = lock_log();
+    log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    return logger_->log_lines(epoch_, items, ends);
+  }();
+  if (!st.is_ok()) flush_log();
+  return st;
+}
+
 LineData PaxDevice::undo_preimage(LineIndex line,
-                                  std::uint64_t packed) const {
+                                  std::uint64_t record_end) const {
   // The pre-image lives in the log at [end - frame, end); frames for line
   // undo records have a fixed size.
   constexpr std::size_t kFrame =
       wal::record_frame_size(sizeof(wal::LineUndoPayload));
-  const unsigned bank = (packed & kBankBit) ? 1 : 0;
-  const std::uint64_t end = packed & ~kBankBit;
-  PAX_CHECK(end >= kFrame);
-  const PoolOffset extent_base =
-      bank == 0 ? pool_->log_offset()
-                : pool_->log_offset() +
-                      ((pool_->log_size() / 2) & ~(kCacheLineSize - 1));
+  PAX_CHECK(record_end >= kFrame);
   wal::LineUndoPayload payload{};
-  pm_->load(extent_base + end - kFrame + sizeof(wal::RecordHeader),
+  pm_->load(pool_->log_offset() + record_end - kFrame +
+                sizeof(wal::RecordHeader),
             std::as_writable_bytes(std::span(&payload, 1)));
   PAX_CHECK_MSG(payload.line_index == line.value,
                 "undo record offset bookkeeping corrupted");
@@ -296,11 +286,6 @@ LineData PaxDevice::undo_preimage(LineIndex line,
 }
 
 LineData PaxDevice::committed_view(Stripe& s, LineIndex line) {
-  if (has_sealed_) {
-    if (auto it = s.sealed_logged.find(line); it != s.sealed_logged.end()) {
-      return undo_preimage(line, it->second);
-    }
-  }
   if (auto it = s.epoch_logged.find(line); it != s.epoch_logged.end()) {
     return undo_preimage(line, it->second);
   }
@@ -349,27 +334,14 @@ Status PaxDevice::mem_write(LineIndex line, const LineData& data) {
   if (it == s.epoch_logged.end()) {
     // First MemWr for this line this epoch: the device view still holds the
     // epoch-boundary value (the incoming data is not yet applied).
-    const LineData old_data = device_view(s, line);
-    std::uint64_t end;
-    if (loggers_[active_bank_]->ring_enabled()) {
-      auto appended =
-          loggers_[active_bank_]->ring_append(epoch_, line, old_data);
-      if (!appended.ok()) return appended.status();
-      end = appended.value();
-    } else {
-      auto log_lock = lock_log();
-      log_append_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      auto appended =
-          loggers_[active_bank_]->log_line(epoch_, line, old_data);
-      if (!appended.ok()) return appended.status();
-      end = appended.value();
-    }
+    auto appended = append_undo(line, device_view(s, line));
+    if (!appended.ok()) return appended.status();
     ++s.stats.first_touch_logs;
-    it = s.epoch_logged.emplace(line, pack_record(active_bank_, end)).first;
+    it = s.epoch_logged.emplace(line, appended.value()).first;
   }
 
   auto victim = s.hbm.insert(line, data, /*dirty=*/true, it->second,
-                             loggers_[active_bank_]->durable());
+                             logger_->durable());
   evict_victim(s, victim);
   return Status::ok();
 }
@@ -382,69 +354,52 @@ void PaxDevice::writeback_line(LineIndex line, const LineData& data) {
   ++s.stats.host_writebacks;
 
   auto it = s.epoch_logged.find(line);
-  // Under epoch overlap the host may also evict a line it modified only in
-  // the sealed epoch (seal downgraded it to shared; a shared eviction
-  // carries no data, but a dirty eviction can still race the seal). Accept
-  // a sealed-epoch record as ownership proof too.
-  std::uint64_t packed;
-  if (it != s.epoch_logged.end()) {
-    packed = it->second;
-  } else {
-    auto sealed_it = s.sealed_logged.find(line);
-    PAX_CHECK_MSG(sealed_it != s.sealed_logged.end(),
-                  "host wrote back a line it never took write ownership of");
-    packed = sealed_it->second;
-  }
+  PAX_CHECK_MSG(it != s.epoch_logged.end(),
+                "host wrote back a line it never took write ownership of");
 
-  auto victim = s.hbm.insert(line, data, /*dirty=*/true, packed,
-                             loggers_[active_bank_]->durable());
+  auto victim = s.hbm.insert(line, data, /*dirty=*/true, it->second,
+                             logger_->durable());
   evict_victim(s, victim);
 }
 
 void PaxDevice::write_line_to_pm(Stripe& s, LineIndex line,
                                  const LineData& data,
-                                 std::uint64_t packed_record) {
+                                 std::uint64_t record_end) {
   // Core crash-consistency invariant: no new data reaches PM media before
   // the undo record that can roll it back is durable.
-  PAX_CHECK_MSG(record_is_durable(packed_record),
+  PAX_CHECK_MSG(record_is_durable(record_end),
                 "write-back attempted before undo record was durable");
   // This path reached the media only because record_is_durable observed the
   // logger's watermark on this thread — record that gate for the offline
   // happens-before analysis.
-  note_writeback(line, packed_record, /*gate_observed=*/true);
+  note_writeback(line, record_end, /*gate_observed=*/true);
   pm_->store_line(line, data);
   pm_->flush_line(line);
   ++s.stats.pm_writeback_lines;
   s.hbm.mark_clean(line);
 }
 
-void PaxDevice::note_writeback(LineIndex line, std::uint64_t packed,
+void PaxDevice::note_writeback(LineIndex line, std::uint64_t record_end,
                                bool gate_observed) const {
   if (auto* chk = pm_->checker()) {
-    const unsigned bank = (packed & kBankBit) ? 1 : 0;
-    chk->on_writeback(line.value, loggers_[bank]->id(), packed & ~kBankBit,
-                      gate_observed);
+    chk->on_writeback(line.value, logger_->id(), record_end, gate_observed);
   }
 }
 
-void PaxDevice::flush_all_logs() {
+void PaxDevice::flush_log() {
   auto log_lock = lock_log();
-  for (auto& logger : loggers_) {
-    if (logger->staged() > logger->durable()) logger->flush();
-  }
+  if (logger_->staged() > logger_->durable()) logger_->flush();
   pm_->drain();
 }
 
 void PaxDevice::tick(bool force_flush) {
   auto epoch_lock = epoch_shared();
 
-  std::uint64_t staged_volatile = 0;
-  for (const auto& logger : loggers_) {
-    staged_volatile += logger->staged() - logger->durable();
-  }
+  const std::uint64_t staged_volatile =
+      logger_->staged() - logger_->durable();
   if ((force_flush && staged_volatile > 0) ||
       staged_volatile >= config_.log_flush_batch_bytes) {
-    flush_all_logs();
+    flush_log();
   }
 
   if (!config_.proactive_writeback) return;
@@ -462,95 +417,47 @@ void PaxDevice::tick(bool force_flush) {
     auto lock = lock_stripe(s, /*count=*/false);
     ready.clear();
     s.hbm.for_each_dirty(
-        [&](LineIndex line, const LineData& data, std::uint64_t packed) {
-          if (record_is_durable(packed)) {
-            ready.emplace_back(line, data, packed);
-          }
+        [&](LineIndex line, const LineData& data, std::uint64_t end) {
+          if (record_is_durable(end)) ready.emplace_back(line, data, end);
         });
-    for (const auto& [line, data, packed] : ready) {
-      write_line_to_pm(s, line, data, packed);
+    for (const auto& [line, data, end] : ready) {
+      write_line_to_pm(s, line, data, end);
       ++s.stats.proactive_writebacks;
     }
   }
-}
-
-void PaxDevice::fan_out(std::size_t total_lines,
-                        const std::function<void(Stripe&)>& fn) {
-  const std::size_t n = stripes_.size();
-  const unsigned workers = std::min<unsigned>(
-      std::max(1u, config_.persist_workers), static_cast<unsigned>(n));
-  if (workers <= 1 || total_lines < config_.persist_fanout_min_lines) {
-    for (auto& s : stripes_) fn(*s);
-    return;
-  }
-
-  // The committing thread participates, so the pool parks workers - 1
-  // threads. Lazy creation happens under the exclusive epoch lock.
-  if (!persist_pool_) {
-    persist_pool_ = std::make_unique<common::ThreadPool>(workers - 1);
-  }
-  // Fork-join bracketing for the offline happens-before analysis: the pool
-  // itself is real synchronization (dispatch precedes every slice, every
-  // slice precedes the return from parallel_for), and these events make
-  // that ordering visible in the trace. Token is process-unique so
-  // overlapping sections on different devices never alias.
-  check::Checker* chk = pm_->checker();
-  std::uint64_t token = 0;
-  if (chk != nullptr) {
-    token = (static_cast<std::uint64_t>(device_id_) + 1) << 32 |
-            (task_token_.fetch_add(1, std::memory_order_relaxed) + 1);
-    chk->on_task_dispatch(token);
-  }
-  persist_pool_->parallel_for(n, [&](std::size_t i) {
-    if (chk != nullptr) chk->on_task_begin(token);
-    fn(*stripes_[i]);
-    if (chk != nullptr) chk->on_task_end(token);
-  });
-  if (chk != nullptr) chk->on_task_join(token);
-}
-
-std::optional<LineData> PaxDevice::pull_one(const PullFn& pull,
-                                            LineIndex line) {
-  persist_pulls_.fetch_add(1, std::memory_order_relaxed);
-  if (!pull) return std::nullopt;
-  if (auto* chk = pm_->checker()) chk->on_pull_invoke(line.value);
-  std::lock_guard lock(pull_mu_);
-  return pull(line);
 }
 
 Result<Epoch> PaxDevice::persist(const PullFn& pull) {
   auto epoch_lock = epoch_exclusive();
   persists_.fetch_add(1, std::memory_order_relaxed);
 
-  // Complete any outstanding async epoch first: epochs commit in order.
-  if (has_sealed_) {
-    auto committed = commit_sealed_locked();
-    if (!committed.ok()) return committed;
+  // Phase 1a. Every undo record of this epoch becomes durable.
+  flush_log();
+
+  // Phase 1b. For every line modified this epoch, obtain its authoritative
+  // current value — from the host if it still caches it (RdShared: also
+  // revokes exclusivity so next-epoch stores re-announce themselves), else
+  // from the device buffer, else PM already has it — and write it to PM.
+  // The exclusive epoch lock quiesces the data path, so no stripe mutex is
+  // needed.
+  const bool want_hook = static_cast<bool>(commit_hook_);
+  std::vector<std::pair<LineIndex, LineData>> committed_lines;
+  if (want_hook) {
+    std::size_t total_lines = 0;
+    for (const auto& s : stripes_) total_lines += s->epoch_logged.size();
+    committed_lines.reserve(total_lines);
   }
 
-  // Phase 1a. Every undo record of this epoch becomes durable.
-  flush_all_logs();
-
-  // Phase 1b (fan-out). For every line modified this epoch, obtain its
-  // authoritative current value — from the host if it still caches it
-  // (RdShared: also revokes exclusivity so next-epoch stores re-announce
-  // themselves), else from the device buffer, else PM already has it — and
-  // write it to PM. Each stripe's slice is independent; workers own one
-  // stripe at a time (the exclusive epoch lock quiesces the data path, so
-  // no stripe mutex is needed).
-  std::size_t total_lines = 0;
-  for (const auto& s : stripes_) total_lines += s->epoch_logged.size();
-
-  const bool want_hook = static_cast<bool>(commit_hook_);
-  std::mutex hook_mu;
-  std::vector<std::pair<LineIndex, LineData>> committed_lines;
-  if (want_hook) committed_lines.reserve(total_lines);
-
-  fan_out(total_lines, [&](Stripe& s) {
-    std::vector<std::pair<LineIndex, LineData>> local;
-    if (want_hook) local.reserve(s.epoch_logged.size());
-    for (const auto& [line, packed] : s.epoch_logged) {
-      std::optional<LineData> host_copy = pull_one(pull, line);
+  check::Checker* chk = pm_->checker();
+  for (auto& sp : stripes_) {
+    Stripe& s = *sp;
+    for (const auto& [line, end] : s.epoch_logged) {
+      persist_pulls_.fetch_add(1, std::memory_order_relaxed);
+      std::optional<LineData> host_copy;
+      if (pull) {
+        if (chk != nullptr) chk->on_pull_invoke(line.value);
+        host_copy = pull(line);
+      }
       LineData value;
       if (host_copy) {
         value = *host_copy;
@@ -563,33 +470,27 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
         // wrote it back; re-reading PM keeps the store below idempotent.
         value = pm_->load_line(line);
       }
-      note_writeback(line, packed);
+      note_writeback(line, end);
       pm_->store_line(line, value);
       pm_->flush_line(line);
       ++s.stats.pm_writeback_lines;
       s.hbm.mark_clean(line);
-      if (want_hook) local.emplace_back(line, value);
+      if (want_hook) committed_lines.emplace_back(line, value);
     }
-    if (want_hook && !local.empty()) {
-      std::lock_guard hl(hook_mu);
-      committed_lines.insert(committed_lines.end(), local.begin(),
-                             local.end());
-    }
-  });
+  }
 
-  // Phase 2 (serialized tail). Fence: all data write-back durable before
-  // the commit record; then atomically transition the pool to the new
-  // snapshot (§3.3).
+  // Phase 2. Fence: all data write-back durable before the commit record;
+  // then atomically transition the pool to the new snapshot (§3.3).
   pm_->drain();
   const Epoch committed = epoch_;
   pool_->commit_epoch(committed);
-  if (commit_hook_) commit_hook_(committed, committed_lines);
+  if (want_hook) commit_hook_(committed, committed_lines);
 
-  // New epoch: the active log bank is reusable (every record inside is now
-  // stale under the committed epoch cell).
+  // New epoch: the log is reusable (every record inside is now stale under
+  // the committed epoch cell).
   {
     auto log_lock = lock_log();
-    loggers_[active_bank_]->reset_after_commit();
+    logger_->reset_after_commit();
   }
   for (auto& s : stripes_) {
     s->epoch_logged.clear();
@@ -600,119 +501,6 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
   PAX_LOG_DEBUG("persist: committed epoch %llu",
                 static_cast<unsigned long long>(committed));
   return committed;
-}
-
-Result<Epoch> PaxDevice::seal_epoch(const PullFn& pull) {
-  auto epoch_lock = epoch_exclusive();
-  if (has_sealed_) {
-    return failed_precondition(
-        "an epoch is already sealed; commit it before sealing another");
-  }
-  epoch_seals_.fetch_add(1, std::memory_order_relaxed);
-
-  // Phase 1 (fan-out). Capture the host's current values for every modified
-  // line, revoking exclusivity (next-epoch stores must re-announce). The
-  // values land in each stripe's HBM buffer as dirty lines gated on their
-  // (sealed-bank) records.
-  std::size_t total_lines = 0;
-  for (const auto& s : stripes_) total_lines += s->epoch_logged.size();
-
-  fan_out(total_lines, [&](Stripe& s) {
-    for (const auto& [line, packed] : s.epoch_logged) {
-      if (std::optional<LineData> host_copy = pull_one(pull, line)) {
-        auto victim = s.hbm.insert(line, *host_copy, /*dirty=*/true, packed,
-                                   loggers_[active_bank_]->durable());
-        evict_victim(s, victim);
-      }
-    }
-  });
-
-  // Phase 2 (serialized tail). Freeze the epoch and switch new work to the
-  // other bank.
-  for (auto& s : stripes_) {
-    s->sealed_logged = std::move(s->epoch_logged);
-    s->epoch_logged.clear();
-  }
-  sealed_epoch_ = epoch_;
-  has_sealed_ = true;
-  active_bank_ ^= 1;
-  PAX_CHECK_MSG(loggers_[active_bank_]->staged() == 0,
-                "switching to a log bank that still holds live records");
-  epoch_ = sealed_epoch_ + 1;
-  if (auto* chk = pm_->checker()) chk->on_epoch_seal(sealed_epoch_);
-  return sealed_epoch_;
-}
-
-Result<Epoch> PaxDevice::commit_sealed() {
-  auto epoch_lock = epoch_exclusive();
-  return commit_sealed_locked();
-}
-
-Result<Epoch> PaxDevice::commit_sealed_locked() {
-  if (!has_sealed_) return pool_->committed_epoch();
-  async_commits_.fetch_add(1, std::memory_order_relaxed);
-
-  // Phase 1a. All records durable — both banks: a sealed line may have been
-  // re-modified in the active epoch, and the value written below could be
-  // that newer one; its active-bank undo record must be durable before the
-  // value reaches PM (the gating invariant under overlap).
-  flush_all_logs();
-
-  // Phase 1b (fan-out). Write back every sealed line from the device's view
-  // (the seal pulled the host copies; any concurrent newer value is safe
-  // per the flushed active-bank record — recovery rolls it back to this
-  // epoch's value).
-  std::size_t total_lines = 0;
-  for (const auto& s : stripes_) total_lines += s->sealed_logged.size();
-
-  const bool want_hook = static_cast<bool>(commit_hook_);
-  std::mutex hook_mu;
-  std::vector<std::pair<LineIndex, LineData>> committed_lines;
-  if (want_hook) committed_lines.reserve(total_lines);
-
-  fan_out(total_lines, [&](Stripe& s) {
-    std::vector<std::pair<LineIndex, LineData>> local;
-    if (want_hook) local.reserve(s.sealed_logged.size());
-    for (const auto& [line, packed] : s.sealed_logged) {
-      note_writeback(line, packed);
-      const LineData value = device_view(s, line);
-      pm_->store_line(line, value);
-      pm_->flush_line(line);
-      ++s.stats.pm_writeback_lines;
-      // Only mark clean if the active epoch hasn't re-dirtied it.
-      if (!s.epoch_logged.contains(line)) s.hbm.mark_clean(line);
-      if (want_hook) local.emplace_back(line, value);
-    }
-    if (want_hook && !local.empty()) {
-      std::lock_guard hl(hook_mu);
-      committed_lines.insert(committed_lines.end(), local.begin(),
-                             local.end());
-    }
-  });
-
-  // Phase 2 (serialized tail). Fence, then the atomic epoch-cell commit.
-  pm_->drain();
-  pool_->commit_epoch(sealed_epoch_);
-  if (commit_hook_) commit_hook_(sealed_epoch_, committed_lines);
-
-  // The sealed bank's records are stale now; reclaim it.
-  const unsigned sealed_bank = active_bank_ ^ 1;
-  {
-    auto log_lock = lock_log();
-    loggers_[sealed_bank]->reset_after_commit();
-  }
-  for (auto& s : stripes_) s->sealed_logged.clear();
-  const Epoch committed = sealed_epoch_;
-  has_sealed_ = false;
-
-  PAX_LOG_DEBUG("commit_sealed: committed epoch %llu",
-                static_cast<unsigned long long>(committed));
-  return committed;
-}
-
-bool PaxDevice::has_sealed_epoch() const {
-  auto epoch_lock = epoch_shared();
-  return has_sealed_;
 }
 
 void PaxDevice::set_commit_hook(CommitHook hook) {
@@ -736,21 +524,12 @@ std::size_t PaxDevice::epoch_logged_lines() const {
 }
 
 std::uint64_t PaxDevice::log_bytes_in_use() const {
-  return loggers_[0]->staged() + loggers_[1]->staged();
+  return logger_->staged();
 }
 
 UndoLoggerStats PaxDevice::log_stats() const {
   auto log_lock = lock_log();
-  UndoLoggerStats total = loggers_[0]->stats();
-  const UndoLoggerStats other = loggers_[1]->stats();
-  total.records += other.records;
-  total.bytes_staged += other.bytes_staged;
-  total.flushes += other.flushes;
-  total.group_appends += other.group_appends;
-  total.ring_appends += other.ring_appends;
-  total.ring_full_stalls += other.ring_full_stalls;
-  total.ring_aborts += other.ring_aborts;
-  return total;
+  return logger_->stats();
 }
 
 DeviceStats PaxDevice::stats() const {
@@ -772,17 +551,13 @@ DeviceStats PaxDevice::stats() const {
   }
   total.persists = persists_.load(std::memory_order_relaxed);
   total.persist_pulls = persist_pulls_.load(std::memory_order_relaxed);
-  total.epoch_seals = epoch_seals_.load(std::memory_order_relaxed);
-  total.async_commits = async_commits_.load(std::memory_order_relaxed);
   total.batch_syncs = batch_syncs_.load(std::memory_order_relaxed);
   total.batch_synced_lines =
       batch_synced_lines_.load(std::memory_order_relaxed);
   total.log_append_acquisitions =
       log_append_acquisitions_.load(std::memory_order_relaxed);
-  total.log_ring_appends =
-      loggers_[0]->ring_appends() + loggers_[1]->ring_appends();
-  total.log_ring_stalls =
-      loggers_[0]->ring_full_stalls() + loggers_[1]->ring_full_stalls();
+  total.log_ring_appends = logger_->ring_appends();
+  total.log_ring_stalls = logger_->ring_full_stalls();
   total.sync_deferred_groups =
       sync_deferred_groups_.load(std::memory_order_relaxed);
   return total;

@@ -30,49 +30,36 @@
 // of exclusive ownership so next-epoch stores are observed again), write
 // everything back to PM, fence, then atomically commit the epoch cell.
 //
-// Non-blocking persist (§6 "we believe it may be possible to make persist()
-// fully non-blocking, so that epochs overlap"): the undo-log extent is split
-// into two *banks*. seal_epoch() pulls the host's current values for the
-// epoch's lines (revoking ownership), freezes the epoch's undo set, and
-// switches new mutations onto the other bank — the application continues
-// immediately. commit_sealed() later completes the durable work (log flush,
-// write-back, epoch-cell commit) off the critical path. Correctness under
-// overlap rests on the same gating invariant as everything else: a line's
-// newer (active-epoch) value may reach PM during the sealed commit, but only
-// after the active epoch's undo record for it is durable, so recovery always
-// lands exactly on a committed snapshot. Recovery scans both banks and
-// applies uncommitted records newest-epoch-first.
+// The paper's §6 non-blocking persist lives one layer up: the libpax
+// runtime's persist_async() queues a sealed snapshot for a drain worker that
+// calls persist() off the application's critical path. The device has one
+// epoch commit and one undo log spanning the whole log extent.
 //
 // ── Threading model (the striped data path) ────────────────────────────────
 //
 // Device state is partitioned into `DeviceConfig::stripes` stripes by
 // LineIndex (stripe = line & (stripes - 1)). Each stripe owns its slice of
-// the HBM buffer, its epoch-modified and sealed-modified sets, and its
-// data-path statistics, all behind its own mutex — read_line / write_intent /
-// writeback_line / mem_write on lines of different stripes proceed fully in
-// parallel. Three device-wide pieces remain shared:
+// the HBM buffer, its epoch-modified set, and its data-path statistics, all
+// behind its own mutex — read_line / write_intent / writeback_line /
+// mem_write on lines of different stripes proceed fully in parallel. Three
+// device-wide pieces remain shared:
 //
-//   * epoch_mu_ (a shared_mutex): the data path holds it shared; persist /
-//     seal_epoch / commit_sealed hold it exclusive. Epoch number, active log
-//     bank, and the sealed flag only change under the exclusive side, so the
-//     data path reads them without further synchronization.
-//   * log_mu_: the two undo-log banks are inherently ordered append-only
-//     structures; records from all stripes are appended under this short
-//     log-only mutex. Durability gating never takes it — the loggers publish
-//     their staged/durable watermarks through atomics.
+//   * epoch_mu_ (a shared_mutex): the data path holds it shared; persist
+//     holds it exclusive. The epoch number only changes under the exclusive
+//     side, so the data path reads it without further synchronization.
+//   * log_mu_: the undo log is an inherently ordered append-only structure;
+//     records from all stripes are appended under this short log-only
+//     mutex. Durability gating never takes it — the logger publishes its
+//     staged/durable watermarks through atomics.
 //   * the PM device itself, which is internally line-sharded.
 //
 // LOCK ORDER (never acquire in the reverse direction):
 //   epoch_mu_ (shared or exclusive)  →  stripe mutex  →  log_mu_
 // At most one stripe mutex is held at a time.
 //
-// persist()/seal_epoch()/commit_sealed() run a two-phase protocol: phase one
-// fans the per-stripe work (host pulls, PM write-back of the stripe's logged
-// lines) across a pool of `persist_workers` threads, one stripe per worker
-// at a time; phase two — log flush, fence, epoch-cell commit — is a single
-// serialized tail. The pull callback is invoked under an internal mutex
-// (pull_mu_), one call at a time, so frontends need not be thread-safe to be
-// pulled from the fan-out.
+// persist() runs on the caller's thread with the data path quiesced by the
+// exclusive epoch lock: flush the log, pull and write back every line the
+// epoch modified, stripe by stripe, then fence and commit the epoch cell.
 #pragma once
 
 #include <atomic>
@@ -88,7 +75,6 @@
 
 #include "pax/check/checker.hpp"
 #include "pax/common/status.hpp"
-#include "pax/common/thread_pool.hpp"
 #include "pax/common/types.hpp"
 #include "pax/device/hbm_cache.hpp"
 #include "pax/device/undo_logger.hpp"
@@ -117,16 +103,10 @@ struct DeviceConfig {
   /// least one full HBM set (capacity_lines / ways); stripes = 1 reproduces
   /// the old single-lock device.
   unsigned stripes = 16;
-  /// Worker threads for the fan-out phase of persist()/seal_epoch()/
-  /// commit_sealed(). 1 = run the fan-out inline (no extra threads).
-  unsigned persist_workers = 4;
-  /// Fan out only when the epoch modified at least this many lines; tiny
-  /// epochs aren't worth the thread hand-off.
-  std::size_t persist_fanout_min_lines = 64;
-  /// > 0 enables the lock-free undo-append ring (that many slots per log
-  /// bank, rounded up to a power of two): hot-path appends reserve
-  /// pre-framed ring slots with a fetch_add ticket instead of taking the
-  /// log mutex; the flusher drains the ring. 0 = mutex append path.
+  /// > 0 enables the lock-free undo-append ring (that many slots, rounded
+  /// up to a power of two): hot-path appends reserve pre-framed ring slots
+  /// with a fetch_add ticket instead of taking the log mutex; the flusher
+  /// drains the ring. 0 = mutex append path.
   std::size_t log_ring_slots = 0;
 
   static DeviceConfig defaults() { return DeviceConfig{}; }
@@ -162,8 +142,6 @@ struct DeviceStats {
   std::uint64_t forced_log_flushes = 0;   // stalls: eviction beat the flusher
   std::uint64_t persists = 0;
   std::uint64_t persist_pulls = 0;        // RdShared pulls issued at persist
-  std::uint64_t epoch_seals = 0;          // §6 non-blocking persist: seals
-  std::uint64_t async_commits = 0;        // ... and their completions
   std::uint64_t batch_syncs = 0;          // sync_lines() invocations
   std::uint64_t batch_synced_lines = 0;   // lines carried by those batches
   std::uint64_t log_append_acquisitions = 0;  // log-mutex holds for appends
@@ -227,14 +205,11 @@ class PaxDevice {
   Status sync_lines(std::span<const LineUpdate> updates);
 
   /// Reads `line` as of the most recently *committed* snapshot, even while
-  /// the current (and a sealed) epoch are mutating it — a consistent
-  /// time-travel read, free because the undo log already holds every
-  /// modified line's committed pre-image:
-  ///   * line logged in the sealed epoch → that record's pre-image is the
-  ///     last committed value;
-  ///   * else logged in the active epoch → its pre-image was captured at
-  ///     the last boundary (seal or commit), which equals the committed
-  ///     value when the line wasn't also sealed;
+  /// the current epoch is mutating it — a consistent time-travel read, free
+  /// because the undo log already holds every modified line's committed
+  /// pre-image:
+  ///   * line logged this epoch → its record's pre-image, captured at the
+  ///     last commit, is the committed value;
   ///   * else unmodified since the last commit → the device view is it.
   /// Readers get snapshot isolation without quiescing writers (§6's "new
   /// lens" on coherence-visible state).
@@ -268,40 +243,21 @@ class PaxDevice {
 
   /// Fetches the host's current copy of a line and revokes host exclusive
   /// ownership (CXL RdShared). Returns nullopt if the host no longer caches
-  /// the line. Invoked one call at a time (under the device's pull mutex)
-  /// even when the commit fan-out runs on several workers, so it need not
-  /// be thread-safe — but it must NOT block on locks held by threads that
-  /// are executing device data-path calls, or persist deadlocks.
+  /// the line. Invoked on the thread that called persist(), one line at a
+  /// time — but it must NOT block on locks held by threads that are
+  /// executing device data-path calls, or persist deadlocks.
   using PullFn = std::function<std::optional<LineData>(LineIndex)>;
 
   /// Commits the current epoch as a crash-consistent snapshot and starts
-  /// the next one. Returns the committed epoch number. If an epoch is
-  /// sealed but not yet committed, it is committed first.
+  /// the next one. Returns the committed epoch number.
   Result<Epoch> persist(const PullFn& pull);
-
-  // --- Non-blocking persist (§6 extension) --------------------------------
-
-  /// Freezes the current epoch for asynchronous commit: pulls the host's
-  /// current copies of its modified lines (revoking exclusivity), moves new
-  /// mutations onto the other log bank, and returns the sealed epoch
-  /// number. The caller regains control without waiting for any
-  /// persistence work. At most one epoch may be sealed at a time: callers
-  /// must commit_sealed() (or persist()) before sealing again.
-  Result<Epoch> seal_epoch(const PullFn& pull);
-
-  /// Completes the sealed epoch's durable work: flushes the logs, writes
-  /// the sealed lines back to PM, fences, and commits the epoch cell.
-  /// No-op returning the last committed epoch if nothing is sealed.
-  Result<Epoch> commit_sealed();
-
-  bool has_sealed_epoch() const;
 
   // --- Commit hook (replication, §6) --------------------------------------
 
-  /// Called after every epoch commit (sync or sealed) with the committed
-  /// epoch number and the final values of every line that epoch modified.
-  /// Used by the replication extension (device/replication.hpp) to ship
-  /// epochs to a backup. Invoked with the epoch lock held exclusively (the
+  /// Called after every epoch commit with the committed epoch number and
+  /// the final values of every line that epoch modified. Used by the
+  /// replication extension (device/replication.hpp) to ship epochs to a
+  /// backup. Invoked with the epoch lock held exclusively (the
   /// whole data path is quiesced): keep it short or enqueue.
   using CommitHook = std::function<void(
       Epoch, const std::vector<std::pair<LineIndex, LineData>>&)>;
@@ -350,10 +306,8 @@ class PaxDevice {
     mutable std::mutex mu;
     unsigned index = 0;  // position in stripes_; PaxCheck lock identity
     HbmCache hbm;
-    // line -> packed undo-record token, for every line logged this epoch.
+    // line -> undo-record end offset, for every line logged this epoch.
     std::unordered_map<LineIndex, std::uint64_t> epoch_logged;
-    // Sealed-but-uncommitted epoch (§6): this stripe's slice of its set.
-    std::unordered_map<LineIndex, std::uint64_t> sealed_logged;
     DeviceStats stats;  // data-path counters only; aggregated by stats()
     // Lock-contention telemetry, updated before the mutex is held (atomics)
     // so stripe_lock_totals() can sample without taking any lock.
@@ -415,16 +369,10 @@ class PaxDevice {
                              device_id_, /*shared=*/false)};
   }
 
-  // Undo records are addressed as (bank, end-offset) packed into one u64:
-  // the bank index occupies the top bit. HbmCache carries these packed
-  // tokens opaquely.
-  static constexpr std::uint64_t kBankBit = 1ull << 63;
-  static std::uint64_t pack_record(unsigned bank, std::uint64_t end) {
-    return end | (bank ? kBankBit : 0);
-  }
-  bool record_is_durable(std::uint64_t packed) const {
-    const unsigned bank = (packed & kBankBit) ? 1 : 0;
-    return (packed & ~kBankBit) <= loggers_[bank]->durable();
+  // Undo records are addressed by their end offset in the log; HbmCache
+  // carries these offsets opaquely.
+  bool record_is_durable(std::uint64_t record_end) const {
+    return logger_->is_durable(record_end);
   }
 
   Stripe& stripe_for(LineIndex line) {
@@ -438,41 +386,40 @@ class PaxDevice {
   // caller holds s.mu and must have ensured the line's undo record (if any
   // this epoch) is durable; checked here.
   void write_line_to_pm(Stripe& s, LineIndex line, const LineData& data,
-                        std::uint64_t packed_record);
+                        std::uint64_t record_end);
 
   // Emits the PaxCheck write-back event for `line` gated on the undo record
-  // addressed by `packed` (no-op without an attached checker).
+  // ending at `record_end` (no-op without an attached checker).
   // `gate_observed`: the caller checked record_is_durable on this thread.
-  void note_writeback(LineIndex line, std::uint64_t packed,
+  void note_writeback(LineIndex line, std::uint64_t record_end,
                       bool gate_observed = false) const;
 
   // Handles the victim of an HbmCache::insert under s.mu: forces a log
   // flush if the victim's record isn't durable yet, then writes it back.
   void evict_victim(Stripe& s, const std::optional<EvictedLine>& victim);
 
-  // Flushes both log banks (all staged records become durable). Takes
-  // log_mu_; safe under any single stripe mutex.
-  void flush_all_logs();
+  // Flushes the log (all staged records become durable). Takes log_mu_;
+  // safe under any single stripe mutex.
+  void flush_log();
 
-  // Runs `fn(stripe)` for every stripe on up to persist_workers threads of
-  // the persistent commit pool (inline when the work is small). Caller
-  // holds epoch_mu_ exclusively; fn must not touch epoch_mu_.
-  void fan_out(std::size_t total_lines,
-               const std::function<void(Stripe&)>& fn);
-
-  // Invokes the pull callback under pull_mu_ (fan-out workers race here).
-  std::optional<LineData> pull_one(const PullFn& pull, LineIndex line);
-
-  // Commits the sealed epoch. Caller holds epoch_mu_ exclusively.
-  Result<Epoch> commit_sealed_locked();
+  // Stage this epoch's undo record(s) for first-touch line(s) — through the
+  // lock-free ring when enabled, else under one log-mutex hold — and return
+  // their end offsets. An append fails only when the log is full; then no
+  // later record can join the staged tail's group flush, so the tail is
+  // flushed at once instead of staying volatile until the next persist().
+  // Caller holds the line's stripe mutex.
+  Result<std::uint64_t> append_undo(LineIndex line, const LineData& old_data);
+  Status append_undo_batch(
+      std::span<const std::pair<LineIndex, LineData>> items,
+      std::vector<std::uint64_t>* ends);
 
   // Current device-side view of a line (buffer over PM), no stats. Caller
   // holds s.mu (or owns the stripe via the exclusive epoch lock).
   LineData device_view(Stripe& s, LineIndex line);
 
-  // Reads the pre-image held by the undo record addressed by `packed`
+  // Reads the pre-image held by the undo record ending at `record_end`
   // (validating it belongs to `line`).
-  LineData undo_preimage(LineIndex line, std::uint64_t packed) const;
+  LineData undo_preimage(LineIndex line, std::uint64_t record_end) const;
 
   // Last-committed-snapshot view of a line (read_committed_line without the
   // locking). Caller holds epoch_mu_ (shared suffices) and s.mu.
@@ -493,37 +440,19 @@ class PaxDevice {
   // below it only change under the exclusive side.
   mutable std::shared_mutex epoch_mu_;
   Epoch epoch_;            // epoch being accumulated (not yet committed)
-  unsigned active_bank_ = 0;
-  Epoch sealed_epoch_ = 0;
-  bool has_sealed_ = false;
   CommitHook commit_hook_;
 
-  // Two log banks over the two halves of the pool's log extent (§6
-  // overlap); synchronous-only use stays on bank 0. Appends/flushes/resets
+  // The undo log over the pool's whole log extent. Appends/flushes/resets
   // are serialized by log_mu_; watermark reads are lock-free.
   mutable std::mutex log_mu_;
-  std::unique_ptr<UndoLogger> loggers_[2];
-
-  // Serializes PullFn invocations from the commit fan-out.
-  std::mutex pull_mu_;
+  std::unique_ptr<UndoLogger> logger_;
 
   // Round-robin start cursor for tick()'s proactive write-back.
   std::atomic<std::uint64_t> tick_cursor_{0};
 
-  // Fork-token counter for fan_out's kTaskDispatch/..Join bracketing.
-  std::atomic<std::uint64_t> task_token_{0};
-
-  // Persistent worker pool for the commit fan-out (persist_workers - 1
-  // parked threads; the committing thread participates). Created lazily on
-  // the first fan-out large enough to want workers — always under the
-  // exclusive epoch lock, so no further synchronization is needed.
-  std::unique_ptr<common::ThreadPool> persist_pool_;
-
   // Device-wide counters that live outside any stripe.
   std::atomic<std::uint64_t> persists_{0};
   std::atomic<std::uint64_t> persist_pulls_{0};
-  std::atomic<std::uint64_t> epoch_seals_{0};
-  std::atomic<std::uint64_t> async_commits_{0};
   std::atomic<std::uint64_t> batch_syncs_{0};
   std::atomic<std::uint64_t> batch_synced_lines_{0};
   std::atomic<std::uint64_t> log_append_acquisitions_{0};

@@ -1,6 +1,5 @@
 #include "pax/device/recovery.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -15,62 +14,37 @@ Result<RecoveryReport> recover_pool(pmem::PmemPool& pool) {
   RecoveryReport report;
   report.recovered_epoch = pool.committed_epoch();
 
-  // The log extent is split into two banks (PaxDevice: §6 epoch overlap).
-  // With overlap, a crash can leave uncommitted records of TWO epochs (the
-  // sealed epoch e in one bank, the active e+1 in the other). Undo must be
-  // applied newest-epoch-first, reverse append order within an epoch, so a
-  // line modified in both epochs ends at its epoch-(e-1) pre-image.
-  struct PendingUndo {
-    Epoch epoch;
-    std::uint64_t seq;  // append order within its bank
-    wal::LineUndoPayload payload;
-  };
-  std::vector<PendingUndo> to_undo;
-
-  const std::size_t half = (pool.log_size() / 2) & ~(kCacheLineSize - 1);
-  const std::pair<PoolOffset, std::size_t> banks[2] = {
-      {pool.log_offset(), half},
-      {pool.log_offset() + half, pool.log_size() - half},
-  };
-
-  for (const auto& [bank_off, bank_size] : banks) {
-    wal::LogReader reader(pm, bank_off, bank_size);
-    std::uint64_t seq = 0;
-    while (auto rec = reader.next()) {
-      ++report.records_scanned;
-      if (rec->epoch <= report.recovered_epoch) {
-        ++report.stale_records;
-        continue;
-      }
-      if (rec->type != wal::RecordType::kLineUndo) {
-        return corruption("unexpected record type in device undo log");
-      }
-      if (rec->payload.size() != sizeof(wal::LineUndoPayload)) {
-        return corruption("undo record payload size mismatch");
-      }
-      wal::LineUndoPayload payload;
-      std::memcpy(&payload, rec->payload.data(), sizeof(payload));
-
-      const PoolOffset off = payload.line_index * kCacheLineSize;
-      if (off < pool.data_offset() ||
-          off + kCacheLineSize > pool.data_offset() + pool.data_size()) {
-        return corruption(
-            "undo record references a line outside data extent");
-      }
-      to_undo.push_back({rec->epoch, seq++, payload});
+  // One log spans the whole extent. Every uncommitted record belongs to the
+  // crashed epoch; undo runs in reverse append order, so a line logged more
+  // than once ends at its earliest (epoch-boundary) pre-image.
+  std::vector<wal::LineUndoPayload> to_undo;
+  wal::LogReader reader(pm, pool.log_offset(), pool.log_size());
+  while (auto rec = reader.next()) {
+    ++report.records_scanned;
+    if (rec->epoch <= report.recovered_epoch) {
+      ++report.stale_records;
+      continue;
     }
+    if (rec->type != wal::RecordType::kLineUndo) {
+      return corruption("unexpected record type in device undo log");
+    }
+    if (rec->payload.size() != sizeof(wal::LineUndoPayload)) {
+      return corruption("undo record payload size mismatch");
+    }
+    wal::LineUndoPayload payload;
+    std::memcpy(&payload, rec->payload.data(), sizeof(payload));
+
+    const PoolOffset off = payload.line_index * kCacheLineSize;
+    if (off < pool.data_offset() ||
+        off + kCacheLineSize > pool.data_offset() + pool.data_size()) {
+      return corruption("undo record references a line outside data extent");
+    }
+    to_undo.push_back(payload);
   }
 
-  // Newest epoch first; within an epoch, reverse append order.
-  std::sort(to_undo.begin(), to_undo.end(),
-            [](const PendingUndo& a, const PendingUndo& b) {
-              if (a.epoch != b.epoch) return a.epoch > b.epoch;
-              return a.seq > b.seq;
-            });
-
-  for (const auto& undo : to_undo) {
-    const LineIndex line{undo.payload.line_index};
-    pm->store_line(line, undo.payload.old_data);
+  for (auto it = to_undo.rbegin(); it != to_undo.rend(); ++it) {
+    const LineIndex line{it->line_index};
+    pm->store_line(line, it->old_data);
     pm->flush_line(line);
     ++report.records_applied;
     ++report.lines_restored;

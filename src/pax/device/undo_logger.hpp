@@ -75,8 +75,7 @@ class UndoLogger {
         pm_(device),
         id_(extent_offset) {}
 
-  /// Stable identifier for PaxCheck events (the extent offset — unique per
-  /// bank within a pool).
+  /// Stable identifier for PaxCheck events (the extent offset).
   std::uint64_t id() const { return id_; }
 
   /// Stages an undo record holding `old_data`, the pre-image of `line` at
@@ -159,7 +158,7 @@ class UndoLogger {
 
   /// Restarts the log after an epoch commit made all records stale. Caller
   /// must hold the log mutex AND have quiesced the data path (no write-back
-  /// may be gating on a record of this bank).
+  /// may be gating on a record of this log).
   void reset_after_commit();
 
   /// Caller must hold the log mutex (the non-atomic fields are mutated by

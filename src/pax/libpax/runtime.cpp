@@ -32,7 +32,6 @@ std::uint64_t line_digest(const std::byte* line) {
 
 RuntimeOptions RuntimeOptions::deterministic(RuntimeOptions base) {
   base.start_flusher_thread = false;
-  base.device.persist_workers = 1;
   return base;
 }
 
@@ -107,9 +106,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   }
   if (options.device.stripes == 0) {
     return invalid_argument("device.stripes must be >= 1");
-  }
-  if (options.device.persist_workers == 0) {
-    return invalid_argument("device.persist_workers must be >= 1");
   }
   if (options.sync_batch_lines == 0) {
     return invalid_argument("sync_batch_lines must be >= 1");

@@ -72,7 +72,7 @@ struct RuntimeOptions {
   /// under one log-mutex hold. 1 = one-line batches.
   std::size_t sync_batch_lines = 256;
   /// Lock-free undo-append ring (device.log_ring_slots passthrough): > 0
-  /// switches each log bank's hot-path appends from the log mutex to a
+  /// switches the undo log's hot-path appends from the log mutex to a
   /// bounded MPMC ring of this many pre-framed slots (rounded up to a power
   /// of two). 0 keeps the mutex append path.
   std::size_t log_ring_slots = 0;

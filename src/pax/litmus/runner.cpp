@@ -94,9 +94,7 @@ Status execute_interleaving(pmem::PmemDevice& device,
   auto pool = pmem::PmemPool::create(&device, kLitmusLogBytes);
   if (!pool.ok()) return pool.status();
 
-  device::DeviceConfig config;
-  config.persist_workers = 1;  // inline fan-out: one deterministic order
-  device::PaxDevice pax(&pool.value(), config);
+  device::PaxDevice pax(&pool.value(), device::DeviceConfig{});
   PAX_RETURN_IF_ERROR(oracle.note_commit(pool.value().committed_epoch()));
 
   coherence::CoherenceDomain domain(&pax, litmus_cache_config(),

@@ -20,7 +20,7 @@
 //
 // All mutating entry points are internally synchronized, and the pending
 // overlay is *sharded* by 256 B internal block (the XPLine), so the striped
-// PAX device's data path and fan-out workers touch disjoint lines without
+// PAX device's data-path threads touch disjoint lines without
 // convoying on one device-wide mutex. Counters are atomics; only drain() and
 // crash() sweep every shard (both are serialized-tail / test-only paths).
 #pragma once

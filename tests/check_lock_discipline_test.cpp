@@ -141,8 +141,8 @@ TEST(PaxCheckLockDiscipline, TwoDevicesDoNotAliasLockIds) {
 }
 
 // The real device's full locking surface — write intents, write-backs,
-// ticks, the two-phase seal/commit overlap, and a plain persist — must be
-// silent under the discipline rules.
+// ticks, and persists with write-backs between them — must be silent under
+// the discipline rules.
 TEST(PaxCheckLockDiscipline, RealDevicePathsAreClean) {
   auto tp = TestPool::create();
   Checker checker;
@@ -166,12 +166,11 @@ TEST(PaxCheckLockDiscipline, RealDevicePathsAreClean) {
       host[tp.data_line(i).value] = patterned_line(100 + i);
     }
     dev.tick();
-    ASSERT_TRUE(dev.seal_epoch(pull).ok());
-    for (std::uint64_t i = 0; i < 4; ++i) {  // overlap the next epoch
+    ASSERT_TRUE(dev.persist(pull).ok());
+    for (std::uint64_t i = 0; i < 4; ++i) {  // the next epoch's traffic
       ASSERT_TRUE(dev.write_intent(tp.data_line(8 + i)).is_ok());
       dev.writeback_line(tp.data_line(8 + i), patterned_line(8 + i));
     }
-    ASSERT_TRUE(dev.commit_sealed().ok());
     ASSERT_TRUE(dev.persist(pull).ok());
     dev.tick(/*force_flush=*/true);
     (void)dev.stripe_stats();

@@ -36,9 +36,7 @@ TEST_P(LitmusTortureTest, RacingOutcomesStayInsideTheSerializedSet) {
     auto pm = pmem::PmemDevice::create_in_memory(kLitmusDeviceBytes);
     auto pool = pmem::PmemPool::create(pm.get(), kLitmusLogBytes);
     ASSERT_TRUE(pool.ok()) << pool.status().to_string();
-    device::DeviceConfig config;
-    config.persist_workers = 1;
-    device::PaxDevice dev(&pool.value(), config);
+    device::PaxDevice dev(&pool.value(), device::DeviceConfig{});
     coherence::CoherenceDomain domain(&dev, litmus_cache_config(),
                                       shape->core_count());
     const auto offsets = var_offsets(*shape, pool.value());

@@ -170,18 +170,63 @@ TEST_F(PaxDeviceFixture, LogExtentExhaustionSurfacesOutOfSpace) {
   }
   EXPECT_FALSE(last.is_ok());
   EXPECT_EQ(last.code(), StatusCode::kOutOfSpace);
-  // 1024-byte extent banked in half (§6 overlap) → 512 B per epoch bank,
-  // 96-byte frames → 5 records fit.
-  EXPECT_EQ(i, 5u);
+  // The log spans the whole 1024-byte extent; 96-byte frames → 10 records
+  // fit.
+  EXPECT_EQ(i, 1024u / 96u);
+  // A full log is flushed at once: no later record can join its batch.
+  EXPECT_EQ(dev.log_stats().flushes, 1u);
+}
+
+// One epoch may fill the whole log extent: an epoch whose undo records need
+// more than half of it commits, and a crash in the next such epoch — after
+// every line reached PM — rolls back every line, including those whose
+// records lie in the extent's second half.
+TEST_F(PaxDeviceFixture, EpochLargerThanHalfTheLogPersistsAndRecovers) {
+  constexpr std::size_t kLogBytes = 2048;
+  constexpr std::uint64_t kLines = 16;  // 16 × 96 B = 1536 B > kLogBytes / 2
+  auto small = TestPool::create(1 << 20, kLogBytes);
+  {
+    PaxDevice dev(&small.pool, config());
+    for (std::uint64_t e = 1; e <= 2; ++e) {
+      for (std::uint64_t i = 0; i < kLines; ++i) {
+        const Status st = dev.write_intent(small.data_line(i));
+        ASSERT_TRUE(st.is_ok()) << "epoch " << e << " line " << i << ": "
+                                << st.to_string();
+        dev.writeback_line(small.data_line(i), patterned_line(e * 100 + i));
+      }
+      EXPECT_GT(dev.log_bytes_in_use(), kLogBytes / 2);
+      if (e == 1) {
+        ASSERT_TRUE(dev.persist(nullptr).ok());
+      }
+    }
+    // Epoch 2 is uncommitted but fully on PM.
+    dev.tick(/*force_flush=*/true);
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+      ASSERT_EQ(small.device->durable_line(small.data_line(i)),
+                patterned_line(200 + i));
+    }
+  }
+
+  small.device->crash(pmem::CrashConfig::drop_all());
+  auto pool = pmem::PmemPool::open(small.device.get()).value();
+  auto report = recover_pool(pool);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report.value().recovered_epoch, 1u);
+  EXPECT_EQ(report.value().records_applied, kLines);
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    EXPECT_EQ(small.device->durable_line(small.data_line(i)),
+              patterned_line(100 + i))
+        << "line " << i;
+  }
 }
 
 TEST_F(PaxDeviceFixture, PersistResetsLogForReuse) {
   auto small = TestPool::create(1 << 20, /*log_bytes=*/2048);
   PaxDevice dev(&small.pool, config());
-  // Two epochs of 8 lines each both fit (8 × 96 B < the 1024 B bank)
-  // because persist() resets the active bank.
+  // Two epochs of 16 lines each both fit (16 × 96 B < the 2048 B log, but
+  // not twice over) because persist() resets the log.
   for (Epoch e = 0; e < 2; ++e) {
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    for (std::uint64_t i = 0; i < 16; ++i) {
       ASSERT_TRUE(dev.write_intent(small.data_line(i)).is_ok());
       dev.writeback_line(small.data_line(i), patterned_line(e * 100 + i));
     }

@@ -6,8 +6,8 @@
 // durability, epochs commit as atomic snapshots, recovery always lands on
 // the committed one. These tests hammer that promise from many threads —
 // over disjoint and overlapping line ranges, with background tick()s, and
-// with seal_epoch()/commit_sealed() interleaved — and are the suite the CI
-// ThreadSanitizer job runs.
+// with persist() interleaved — and are the suite the CI ThreadSanitizer job
+// runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,8 +33,6 @@ DeviceConfig striped_config() {
   cfg.hbm.capacity_lines = 1024;
   cfg.hbm.ways = 8;
   cfg.stripes = 16;
-  cfg.persist_workers = 4;
-  cfg.persist_fanout_min_lines = 1;  // always exercise the worker pool
   return cfg;
 }
 
@@ -145,10 +143,10 @@ TEST(DeviceStripedMtTest, OverlappingRangesNeverTearLines) {
   ASSERT_TRUE(dev.persist(nullptr).ok());
 }
 
-// Writers keep the data path busy while the main thread interleaves
-// seal_epoch() and commit_sealed() (§6 epoch overlap) — the exclusive epoch
-// gate must cleanly quiesce and release the striped data path every time.
-TEST(DeviceStripedMtTest, SealAndCommitInterleaveWithTraffic) {
+// Writers keep the data path busy while the main thread commits epochs —
+// the exclusive epoch gate must cleanly quiesce and release the striped
+// data path every time, and epochs must commit one after another.
+TEST(DeviceStripedMtTest, PersistUnderTrafficCommitsEveryCycle) {
   auto tp = TestPool::create(4 << 20, 1 << 20);
   PaxDevice dev(&tp.pool, striped_config());
 
@@ -162,12 +160,12 @@ TEST(DeviceStripedMtTest, SealAndCommitInterleaveWithTraffic) {
         const LineIndex line = tp.data_line(t * kLinesPerThread +
                                             (i % kLinesPerThread));
         // mem_write is the one-shot modify path (intent + data in a single
-        // atomic device op), so a seal landing between two calls can never
-        // strand a write without its undo token — the behavior a pull-less
-        // (.mem-style) frontend actually has.
+        // atomic device op), so a persist landing between two calls can
+        // never strand a write without its undo token — the behavior a
+        // pull-less (.mem-style) frontend actually has.
         Status s = dev.mem_write(line, patterned_line(t * 1'000 + i));
         if (!s.is_ok()) {
-          // kOutOfSpace can legitimately surface if seals lag; any other
+          // kOutOfSpace can legitimately surface if persists lag; any other
           // error is a bug.
           if (s.code() != StatusCode::kOutOfSpace) failed.store(true);
           std::this_thread::yield();
@@ -179,11 +177,11 @@ TEST(DeviceStripedMtTest, SealAndCommitInterleaveWithTraffic) {
   }
 
   for (int cycle = 0; cycle < 20; ++cycle) {
-    auto sealed = dev.seal_epoch(nullptr);
-    ASSERT_TRUE(sealed.ok()) << sealed.status().to_string();
-    auto committed = dev.commit_sealed();
+    const Epoch expected = dev.current_epoch();
+    auto committed = dev.persist(nullptr);
     ASSERT_TRUE(committed.ok()) << committed.status().to_string();
-    EXPECT_EQ(committed.value(), sealed.value());
+    EXPECT_EQ(committed.value(), expected);
+    EXPECT_EQ(tp.pool.committed_epoch(), expected);
   }
   stop.store(true);
   for (auto& th : writers) th.join();

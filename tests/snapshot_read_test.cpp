@@ -1,6 +1,6 @@
 // Snapshot-isolated reads (read_committed_line / read_snapshot): the last
 // committed epoch stays readable while writers mutate — across staged and
-// unstaged mutations, sealed epochs, and epoch transitions.
+// unstaged mutations, repeated write-backs, and epoch transitions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -46,25 +46,25 @@ TEST_F(SnapshotDeviceFixture, ModifiedLineReturnsPreImage) {
   EXPECT_EQ(dev.read_committed_line(tp.data_line(0)), patterned_line(2));
 }
 
-TEST_F(SnapshotDeviceFixture, SealedEpochStillReadsLastCommitted) {
+TEST_F(SnapshotDeviceFixture, RewrittenLineStillReadsLastCommitted) {
   ASSERT_TRUE(dev.write_intent(tp.data_line(0)).is_ok());
   dev.writeback_line(tp.data_line(0), patterned_line(1));
   ASSERT_TRUE(dev.persist(nullptr).ok());  // committed: 1
 
-  // Epoch 2 modifies and seals (uncommitted), epoch 3 modifies again.
+  // Epoch 2 writes the line back twice, the first value reaching PM before
+  // the second arrives.
   ASSERT_TRUE(dev.write_intent(tp.data_line(0)).is_ok());
   dev.writeback_line(tp.data_line(0), patterned_line(2));
-  ASSERT_TRUE(dev.seal_epoch(nullptr).ok());
+  dev.tick(/*force_flush=*/true);
   ASSERT_TRUE(dev.write_intent(tp.data_line(0)).is_ok());
   dev.writeback_line(tp.data_line(0), patterned_line(3));
 
-  // Committed is still 1: the sealed record's pre-image wins over the
-  // active record's (whose pre-image is the *sealed* value 2).
+  // Committed is still 1: the epoch's one record holds the boundary value,
+  // not the intermediate 2.
+  EXPECT_EQ(dev.peek_line(tp.data_line(0)), patterned_line(3));
   EXPECT_EQ(dev.read_committed_line(tp.data_line(0)), patterned_line(1));
 
-  ASSERT_TRUE(dev.commit_sealed().ok());  // committed: 2
-  EXPECT_EQ(dev.read_committed_line(tp.data_line(0)), patterned_line(2));
-  ASSERT_TRUE(dev.persist(nullptr).ok());  // committed: 3
+  ASSERT_TRUE(dev.persist(nullptr).ok());  // committed: 2
   EXPECT_EQ(dev.read_committed_line(tp.data_line(0)), patterned_line(3));
 }
 

@@ -54,6 +54,7 @@ TEST(PaxctlTest, InfoOnValidPool) {
   EXPECT_NE(r.output.find("committed epoch: 1"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("libpax heap:     present"), std::string::npos);
+  EXPECT_EQ(r.output.find("banks"), std::string::npos) << r.output;
   std::remove(kPool.c_str());
 }
 
@@ -72,6 +73,8 @@ TEST(PaxctlTest, LogDecodesRecords) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("LINE_UNDO"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("stale"), std::string::npos);
+  // One log over the whole extent: no second bank is listed.
+  EXPECT_EQ(r.output.find("bank 1"), std::string::npos) << r.output;
   std::remove(kPool.c_str());
 }
 

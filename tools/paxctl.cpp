@@ -1,7 +1,7 @@
 // paxctl — inspect and repair PAX pool files.
 //
 //   paxctl info <pool>        pool geometry, committed epoch, root, heap
-//   paxctl log <pool>         decode the undo-log banks (epoch tags, lines)
+//   paxctl log <pool>         decode the undo log (epoch tags, lines)
 //   paxctl verify <pool>      validate header + every log record; dry-run
 //                             recovery and report what it would roll back
 //   paxctl recover <pool>     run recovery in place (what map_pool does)
@@ -107,8 +107,8 @@ Result<std::unique_ptr<pmem::PmemDevice>> open_device(
                                      /*create=*/false);
 }
 
-void print_record(std::uint64_t bank, std::uint64_t index,
-                  const wal::LogRecord& rec, Epoch committed) {
+void print_record(std::uint64_t index, const wal::LogRecord& rec,
+                  Epoch committed) {
   const char* type = "?";
   std::string detail;
   switch (rec.type) {
@@ -157,9 +157,8 @@ void print_record(std::uint64_t bank, std::uint64_t index,
       type = "INVALID";
       break;
   }
-  std::printf("  bank%" PRIu64 "[%4" PRIu64 "] epoch %-6" PRIu64
-              " %-10s %-40s %s\n",
-              bank, index, rec.epoch, type, detail.c_str(),
+  std::printf("  [%4" PRIu64 "] epoch %-6" PRIu64 " %-10s %-40s %s\n",
+              index, rec.epoch, type, detail.c_str(),
               rec.epoch > committed ? "<- UNCOMMITTED (rollback target)"
                                     : "stale");
 }
@@ -173,9 +172,8 @@ int cmd_info(pmem::PmemDevice* dev) {
   }
   auto& p = pool.value();
   std::printf("pool size:       %zu bytes\n", dev->size());
-  std::printf("log extent:      offset %" PRIu64 ", %zu bytes (2 banks of "
-              "%zu)\n",
-              p.log_offset(), p.log_size(), p.log_size() / 2);
+  std::printf("log extent:      offset %" PRIu64 ", %zu bytes\n",
+              p.log_offset(), p.log_size());
   std::printf("data extent:     offset %" PRIu64 ", %zu bytes (%zu lines, "
               "%zu pages)\n",
               p.data_offset(), p.data_size(), p.data_size() / kCacheLineSize,
@@ -206,19 +204,12 @@ int cmd_log(pmem::PmemDevice* dev) {
   }
   auto& p = pool.value();
   const Epoch committed = p.committed_epoch();
-  const std::size_t half = (p.log_size() / 2) & ~(kCacheLineSize - 1);
-  const std::pair<PoolOffset, std::size_t> banks[2] = {
-      {p.log_offset(), half}, {p.log_offset() + half, p.log_size() - half}};
-
+  const auto records =
+      wal::LogReader::read_all(dev, p.log_offset(), p.log_size());
   std::printf("committed epoch %" PRIu64 "\n", committed);
-  for (std::uint64_t b = 0; b < 2; ++b) {
-    auto records =
-        wal::LogReader::read_all(dev, banks[b].first, banks[b].second);
-    std::printf("bank %" PRIu64 ": %zu well-formed records\n", b,
-                records.size());
-    for (std::uint64_t i = 0; i < records.size(); ++i) {
-      print_record(b, i, records[i], committed);
-    }
+  std::printf("undo log: %zu well-formed records\n", records.size());
+  for (std::uint64_t i = 0; i < records.size(); ++i) {
+    print_record(i, records[i], committed);
   }
   return 0;
 }
@@ -232,14 +223,10 @@ int cmd_verify(pmem::PmemDevice* dev) {
   std::printf("OK   header (magic, version, CRC, geometry)\n");
   auto& p = pool.value();
 
-  const std::size_t half = (p.log_size() / 2) & ~(kCacheLineSize - 1);
   std::uint64_t uncommitted = 0, stale = 0;
-  for (auto [off, size] : {std::pair<PoolOffset, std::size_t>{p.log_offset(),
-                                                              half},
-                           {p.log_offset() + half, p.log_size() - half}}) {
-    for (const auto& rec : wal::LogReader::read_all(dev, off, size)) {
-      (rec.epoch > p.committed_epoch() ? uncommitted : stale) += 1;
-    }
+  for (const auto& rec :
+       wal::LogReader::read_all(dev, p.log_offset(), p.log_size())) {
+    (rec.epoch > p.committed_epoch() ? uncommitted : stale) += 1;
   }
   std::printf("OK   log scan: %" PRIu64 " uncommitted record(s), %" PRIu64
               " stale\n",
