@@ -31,7 +31,6 @@ Status demo_workload(pmem::PmemDevice& dev, check::CrashOracle& oracle) {
   libpax::RuntimeOptions opts;
   opts.log_size = 256 << 10;
   opts.vpm_base_hint = 0x7c00'0000'0000ULL;
-  opts = libpax::RuntimeOptions::deterministic(opts);
   auto rt = libpax::PaxRuntime::attach(&dev, opts);
   if (!rt.ok()) return rt.status();
   auto& r = *rt.value();

@@ -59,7 +59,7 @@ Row run(std::uint64_t interval) {
   for (std::uint64_t i = 0; i < kOps; ++i) {
     (*map)[1 + rng.next_below(kKeySpace)] = rng.next();
     if ((i + 1) % interval == 0) {
-      rt->sync_step();  // stage undo records like the background flusher
+      rt->sync_step();  // stage undo records ahead of the persist
       peak_log =
           std::max(peak_log, double(rt->device().log_bytes_in_use()));
       if (!rt->persist().ok()) std::abort();

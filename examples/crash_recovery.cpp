@@ -53,7 +53,7 @@ constexpr std::uint64_t kEpochs = 5;
   std::fclose(f);
 
   // Doomed epoch: mutate forever without persisting; some of it will be
-  // pushed toward PM by the background flusher, all of it must roll back.
+  // pushed toward PM by sync_step(), all of it must roll back.
   std::uint64_t k = 1000000;
   while (true) {
     (*map)[++k] = 0xdead;

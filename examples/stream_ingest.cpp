@@ -89,16 +89,12 @@ int main() {
 
   // --- Non-blocking persist -------------------------------------------------
   // The drain worker commits sealed batches in the background, so the
-  // ingest path pays only the snapshot; the flusher pre-stages the next
-  // batch's lines while the queue is idle.
+  // ingest path pays only the snapshot.
   auto pm_async = pmem::PmemDevice::create_in_memory(64 << 20);
-  libpax::RuntimeOptions async_opts = opts;
-  async_opts.start_flusher_thread = true;
-  async_opts.flusher_interval = std::chrono::microseconds(50);
   IngestCost async_cost;
   std::uint64_t sealed_before_crash;
   {
-    auto rt = PaxRuntime::attach(pm_async.get(), async_opts).value();
+    auto rt = PaxRuntime::attach(pm_async.get(), opts).value();
     auto table = Persistent<Telemetry>::open(*rt).value();
     Epoch last_sealed = 0;
     async_cost = run_ingest(*rt, table, [&] {

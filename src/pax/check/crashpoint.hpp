@@ -26,10 +26,11 @@
 //
 // Determinism contract: the workload must produce the identical device
 // event sequence on every execution — fixed seeds, no wall-clock, single-
-// threaded persistence (libpax workloads: RuntimeOptions::deterministic(),
-// plus a fixed vpm_base_hint so heap-internal raw pointers land at the
-// same addresses and snapshots compare byte-equal). The explorer verifies
-// the total event count on every re-execution and fails loudly on drift.
+// threaded persistence (libpax workloads: blocking persist() on the
+// workload thread, plus a fixed vpm_base_hint so heap-internal raw pointers
+// land at the same addresses and snapshots compare byte-equal). The
+// explorer verifies the total event count on every re-execution and fails
+// loudly on drift.
 #pragma once
 
 #include <cstdint>

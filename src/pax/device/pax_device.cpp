@@ -133,16 +133,21 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
   batch_syncs_.fetch_add(1, std::memory_order_relaxed);
   batch_synced_lines_.fetch_add(updates.size(), std::memory_order_relaxed);
 
-  // Scratch reused across stripe groups.
+  // One pass per stripe, taking each stripe mutex once (as peek_lines).
+  // Scratch is reused across stripe groups.
   std::vector<std::size_t> group;                          // update indices
   std::vector<std::pair<LineIndex, LineData>> first_touch;  // pre-images
   std::vector<std::uint64_t> record_ends;
+  std::vector<bool> served(stripes_.size(), false);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const std::size_t stripe = updates[i].line.value & stripe_mask_;
+    if (served[stripe]) continue;
+    served[stripe] = true;
+    Stripe& s = *stripes_[stripe];
+    auto lock = lock_stripe(s);
 
-  // Serves one stripe group; caller holds s.mu.
-  const auto sync_group = [&](Stripe& s, std::size_t stripe,
-                              std::size_t first) -> Status {
     group.clear();
-    for (std::size_t j = first; j < updates.size(); ++j) {
+    for (std::size_t j = i; j < updates.size(); ++j) {
       if ((updates[j].line.value & stripe_mask_) == stripe) group.push_back(j);
     }
     s.stats.write_intents += group.size();
@@ -175,45 +180,6 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
                                  logger_->durable());
       evict_victim(s, victim);
     }
-    return Status::ok();
-  };
-
-  // Pass 1: try-lock-first. A stripe whose mutex is free is served now; a
-  // contended stripe's group is pushed onto this worker's overflow ring
-  // and retried after every free stripe has been served, so a worker never
-  // parks behind a peer while it still has uncontended work.
-  std::vector<std::size_t> overflow;  // SPSC: pass 1 produces, pass 2 drains
-  std::vector<bool> served(stripes_.size(), false);
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const std::size_t stripe = updates[i].line.value & stripe_mask_;
-    if (served[stripe]) continue;
-    served[stripe] = true;
-
-    Stripe& s = *stripes_[stripe];
-    std::unique_lock<std::mutex> lk(s.mu, std::try_to_lock);
-    if (!lk.owns_lock()) {
-      s.lock_contended.fetch_add(1, std::memory_order_relaxed);
-      sync_deferred_groups_.fetch_add(1, std::memory_order_relaxed);
-      overflow.push_back(i);  // the group's first update index
-      continue;
-    }
-    s.lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    check::LockToken token(pm_->checker(), check::LockClass::kStripe,
-                           stripe_lock_id(s), /*shared=*/false);
-    PAX_RETURN_IF_ERROR(sync_group(s, stripe, i));
-  }
-
-  // Pass 2: drain the overflow ring with blocking acquires (the contention
-  // was already counted at defer time).
-  for (std::size_t head = 0; head < overflow.size(); ++head) {
-    const std::size_t i = overflow[head];
-    const std::size_t stripe = updates[i].line.value & stripe_mask_;
-    Stripe& s = *stripes_[stripe];
-    std::unique_lock<std::mutex> lk(s.mu);
-    s.lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    check::LockToken token(pm_->checker(), check::LockClass::kStripe,
-                           stripe_lock_id(s), /*shared=*/false);
-    PAX_RETURN_IF_ERROR(sync_group(s, stripe, i));
   }
   return Status::ok();
 }
@@ -558,8 +524,6 @@ DeviceStats PaxDevice::stats() const {
       log_append_acquisitions_.load(std::memory_order_relaxed);
   total.log_ring_appends = logger_->ring_appends();
   total.log_ring_stalls = logger_->ring_full_stalls();
-  total.sync_deferred_groups =
-      sync_deferred_groups_.load(std::memory_order_relaxed);
   return total;
 }
 

@@ -147,8 +147,6 @@ struct DeviceStats {
   std::uint64_t log_append_acquisitions = 0;  // log-mutex holds for appends
   std::uint64_t log_ring_appends = 0;     // records staged via the ring
   std::uint64_t log_ring_stalls = 0;      // ring-full producer waits
-  std::uint64_t sync_deferred_groups = 0; // sync_lines try-lock misses that
-                                          // went to the overflow ring
 };
 
 class PaxDevice {
@@ -186,10 +184,8 @@ class PaxDevice {
                   std::span<LineData> out);
 
   /// Batched host sync: write_intent + writeback_line fused, amortized
-  /// across a batch. Updates are grouped by stripe; groups are served
-  /// try-lock-first (a contended stripe is deferred to a per-call overflow
-  /// ring and retried after every free stripe has been served, so workers
-  /// don't park behind a peer mid-batch). Each group takes its stripe
+  /// across a batch. Updates are grouped by stripe, served in order of
+  /// each stripe's first update. Each group takes its stripe
   /// mutex once, undo-logs all of its first-touch lines under a single
   /// log-mutex acquisition (one framing pass, one backing store —
   /// UndoLogger::log_lines) — or, with log_ring_slots > 0, via the
@@ -277,13 +273,6 @@ class PaxDevice {
   /// geometry cap).
   unsigned stripe_count() const {
     return static_cast<unsigned>(stripes_.size());
-  }
-
-  /// Which stripe a line lands on. Frontends that pre-bucket batched work
-  /// per stripe (so concurrent workers' sync_lines batches land on disjoint
-  /// stripe mutexes) use this to build their buckets.
-  unsigned stripe_index(LineIndex line) const {
-    return static_cast<unsigned>(line.value & stripe_mask_);
   }
 
   DeviceStats stats() const;
@@ -456,7 +445,6 @@ class PaxDevice {
   std::atomic<std::uint64_t> batch_syncs_{0};
   std::atomic<std::uint64_t> batch_synced_lines_{0};
   std::atomic<std::uint64_t> log_append_acquisitions_{0};
-  std::atomic<std::uint64_t> sync_deferred_groups_{0};
 };
 
 }  // namespace pax::device

@@ -51,25 +51,20 @@ Status Replicator::apply_one(const PendingEpoch& pending) {
   // pre-images, buffer the new values, then persist — so a crash anywhere
   // leaves the backup recoverable.
   if (options_.batched) {
-    // Bucket the epoch's lines by backup stripe so each sync_lines batch is
-    // stripe-homogeneous: one stripe-mutex hold and one log-mutex append
-    // per batch instead of per line. Equivalent to the per-line path by
-    // sync_lines' contract (same undo records, same buffered values).
-    std::vector<std::vector<LineUpdate>> buckets(
-        backup_device_.stripe_count());
+    // sync_lines groups each batch by stripe itself: one stripe-mutex hold
+    // and one log-mutex append per stripe group instead of per line.
+    // Equivalent to the per-line path by sync_lines' contract (same undo
+    // records, same buffered values).
+    std::vector<LineUpdate> updates;
+    updates.reserve(pending.lines.size());
     for (const auto& [line, data] : pending.lines) {
-      buckets[backup_device_.stripe_index(line)].push_back({line, data});
+      updates.push_back({line, data});
     }
-    for (const auto& bucket : buckets) {
-      for (std::size_t i = 0; i < bucket.size();
-           i += options_.batch_lines) {
-        const std::size_t n =
-            std::min(options_.batch_lines, bucket.size() - i);
-        PAX_RETURN_IF_ERROR(
-            backup_device_.sync_lines({bucket.data() + i, n}));
-        ++stats_.batches_shipped;
-        stats_.lines_shipped += n;
-      }
+    for (std::size_t i = 0; i < updates.size(); i += options_.batch_lines) {
+      const std::size_t n = std::min(options_.batch_lines, updates.size() - i);
+      PAX_RETURN_IF_ERROR(backup_device_.sync_lines({updates.data() + i, n}));
+      ++stats_.batches_shipped;
+      stats_.lines_shipped += n;
     }
   } else {
     for (const auto& [line, data] : pending.lines) {

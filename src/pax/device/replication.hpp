@@ -40,9 +40,9 @@ struct ReplicatorStats {
 
 struct ReplicatorOptions {
   /// Apply epochs through the backup device's batched frontend: lines are
-  /// bucketed by stripe and shipped as LineUpdate batches via sync_lines,
-  /// so each batch takes its stripe mutex once and its undo records append
-  /// under a single log-mutex hold. false keeps the original per-line
+  /// shipped as LineUpdate batches via sync_lines, which takes each stripe
+  /// mutex once per batch and appends a stripe group's undo records under
+  /// a single log-mutex hold. false keeps the original per-line
   /// write_intent + writeback_line calls (the reference the equivalence
   /// test compares against).
   bool batched = true;

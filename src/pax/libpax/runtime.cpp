@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <unordered_map>
@@ -30,11 +31,6 @@ std::uint64_t line_digest(const std::byte* line) {
   return h ^ (h >> 33);
 }
 
-RuntimeOptions RuntimeOptions::deterministic(RuntimeOptions base) {
-  base.start_flusher_thread = false;
-  return base;
-}
-
 namespace {
 
 // Source of PaxRuntime::check_id_; 0 is reserved for "no runtime".
@@ -47,28 +43,6 @@ std::mutex g_base_mu;
 std::unordered_map<const pmem::PmemDevice*, std::uintptr_t>& base_registry() {
   static std::unordered_map<const pmem::PmemDevice*, std::uintptr_t> reg;
   return reg;
-}
-
-// Reads one cache line as relaxed atomic 64-bit word loads. The
-// mutator-vs-flusher diff race is benign by contract (§3.5): a page stays
-// writable and dirty until persist() re-protects it, so whatever torn value
-// this captures is re-examined by a later, quiesced diff before it can be
-// committed. The loads are genuinely atomic rather than raw loads under a
-// TSan exemption, which makes the race defined behavior on both sides —
-// concurrent mutators that may overlap a live diff must pair with atomic
-// word stores (tests use relaxed word fills) — and lets the TSan job run
-// with zero suppressions. Relaxed word loads compile to plain movs on
-// x86-64, so this costs nothing over the old exempted version.
-LineData capture_line(const std::byte* src) {
-  constexpr std::size_t kWords = kCacheLineSize / sizeof(std::uint64_t);
-  std::uint64_t words[kWords];
-  const auto* in = reinterpret_cast<const std::uint64_t*>(src);
-  for (std::size_t i = 0; i < kWords; ++i) {
-    words[i] = __atomic_load_n(&in[i], __ATOMIC_RELAXED);
-  }
-  LineData out;
-  std::memcpy(out.bytes.data(), words, kCacheLineSize);  // locals: race-free
-  return out;
 }
 
 }  // namespace
@@ -181,24 +155,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
   rt->drain_thread_ =
       std::thread([rt_ptr = rt.get()] { rt_ptr->drain_worker_loop(); });
 
-  if (options.start_flusher_thread) {
-    rt->flusher_ = std::thread([rt_ptr = rt.get(),
-                                interval = options.flusher_interval] {
-      std::unique_lock lock(rt_ptr->flusher_mu_);
-      while (!rt_ptr->stop_flusher_.load(std::memory_order_acquire)) {
-        lock.unlock();
-        rt_ptr->sync_step();
-        lock.lock();
-        // Interruptible interval: the destructor flips stop_flusher_ and
-        // notifies, so teardown waits one sync_step at most, not a full
-        // sleep_for(interval).
-        rt_ptr->flusher_cv_.wait_for(lock, interval, [rt_ptr] {
-          return rt_ptr->stop_flusher_.load(std::memory_order_acquire);
-        });
-      }
-    });
-  }
-
   PAX_LOG_INFO("pool mapped: epoch=%llu, vPM %zu bytes at %p%s",
                static_cast<unsigned long long>(rt->pool_->committed_epoch()),
                rt->region_->size(), static_cast<void*>(rt->region_->base()),
@@ -207,14 +163,6 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
 }
 
 PaxRuntime::~PaxRuntime() {
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard lock(flusher_mu_);
-      stop_flusher_.store(true, std::memory_order_release);
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-  }
   if (drain_thread_.joinable()) {
     {
       std::lock_guard lock(pipe_mu_);
@@ -247,10 +195,7 @@ PaxRuntime::EpochJob PaxRuntime::snapshot(const std::vector<PageIndex>& dirty,
     JobPage jp{page, 0, live};
     if (copy) {
       std::byte* dst = job.copy.get() + i * kPageSize;
-      for (std::size_t l = 0; l < kLinesPerPage; ++l) {
-        const LineData d = capture_line(live + l * kCacheLineSize);
-        std::memcpy(dst + l * kCacheLineSize, d.bytes.data(), kCacheLineSize);
-      }
+      std::memcpy(dst, live, kPageSize);
       jp.bytes = dst;
     }
     const bool valid = digests_valid_[page.value];
@@ -418,14 +363,14 @@ void PaxRuntime::sync_step() {
       return;
     }
   }
-  // Mutators may race the copy (see capture_line); the digests describe the
-  // bytes actually pushed, and the pages stay writable and written until a
-  // persist re-protects them, so later stores are re-examined there.
+  // The caller is quiesced, so the job reads the live pages. They stay
+  // writable and written until a persist re-protects them, so later stores
+  // are re-examined there.
   auto dirty = region_->written_pages();
   Status s = dirty.status();
-  if (s.is_ok()) s = push(snapshot(dirty.value(), /*copy=*/true));
+  if (s.is_ok()) s = push(snapshot(dirty.value(), /*copy=*/false));
   if (!s.is_ok()) {
-    PAX_LOG_WARN("background sync: %s", fail(s).to_string().c_str());
+    PAX_LOG_WARN("sync_step: %s", fail(s).to_string().c_str());
     return;
   }
   device_->tick();
@@ -530,7 +475,7 @@ void PaxRuntime::drain_worker_loop() {
       return stop_drain_ || (!pipe_queue_.empty() && pipe_error_.is_ok());
     });
     // Stopping abandons queued snapshots: destruction without their commit
-    // behaves like a crash, exactly like the flusher's shutdown.
+    // behaves like a crash.
     if (stop_drain_) return;
     const EpochJob job = std::move(pipe_queue_.front());
     pipe_queue_.pop_front();

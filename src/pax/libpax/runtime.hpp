@@ -16,17 +16,13 @@
 // crash, map_pool() rolls the pool back to the last persist() — the
 // application cannot observe a partially applied epoch.
 //
-// Thread safety: many application threads may mutate the region; persist()
-// must be called while no thread is mutating (§3.5, the paper's contract).
-// The optional background flusher thread performs the same work as
-// sync_step() under an internal lock: it copies dirty pages while mutators
-// may be writing them (relaxed word loads — stores racing it are defined
-// behaviour only as word-sized atomics, see capture_line in runtime.cpp),
-// and it only *adds* log/write-back progress; it never commits an epoch.
+// Thread safety: many application threads may mutate the region; persist(),
+// persist_async() and sync_step() must be called while no thread is
+// mutating (§3.5, the paper's contract). The only work that overlaps the
+// mutators is persist_async()'s drain worker, and it reads a private copy
+// of the sealed pages, never the live region.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -58,10 +54,6 @@ struct RuntimeOptions {
   /// ~96 B of log per first-touched line.
   std::size_t log_size = 4 << 20;
   device::DeviceConfig device = device::DeviceConfig::defaults();
-  /// Start a background thread running sync_step() periodically: the
-  /// "asynchronous logging and write back" of §3.2 without explicit calls.
-  bool start_flusher_thread = false;
-  std::chrono::microseconds flusher_interval{500};
   /// Map the vPM region at this exact base (0 = automatic). Needed when a
   /// pool replicated from another node/runtime must present recovered raw
   /// pointers at the address the origin used (replication failover).
@@ -76,14 +68,6 @@ struct RuntimeOptions {
   /// bounded MPMC ring of this many pre-framed slots (rounded up to a power
   /// of two). 0 keeps the mutex append path.
   std::size_t log_ring_slots = 0;
-
-  /// `base` with every source of scheduling nondeterminism pinned: no
-  /// flusher thread, single-threaded device persist workers. A
-  /// workload run under these options emits the identical device event
-  /// sequence on every execution — the contract crash-point exploration (check/crashpoint.hpp)
-  /// depends on. Byte-identical vPM snapshots additionally require a fixed
-  /// vpm_base_hint, which the caller must choose.
-  static RuntimeOptions deterministic(RuntimeOptions base);
 };
 
 struct RuntimeStats {
@@ -221,12 +205,12 @@ class PaxRuntime {
   /// and pipeline_stats() already reflect that epoch's commit.
   Epoch committed_epoch() const;
 
-  /// One unit of background work (§3.2): copies the currently-dirty pages
-  /// (mutators may race it), diffs and pushes them into the device without
-  /// committing, then lets the device flush its log and write back. The
-  /// pages stay writable and dirty, so the next persist re-examines them;
-  /// sync_step() only moves work off its path. Does nothing while
-  /// persist_async() snapshots are outstanding.
+  /// Explicit pre-staging (§3.2): diffs the currently-written pages and
+  /// pushes them into the device without committing, then lets the device
+  /// flush its log and write back. Same quiescence contract as persist():
+  /// the job reads the live pages. The pages stay writable and written, so
+  /// the next persist re-examines them; sync_step() only moves work off its
+  /// path. Does nothing while persist_async() snapshots are outstanding.
   void sync_step();
 
   // --- Introspection ------------------------------------------------------
@@ -275,10 +259,10 @@ class PaxRuntime {
   };
 
   /// Builds the job for `dirty` (ascending) and advances each page's
-  /// digests to the snapshot. `copy` captures every page into the job with
-  /// relaxed word loads (safe against racing mutators); otherwise the job
-  /// points at the live pages and the caller must stay quiesced until it
-  /// is committed. Caller holds sync_mu_.
+  /// digests to the snapshot. `copy` copies every page into the job, so the
+  /// mutators may resume once the caller returns; otherwise the job points
+  /// at the live pages and the caller must stay quiesced until it is
+  /// pushed. Caller holds sync_mu_.
   EpochJob snapshot(const std::vector<PageIndex>& dirty, bool copy);
   /// Takes and re-protects the written pages (a failure is sticky),
   /// snapshots them, numbers the job, and announces it to PaxCheck.
@@ -343,13 +327,6 @@ class PaxRuntime {
   SyncStats sync_stats_;
   std::thread drain_thread_;
   bool stop_drain_ = false;  // under pipe_mu_
-
-  std::thread flusher_;
-  std::atomic<bool> stop_flusher_{false};
-  // The flusher parks on flusher_cv_ between sync_steps; the destructor
-  // notifies it so shutdown costs one wakeup, not a full interval sleep.
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
 };
 
 }  // namespace pax::libpax

@@ -30,7 +30,7 @@ RuntimeOptions explore_options() {
   RuntimeOptions o;
   o.log_size = 512 << 10;
   o.vpm_base_hint = kVpmBase;
-  return RuntimeOptions::deterministic(o);
+  return o;
 }
 
 Status heap_workload(const RuntimeOptions& opts, pmem::PmemDevice& dev,

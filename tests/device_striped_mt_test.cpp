@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -283,6 +284,81 @@ TEST(DeviceStripedMtTest, CommittedReadsIgnoreConcurrentWriters) {
   stop.store(true);
   writer.join();
   EXPECT_FALSE(failed.load()) << "committed read observed uncommitted data";
+}
+
+// sync_lines batches race committed-range reads on the same stripes. Every
+// batch must land, the readers must only ever see the committed values,
+// and stripe_lock_totals() must count sync_lines' acquisitions and the
+// contention between the two sides.
+TEST(DeviceStripedMtTest, SyncLinesUnderConcurrentCommittedReads) {
+  auto tp = TestPool::create(1 << 20, 512 * 1024);
+  PaxDevice dev(&tp.pool, striped_config());
+  constexpr std::uint64_t kLines = 256;
+  constexpr std::size_t kBatch = 64;  // spans every stripe
+  const auto batch_of = [&](std::uint64_t tag) {
+    std::vector<LineUpdate> batch;
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+      batch.push_back({tp.data_line(i), patterned_line(tag + i)});
+    }
+    return batch;
+  };
+
+  // One uncontended batch: one counted acquisition per stripe it touches.
+  std::uint64_t acq0 = 0, acq1 = 0, contended = 0;
+  dev.stripe_lock_totals(&acq0, nullptr);
+  const auto base = batch_of(7'000);
+  ASSERT_TRUE(dev.sync_lines({base.data(), kBatch}).is_ok());
+  dev.stripe_lock_totals(&acq1, nullptr);
+  EXPECT_EQ(acq1 - acq0, dev.stripe_count());
+  ASSERT_TRUE(dev.sync_lines({base.data() + kBatch, kLines - kBatch}).is_ok());
+  ASSERT_TRUE(dev.persist(nullptr).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<LineData> out(kBatch);
+      for (std::uint64_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::uint64_t first = (i * kBatch) % kLines;
+        dev.read_committed_lines(tp.data_line(first), out);
+        for (std::size_t k = 0; k < kBatch; ++k) {
+          if (out[k].bytes != patterned_line(7'000 + first + k).bytes) {
+            failed.store(true);
+          }
+        }
+      }
+    });
+  }
+  // Keep syncing until the readers have collided with a batch at least
+  // once (bounded, so a host that never interleaves fails the test rather
+  // than hanging it).
+  std::uint64_t last_tag = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (std::uint64_t round = 0;; ++round) {
+    last_tag = 20'000 + round * 1'000;
+    const auto batch = batch_of(last_tag);
+    for (std::size_t i = 0; i < kLines; i += kBatch) {
+      ASSERT_TRUE(dev.sync_lines({batch.data() + i, kBatch}).is_ok());
+    }
+    dev.stripe_lock_totals(nullptr, &contended);
+    if ((round >= 20 && contended > 0) ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+  }
+  stop.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_FALSE(failed.load()) << "committed read observed a synced batch";
+  EXPECT_GT(contended, 0u);
+
+  ASSERT_TRUE(dev.persist(nullptr).ok());
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    ASSERT_EQ(dev.read_committed_line(tp.data_line(i)).bytes,
+              patterned_line(last_tag + i).bytes)
+        << "line " << i;
+  }
 }
 
 }  // namespace

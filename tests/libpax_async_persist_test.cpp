@@ -97,7 +97,7 @@ TEST(AsyncPersistTest, SyncStepDuringPendingCommitKeepsEpochsExact) {
     rt->vpm_base()[8192] = std::byte{6};
     ASSERT_TRUE(rt->persist_async().ok());
     rt->vpm_base()[8192] = std::byte{7};  // epoch 3, never sealed
-    rt->sync_step();  // what the background flusher runs
+    rt->sync_step();  // must not push while epoch 2 drains
   }
   pm->crash(pmem::CrashConfig::drop_all());
   auto rt = PaxRuntime::attach(pm.get(), options()).value();

@@ -220,26 +220,6 @@ TEST(PaxRuntimeTest, ReattachReusesVpmBaseAddress) {
   EXPECT_EQ(rt->vpm_base(), first_base);  // raw pointers stay valid
 }
 
-TEST(PaxRuntimeTest, BackgroundFlusherMakesProgress) {
-  RuntimeOptions o = small_log();
-  o.start_flusher_thread = true;
-  o.flusher_interval = std::chrono::microseconds(100);
-  auto rt = PaxRuntime::create_in_memory(kPool, o).value();
-  // The flusher may already be diffing these pages: word-sized relaxed
-  // atomic stores pair with its relaxed loads (the runtime's contract for
-  // mutating under a running flusher), where a memset would be a data race.
-  auto* words = reinterpret_cast<std::uint64_t*>(rt->vpm_base() + 4096);
-  for (std::size_t i = 0; i < 4 * kPageSize / sizeof(std::uint64_t); ++i) {
-    __atomic_store_n(&words[i], 0x4444444444444444ull, __ATOMIC_RELAXED);
-  }
-  for (int spin = 0; spin < 200 && rt->device().stats().first_touch_logs == 0;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(rt->device().stats().first_touch_logs, 0u);
-  ASSERT_TRUE(rt->persist().ok());
-}
-
 TEST(PaxRuntimeTest, TornLogCrashStillRecovers) {
   auto pm = pmem::PmemDevice::create_in_memory(kPool);
   {

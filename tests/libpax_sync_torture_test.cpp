@@ -1,14 +1,12 @@
 // Concurrency torture for the host sync path, designed to run under TSan:
-// mutator threads hammer disjoint slabs of vPM while the background flusher
-// diffs pages underneath them (the benign-by-contract race that
-// capture_line keeps outside TSan's view), with §6 async persists at
-// quiesced round boundaries. After a crash, recovery must reproduce the
-// last persisted round exactly, with the mutex and the ring undo append.
+// mutator threads hammer disjoint slabs of vPM with plain stores while the
+// §6 persist_async() drain pushes and commits the previous round's private
+// snapshot underneath them; the persists themselves run at quiesced round
+// boundaries. After a crash, recovery must reproduce the last persisted
+// round exactly, with the mutex and the ring undo append.
 #include <gtest/gtest.h>
 
 #include <barrier>
-#include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -50,19 +48,6 @@ constexpr std::size_t kSlabBytes = kPagesPerThread * kPageSize;
 
 int pattern(int t, int round) { return 0x20 + t * 37 + round * 11; }
 
-// The mutator side of the §3.5 benign race: capture_line reads racing words
-// with relaxed atomic loads, so the writers racing it must be word-sized
-// relaxed atomic stores too — then TSan accepts the pair with no
-// suppressions. Same codegen as memset-by-words on x86-64.
-void fill_slab(std::byte* dst, int byte_pattern, std::size_t bytes) {
-  const std::uint64_t word =
-      0x0101010101010101ull * static_cast<std::uint8_t>(byte_pattern);
-  auto* words = reinterpret_cast<std::uint64_t*>(dst);
-  for (std::size_t i = 0; i < bytes / sizeof(std::uint64_t); ++i) {
-    __atomic_store_n(&words[i], word, __ATOMIC_RELAXED);
-  }
-}
-
 // One full crash/recover cycle under `opts`; returns the recovered image of
 // all slabs. The final round is committed with a blocking persist() so the
 // expected recovery point is deterministic regardless of `crash` mode: any
@@ -72,7 +57,7 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
                                        const RuntimeOptions& opts,
                                        const pmem::CrashConfig& crash,
                                        const char* mode) {
-  // The whole cycle — racing mutators, flusher, async persists, crash,
+  // The whole cycle — mutators racing the drain, async persists, crash,
   // recovery — runs under PaxCheck; any persist-order or lock-discipline
   // violation fails the test.
   check::CheckerOptions checker_opts;
@@ -86,8 +71,8 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
     for (int t = 0; t < kThreads; ++t) {
       mutators.emplace_back([&, t] {
         for (int r = 0; r < kRounds; ++r) {
-          fill_slab(rt->vpm_base() + slab_offset(t), pattern(t, r),
-                    kSlabBytes);
+          std::memset(rt->vpm_base() + slab_offset(t), pattern(t, r),
+                      kSlabBytes);
           round_barrier.arrive_and_wait();  // quiesce for the persist
           round_barrier.arrive_and_wait();  // resume mutating
         }
@@ -106,18 +91,16 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
       round_barrier.arrive_and_wait();
     }
     for (auto& m : mutators) m.join();
-    // Dirty the slabs once more *without* persisting — racing the flusher
-    // right up to the teardown; none of this may survive.
+    // Dirty the slabs once more and stage the garbage into the device
+    // *without* persisting; none of this may survive.
     for (int t = 0; t < kThreads; ++t) {
-      fill_slab(rt->vpm_base() + slab_offset(t), 0xEE, kSlabBytes);
+      std::memset(rt->vpm_base() + slab_offset(t), 0xEE, kSlabBytes);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    rt->sync_step();
   }  // teardown without persist: crash semantics
   pm->crash(crash);
 
-  RuntimeOptions quiet = opts;
-  quiet.start_flusher_thread = false;
-  auto rt = PaxRuntime::attach(pm, quiet).value();
+  auto rt = PaxRuntime::attach(pm, opts).value();
   std::vector<std::byte> image(kThreads * kSlabBytes);
   for (int t = 0; t < kThreads; ++t) {
     std::memcpy(image.data() + t * kSlabBytes, rt->vpm_base() + slab_offset(t),
@@ -131,13 +114,11 @@ std::vector<std::byte> run_and_recover(pmem::PmemDevice* pm,
 }
 
 // The two configurations, each of whose recoveries must hold the final
-// round's pattern. Both run the one persist path with the flusher racing
-// the mutators and snapshot drains racing the resumed mutators; the second
-// appends undo records through the lock-free ring.
+// round's pattern. Both run the one persist path with snapshot drains
+// racing the resumed mutators; the second appends undo records through the
+// lock-free ring.
 RuntimeOptions tracked_config() {
   RuntimeOptions o;
-  o.start_flusher_thread = true;
-  o.flusher_interval = std::chrono::microseconds(50);
   o.sync_batch_lines = 32;
   return o;
 }
@@ -173,7 +154,7 @@ void run_all_configs_and_compare(const pmem::CrashConfig& crash,
   }
 }
 
-TEST(HostSyncTortureTest, RacingFlusherRecoversLastPersistedRound) {
+TEST(HostSyncTortureTest, RacingDrainRecoversLastPersistedRound) {
   run_all_configs_and_compare(pmem::CrashConfig::drop_all(), "drop_all");
 }
 

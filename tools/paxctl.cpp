@@ -383,7 +383,6 @@ int cmd_check(std::size_t pages, int epochs) {
                      committed.status().to_string().c_str());
         return 1;
       }
-      r.sync_step();  // completes the async seal
     }
   }  // teardown without a final persist: crash semantics
   pm->crash(pmem::CrashConfig::torn(0.5, 0xc43c));
@@ -418,8 +417,8 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
                 std::uint64_t max_points, std::uint64_t seed,
                 const std::string& artifact_dir, bool pipelined) {
   // The demo workload crash exploration enumerates: a full libpax stack
-  // (attach, page mutation, blocking persists, crash-semantics teardown)
-  // pinned deterministic so every re-execution counts the same events.
+  // (attach, page mutation, blocking persists, crash-semantics teardown),
+  // deterministic so every re-execution counts the same events.
   // --pipelined runs it with the undo-append ring active. persist() commits
   // on the workload thread, so the event sequence stays deterministic with
   // the (idle) drain thread live at every crash point.
@@ -432,7 +431,6 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
     if (pipelined) {
       opts.log_ring_slots = 64;
     }
-    opts = libpax::RuntimeOptions::deterministic(opts);
     auto rt = libpax::PaxRuntime::attach(&dev, opts);
     if (!rt.ok()) return rt.status();
     auto& r = *rt.value();
