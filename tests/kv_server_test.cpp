@@ -226,10 +226,26 @@ TEST(KvServerTest, StatsExposesShardRuntimeAndGroupCommit) {
     EXPECT_EQ(persists[i], async[i]) << "shard " << i << "\n" << json;
   }
   EXPECT_GT(persists[0] + persists[1], 0u) << json;
-  // 64 acked PUTs must be visible in the group-commit accounting.
-  const auto pos = json.find("\"acked_write_ops\": ");
-  ASSERT_NE(pos, std::string::npos);
-  EXPECT_NE(json.substr(pos, 40).find("64"), std::string::npos) << json;
+
+  // Counter identities. Each wave seals a shard with exactly one
+  // persist_async(), and the stats are updated before the wave's acks are
+  // released, so after 64 acked PUTs every identity is exact.
+  const std::vector<std::uint64_t> seals =
+      shard_counter(json, "wave_shard_seals");
+  ASSERT_EQ(seals.size(), 1u) << json;
+  EXPECT_EQ(seals[0], async[0] + async[1]) << json;
+  const std::vector<std::uint64_t> acked_puts{64};
+  EXPECT_EQ(shard_counter(json, "wave_ops"), acked_puts) << json;
+  EXPECT_EQ(shard_counter(json, "acked_write_ops"), acked_puts) << json;
+  // Every synced line is one undo record on its shard's device log.
+  const std::vector<std::uint64_t> records = shard_counter(json, "records");
+  const std::vector<std::uint64_t> synced =
+      shard_counter(json, "lines_synced");
+  ASSERT_EQ(records.size(), 2u) << json;
+  ASSERT_EQ(synced.size(), 2u) << json;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i], synced[i]) << "shard " << i << "\n" << json;
+  }
 }
 
 TEST(KvServerTest, MalformedFrameClosesConnection) {

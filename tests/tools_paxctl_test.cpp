@@ -9,7 +9,6 @@
 #include "pax/check/trace_file.hpp"
 #include "pax/coherence/trace.hpp"
 #include "pax/libpax/persistent.hpp"
-#include "pax/model/calibrate.hpp"
 
 #ifndef PAXCTL_PATH
 #error "PAXCTL_PATH must be defined by the build"
@@ -228,102 +227,6 @@ TEST(PaxctlTest, UsageOnBadInvocation) {
   auto r = run("frobnicate /tmp/x");
   EXPECT_NE(r.exit_code, 0);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
-}
-
-// Writes a loadgen-shaped --json report whose calibration record comes from
-// the serving DES itself under known ground-truth parameters.
-void write_loadgen_json(const std::string& path,
-                        const model::ServingParams& truth,
-                        const model::ServingWorkload& wl) {
-  const model::ServingPrediction sim = model::simulate_serving(truth, wl);
-  const bool open = wl.open_rate_ops_s > 0;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"mode\": \"%s\",\n"
-      "  \"calibration\": {\"mode\": \"%s\", \"connections\": %zu, "
-      "\"depth\": %zu, \"write_frac\": %.4f, \"offered_load_ops_s\": %.1f, "
-      "\"throughput_ops_s\": %.1f, \"duration_s\": %.4f, "
-      "\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
-      "\"read_floor_us\": %.2f},\n"
-      "  \"server\": {\n  \"commit_mode\": \"group\"\n  }\n"
-      "}\n",
-      open ? "open" : "closed", open ? "open" : "closed", wl.connections,
-      wl.depth, wl.write_frac, wl.open_rate_ops_s, sim.throughput_ops_s,
-      wl.duration_s, sim.p50_us, sim.p95_us, sim.p99_us, sim.read_floor_us);
-  std::fclose(f);
-}
-
-TEST(PaxctlTest, CalibratePredictsUnseenRunWithinBand) {
-  model::ServingParams truth;
-  truth.service_us = 9.0;
-  truth.base_rtt_us = 40.0;
-  truth.wave_interval_us = 200.0;
-
-  model::ServingWorkload fit_wl;
-  fit_wl.connections = 8;
-  fit_wl.depth = 8;
-  fit_wl.write_frac = 0.5;
-  model::ServingWorkload unseen_wl;
-  unseen_wl.connections = 16;
-  unseen_wl.depth = 4;
-  unseen_wl.write_frac = 0.5;
-
-  const std::string fit = "/tmp/paxctl_cal_fit.json";
-  const std::string check = "/tmp/paxctl_cal_check.json";
-  write_loadgen_json(fit, truth, fit_wl);
-  write_loadgen_json(check, truth, unseen_wl);
-
-  auto r = run("calibrate " + fit + " " + check +
-               " --wave-us 200 --tolerance 0.25");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("service_us="), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("within tolerance band"), std::string::npos)
-      << r.output;
-  std::remove(fit.c_str());
-  std::remove(check.c_str());
-}
-
-TEST(PaxctlTest, CalibrateFlagsOutOfBandPrediction) {
-  model::ServingParams truth;
-  truth.service_us = 10.0;
-  truth.base_rtt_us = 30.0;
-  truth.wave_interval_us = 200.0;
-  model::ServingWorkload wl;
-  wl.connections = 4;
-  wl.depth = 8;
-
-  const std::string fit = "/tmp/paxctl_cal_fit2.json";
-  const std::string check = "/tmp/paxctl_cal_check2.json";
-  write_loadgen_json(fit, truth, wl);
-  // The "measured" second run comes from a much slower server than the fit
-  // run: no honest prediction can land inside the band.
-  model::ServingParams slow = truth;
-  slow.service_us = 40.0;
-  model::ServingWorkload wl2 = wl;
-  wl2.connections = 8;
-  write_loadgen_json(check, slow, wl2);
-
-  auto r = run("calibrate " + fit + " " + check + " --tolerance 0.25");
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("OUTSIDE tolerance band"), std::string::npos)
-      << r.output;
-  std::remove(fit.c_str());
-  std::remove(check.c_str());
-}
-
-TEST(PaxctlTest, CalibrateRejectsReportWithoutRecord) {
-  const std::string path = "/tmp/paxctl_cal_norec.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"mode\": \"closed\"}\n", f);
-  std::fclose(f);
-  auto r = run("calibrate " + path);
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("calibration"), std::string::npos) << r.output;
-  std::remove(path.c_str());
 }
 
 }  // namespace

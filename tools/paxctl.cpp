@@ -25,13 +25,6 @@
 //                             recovery (PaxCheck + snapshot equivalence);
 //                             --pipelined runs the workload with the
 //                             undo-append ring active; exit 1 on any finding
-//   paxctl calibrate <fit.json> [<check.json>] [--wave-us W]
-//                  [--tolerance T]   fit the serving DES (pax::model::
-//                             calibrate) to a closed-loop paxkv-loadgen
-//                             --json report; with a second report, predict
-//                             it from the fit and exit 1 if any of
-//                             throughput/p50/p95/p99 misses the tolerance
-//                             band (default 0.35)
 //   paxctl analyze <file.paxevt>... [--json]   PaxScope offline predictive
 //                             analysis: rebuild the happens-before relation
 //                             of each recorded trace, aggregate the lock
@@ -66,7 +59,6 @@
 #include "pax/libpax/heap.hpp"
 #include "pax/libpax/runtime.hpp"
 #include "pax/litmus/runner.hpp"
-#include "pax/model/calibrate.hpp"
 #include "pax/pmem/pool.hpp"
 #include "pax/wal/wal.hpp"
 
@@ -89,8 +81,6 @@ int usage() {
                "[--max-points N] [--max-interleavings N] [--seed S] "
                "[--seeded-bug snoop-writeback|persist-pull|"
                "line-serialization] [--trace-dir DIR] [--no-crash]\n"
-               "       paxctl calibrate <fit.json> [<check.json>] "
-               "[--wave-us W] [--tolerance T]\n"
                "       paxctl analyze <file.paxevt>... [--json]\n"
                "       paxctl fix [<file.paxevt>] [--scenario NAME] "
                "[--record FILE] [--validate] [--json]\n");
@@ -614,120 +604,6 @@ int cmd_fix(const std::string& trace_path, const std::string& scenario_name,
   return v.flipped_clean() ? 0 : 1;
 }
 
-// --- calibrate: fit the serving DES to a loadgen run, predict another ---
-
-// Minimal field scanner for the flat loadgen JSON this repo emits (keys are
-// unique inside the object we point at; no escapes in numeric fields).
-double json_number(const std::string& text, std::size_t from,
-                   const char* key, double fallback) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return fallback;
-  return std::atof(text.c_str() + at + needle.size());
-}
-
-std::string json_string(const std::string& text, std::size_t from,
-                        const char* key) {
-  const std::string needle = std::string("\"") + key + "\": \"";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = text.find('"', begin);
-  return end == std::string::npos ? "" : text.substr(begin, end - begin);
-}
-
-struct LoadgenRun {
-  model::ServingMeasurement m;
-  bool open = false;
-};
-
-Result<LoadgenRun> load_calibration(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return io_error("cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  const std::size_t cal = text.find("\"calibration\":");
-  if (cal == std::string::npos) {
-    return invalid_argument(path + ": no \"calibration\" record (re-run "
-                            "paxkv-loadgen with --json)");
-  }
-  LoadgenRun run;
-  run.open = json_string(text, cal, "mode") == "open";
-  run.m.workload.connections = static_cast<std::size_t>(
-      json_number(text, cal, "connections", 1));
-  run.m.workload.depth =
-      static_cast<std::size_t>(json_number(text, cal, "depth", 1));
-  run.m.workload.write_frac = json_number(text, cal, "write_frac", 0.5);
-  run.m.workload.open_rate_ops_s =
-      run.open ? json_number(text, cal, "offered_load_ops_s", 0) : 0.0;
-  run.m.workload.duration_s = json_number(text, cal, "duration_s", 1.0);
-  run.m.throughput_ops_s = json_number(text, cal, "throughput_ops_s", 0);
-  run.m.p50_us = json_number(text, cal, "p50_us", 0);
-  run.m.p95_us = json_number(text, cal, "p95_us", 0);
-  run.m.p99_us = json_number(text, cal, "p99_us", 0);
-  run.m.read_floor_us = json_number(text, cal, "read_floor_us", 0);
-  return run;
-}
-
-int cmd_calibrate(const std::string& fit_path, const std::string& check_path,
-                  double wave_us, double tolerance) {
-  auto fit_run = load_calibration(fit_path);
-  if (!fit_run.ok()) {
-    std::fprintf(stderr, "%s\n", fit_run.status().to_string().c_str());
-    return 1;
-  }
-  if (fit_run.value().open) {
-    std::fprintf(stderr,
-                 "calibrate: fit run must be closed-loop (got open)\n");
-    return 1;
-  }
-  const model::ServingParams fitted =
-      model::calibrate(fit_run.value().m, wave_us);
-  std::printf(
-      "calibrate: fit on %s (closed, conns=%zu depth=%zu tput=%.0f ops/s)\n"
-      "  service_us=%.2f base_rtt_us=%.2f wave_interval_us=%.1f\n",
-      fit_path.c_str(), fit_run.value().m.workload.connections,
-      fit_run.value().m.workload.depth,
-      fit_run.value().m.throughput_ops_s, fitted.service_us,
-      fitted.base_rtt_us, fitted.wave_interval_us);
-
-  if (check_path.empty()) return 0;
-  auto check_run = load_calibration(check_path);
-  if (!check_run.ok()) {
-    std::fprintf(stderr, "%s\n", check_run.status().to_string().c_str());
-    return 1;
-  }
-  const model::ServingMeasurement& actual = check_run.value().m;
-  const model::ServingPrediction pred =
-      model::simulate_serving(fitted, actual.workload);
-  struct Line {
-    const char* name;
-    double predicted;
-    double measured;
-  } lines[] = {
-      {"throughput_ops_s", pred.throughput_ops_s, actual.throughput_ops_s},
-      {"p50_us", pred.p50_us, actual.p50_us},
-      {"p95_us", pred.p95_us, actual.p95_us},
-      {"p99_us", pred.p99_us, actual.p99_us},
-  };
-  std::printf("calibrate: predict %s (%s)\n", check_path.c_str(),
-              check_run.value().open ? "open" : "closed");
-  bool in_band = true;
-  for (const Line& l : lines) {
-    const double err = model::relative_error(l.predicted, l.measured);
-    std::printf("  %-17s predicted=%12.1f measured=%12.1f err=%5.1f%%\n",
-                l.name, l.predicted, l.measured, err * 100.0);
-    if (err > tolerance) in_band = false;
-  }
-  std::printf("calibrate: prediction %s tolerance band (%.0f%%)\n",
-              in_band ? "within" : "OUTSIDE", tolerance * 100.0);
-  return in_band ? 0 : 1;
-}
-
 int cmd_trace(const std::string& path) {
   auto events = coherence::load_trace(path);
   if (!events.ok()) {
@@ -867,31 +743,6 @@ int main(int argc, char** argv) {
       }
     }
     return cmd_fix(trace_path, scenario, record_path, validate, json);
-  }
-  if (cmd == "calibrate") {
-    std::string fit_path;
-    std::string check_path;
-    double wave_us = 200.0;
-    double tolerance = 0.35;
-    int positional = 0;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--wave-us" && i + 1 < argc) {
-        wave_us = std::atof(argv[++i]);
-      } else if (arg == "--tolerance" && i + 1 < argc) {
-        tolerance = std::atof(argv[++i]);
-      } else if (positional == 0) {
-        fit_path = arg;
-        ++positional;
-      } else if (positional == 1) {
-        check_path = arg;
-        ++positional;
-      } else {
-        return usage();
-      }
-    }
-    if (fit_path.empty()) return usage();
-    return cmd_calibrate(fit_path, check_path, wave_us, tolerance);
   }
   if (argc < 3) return usage();
 

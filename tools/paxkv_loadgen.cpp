@@ -1,33 +1,25 @@
 // paxkv-loadgen — load generator for the PaxKV server.
 //
 //   paxkv-loadgen [--host H] [--port P] [--clients N] [--depth D]
-//                 [--connections-per-thread C]
 //                 [--ops N | --duration-s S] [--rate OPS_PER_SEC]
 //                 [--keys K] [--value-bytes B] [--get-frac F] [--seed S]
 //                 [--json FILE]
 //
 // Two modes:
 //
-//   * Closed loop (default): N client threads, each driving C connections
-//     with a pipeline of D outstanding requests per connection; --ops
-//     total operations. Latency is measured send→response per request.
+//   * Closed loop (default): N client threads, each driving one
+//     connection with a pipeline of D outstanding requests; --ops total
+//     operations. Latency is measured send→response per request.
 //   * Open loop (--rate R): requests are scheduled on a fixed timeline at
 //     R ops/s aggregate and latency is measured from the *scheduled* send
 //     time, so queueing delay when the server falls behind is charged to
 //     the server, not silently absorbed (no coordinated omission). Runs
 //     for --duration-s seconds.
 //
-// --connections-per-thread widens the server-visible connection count:
-// N threads × C connections, without paying a full OS thread per
-// connection.
-//
 // Workload: uniform keys "key-<n>" over --keys, --get-frac GETs, the rest
 // PUTs of --value-bytes (a small fraction of DELs rides along: every 64th
 // write). Reports throughput and p50/p95/p99/p999 to stdout; --json writes
-// a machine-readable report including the server's own STATS document and
-// a "calibration" record (offered load, achieved throughput, percentiles)
-// that `paxctl calibrate` / pax::model::calibrate() consume to fit the
-// serving DES against reality.
+// a machine-readable report including the server's own STATS document.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,7 +46,6 @@ struct Config {
   std::uint16_t port = 7433;
   std::size_t clients = 4;
   std::size_t depth = 16;
-  std::size_t conns_per_thread = 1;
   std::uint64_t ops = 100000;     // closed loop
   double duration_s = 5.0;        // open loop
   double rate = 0.0;              // aggregate ops/s; > 0 selects open loop
@@ -69,16 +60,12 @@ struct ThreadResult {
   LatencyHistogram hist;
   std::uint64_t ops = 0;
   std::uint64_t errors = 0;
-  // Minimum GET latency: GET never parks on a group-commit wave, so this
-  // is the service + wire floor pax::model::calibrate() splits on.
-  std::uint64_t read_floor_ns = 0;
   bool connect_failed = false;
 
-  void record(std::uint64_t ns, bool read) {
-    hist.record(ns);
-    if (read && (read_floor_ns == 0 || ns < read_floor_ns)) {
-      read_floor_ns = ns;
-    }
+  void record_since(Clock::time_point at) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Clock::now() - at);
+    hist.record(static_cast<std::uint64_t>(ns.count()));
   }
 };
 
@@ -90,97 +77,54 @@ std::string make_key(std::uint64_t n) {
 }
 
 // One op: GET with probability get_frac, else PUT (every 64th write a DEL).
-// Returns true when the op was a GET.
-bool send_op(KvClient& client, std::mt19937_64& rng, const Config& cfg,
+void send_op(KvClient& client, std::mt19937_64& rng, const Config& cfg,
              const std::string& value, std::uint64_t op_index) {
   std::uniform_int_distribution<std::uint64_t> key_dist(0, cfg.keys - 1);
   std::uniform_real_distribution<double> frac(0.0, 1.0);
   const std::string key = make_key(key_dist(rng));
   if (frac(rng) < cfg.get_frac) {
     client.send_get(key);
-    return true;
-  }
-  if (op_index % 64 == 63) {
+  } else if (op_index % 64 == 63) {
     client.send_del(key);
   } else {
     client.send_put(key, value);
   }
-  return false;
-}
-
-// An in-flight op: its send (or scheduled-send) time and whether it was a
-// GET (reads feed the calibration floor).
-struct Inflight {
-  Clock::time_point at;
-  bool read;
-};
-
-// A connection plus its in-flight window.
-struct Pipe {
-  KvClient client;
-  std::deque<Inflight> pending;
-  explicit Pipe(KvClient c) : client(std::move(c)) {}
-};
-
-bool connect_pipes(const Config& cfg, std::vector<Pipe>& pipes) {
-  pipes.reserve(cfg.conns_per_thread);
-  for (std::size_t i = 0; i < cfg.conns_per_thread; ++i) {
-    auto client = KvClient::connect(cfg.host, cfg.port);
-    if (!client.ok()) return false;
-    pipes.emplace_back(std::move(client).value());
-  }
-  return true;
 }
 
 ThreadResult run_closed(const Config& cfg, std::uint64_t thread_ops,
                         std::uint64_t seed) {
   ThreadResult result;
-  std::vector<Pipe> pipes;
-  if (!connect_pipes(cfg, pipes)) {
+  auto connected = KvClient::connect(cfg.host, cfg.port);
+  if (!connected.ok()) {
     result.connect_failed = true;
     return result;
   }
+  KvClient& client = connected.value();
   std::mt19937_64 rng(seed);
   const std::string value(cfg.value_bytes, 'v');
 
+  // Send times of the in-flight window; responses arrive in FIFO order.
+  std::deque<Clock::time_point> pending;
   std::uint64_t sent = 0;
   std::uint64_t done = 0;
   while (done < thread_ops) {
-    // Refill every connection's window, then drain one response from each
-    // connection that has something outstanding — all pipes stay busy.
-    for (Pipe& pipe : pipes) {
-      while (sent < thread_ops && pipe.pending.size() < cfg.depth) {
-        const bool read = send_op(pipe.client, rng, cfg, value, sent);
-        pipe.pending.push_back({Clock::now(), read});
-        ++sent;
-      }
-      if (!pipe.pending.empty() && !pipe.client.flush().is_ok()) {
-        result.errors += thread_ops - done;
-        result.ops = done;
-        return result;
-      }
+    while (sent < thread_ops && pending.size() < cfg.depth) {
+      send_op(client, rng, cfg, value, sent);
+      pending.push_back(Clock::now());
+      ++sent;
     }
-    for (Pipe& pipe : pipes) {
-      if (pipe.pending.empty()) continue;
-      auto resp = pipe.client.recv_response();
-      if (!resp.ok()) {
-        result.errors += thread_ops - done;
-        result.ops = done;
-        return result;
-      }
-      result.record(static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now() - pipe.pending.front().at)
-                            .count()),
-                    pipe.pending.front().read);
-      pipe.pending.pop_front();
-      ++done;
-      if (resp.value().status == RespStatus::kError ||
-          resp.value().status == RespStatus::kBadRequest) {
-        ++result.errors;
-      }
+    if (!client.flush().is_ok()) break;
+    auto resp = client.recv_response();
+    if (!resp.ok()) break;
+    result.record_since(pending.front());
+    pending.pop_front();
+    ++done;
+    if (resp.value().status == RespStatus::kError ||
+        resp.value().status == RespStatus::kBadRequest) {
+      ++result.errors;
     }
   }
+  result.errors += thread_ops - done;
   result.ops = done;
   return result;
 }
@@ -188,11 +132,12 @@ ThreadResult run_closed(const Config& cfg, std::uint64_t thread_ops,
 ThreadResult run_open(const Config& cfg, double thread_rate,
                       std::uint64_t seed) {
   ThreadResult result;
-  std::vector<Pipe> pipes;
-  if (!connect_pipes(cfg, pipes)) {
+  auto connected = KvClient::connect(cfg.host, cfg.port);
+  if (!connected.ok()) {
     result.connect_failed = true;
     return result;
   }
+  KvClient& client = connected.value();
   std::mt19937_64 rng(seed);
   const std::string value(cfg.value_bytes, 'v');
   const auto interval = std::chrono::nanoseconds(
@@ -204,61 +149,39 @@ ThreadResult run_open(const Config& cfg, double thread_rate,
 
   // Scheduled send times — latency is measured from these, not from the
   // actual send, so a lagging server accrues queueing delay in the tail.
-  // Ops round-robin across the thread's connections.
+  std::deque<Clock::time_point> pending;
   auto next_send = start;
   std::uint64_t sent = 0;
-  std::size_t outstanding = 0;
 
   for (;;) {
     const auto now = Clock::now();
-    if (now >= deadline && outstanding == 0) break;
+    if (now >= deadline && pending.empty()) break;
 
     // Send every op whose scheduled time has arrived (bounded burst).
     std::size_t burst = 0;
     while (next_send <= Clock::now() && next_send < deadline &&
            burst < 1024) {
-      Pipe& pipe = pipes[sent % pipes.size()];
-      const bool read = send_op(pipe.client, rng, cfg, value, sent);
-      pipe.pending.push_back({next_send, read});
+      send_op(client, rng, cfg, value, sent);
+      pending.push_back(next_send);
       next_send += interval;
       ++sent;
       ++burst;
-      ++outstanding;
     }
-    if (burst > 0) {
-      for (Pipe& pipe : pipes) {
-        if (!pipe.pending.empty() && !pipe.client.flush().is_ok()) {
-          result.errors += outstanding;
-          return result;
-        }
-      }
+    if (burst > 0 && !client.flush().is_ok()) {
+      result.errors += pending.size();
+      return result;
     }
-    if (outstanding == 0) {
+    if (pending.empty()) {
       std::this_thread::sleep_until(std::min(next_send, deadline));
       continue;
     }
-    // Drain in global scheduled order: each connection's responses are
-    // FIFO, so the globally-oldest op is at the front of some pipe.
-    Pipe* oldest = nullptr;
-    for (Pipe& pipe : pipes) {
-      if (pipe.pending.empty()) continue;
-      if (oldest == nullptr ||
-          pipe.pending.front().at < oldest->pending.front().at) {
-        oldest = &pipe;
-      }
-    }
-    auto resp = oldest->client.recv_response();
+    auto resp = client.recv_response();
     if (!resp.ok()) {
-      result.errors += outstanding;
+      result.errors += pending.size();
       return result;
     }
-    result.record(static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          Clock::now() - oldest->pending.front().at)
-                          .count()),
-                  oldest->pending.front().read);
-    oldest->pending.pop_front();
-    --outstanding;
+    result.record_since(pending.front());
+    pending.pop_front();
     ++result.ops;
   }
   return result;
@@ -269,7 +192,6 @@ int usage() {
       stderr,
       "usage: paxkv-loadgen [--host H] [--port P] [--clients N] "
       "[--depth D]\n"
-      "                     [--connections-per-thread C]\n"
       "                     [--ops N | --duration-s S] [--rate OPS_S]\n"
       "                     [--keys K] [--value-bytes B] [--get-frac F]\n"
       "                     [--seed S] [--json FILE]\n");
@@ -290,8 +212,6 @@ int main(int argc, char** argv) {
       cfg.clients = std::strtoull(argv[++i], nullptr, 0);
     } else if (arg == "--depth" && i + 1 < argc) {
       cfg.depth = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--connections-per-thread" && i + 1 < argc) {
-      cfg.conns_per_thread = std::strtoull(argv[++i], nullptr, 0);
     } else if (arg == "--ops" && i + 1 < argc) {
       cfg.ops = std::strtoull(argv[++i], nullptr, 0);
     } else if (arg == "--duration-s" && i + 1 < argc) {
@@ -312,10 +232,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (cfg.clients == 0 || cfg.depth == 0 || cfg.keys == 0 ||
-      cfg.conns_per_thread == 0) {
-    return usage();
-  }
+  if (cfg.clients == 0 || cfg.depth == 0 || cfg.keys == 0) return usage();
 
   const bool open_loop = cfg.rate > 0.0;
   const auto start = Clock::now();
@@ -343,7 +260,6 @@ int main(int argc, char** argv) {
   LatencyHistogram hist;
   std::uint64_t total_ops = 0;
   std::uint64_t errors = 0;
-  std::uint64_t read_floor_ns = 0;
   for (const ThreadResult& r : results) {
     if (r.connect_failed) {
       std::fprintf(stderr, "paxkv-loadgen: connect failed (%s:%u)\n",
@@ -353,20 +269,15 @@ int main(int argc, char** argv) {
     hist.merge(r.hist);
     total_ops += r.ops;
     errors += r.errors;
-    if (r.read_floor_ns != 0 &&
-        (read_floor_ns == 0 || r.read_floor_ns < read_floor_ns)) {
-      read_floor_ns = r.read_floor_ns;
-    }
   }
   const double throughput = elapsed_s > 0 ? total_ops / elapsed_s : 0.0;
-  const std::size_t connections = cfg.clients * cfg.conns_per_thread;
 
   std::printf(
       "paxkv-loadgen: mode=%s conns=%zu ops=%llu elapsed=%.2fs "
       "throughput=%.0f ops/s\n"
       "  latency p50=%.1fus p95=%.1fus p99=%.1fus p999=%.1fus mean=%.1fus "
       "max=%.1fus errors=%llu\n",
-      open_loop ? "open" : "closed", connections,
+      open_loop ? "open" : "closed", cfg.clients,
       static_cast<unsigned long long>(total_ops), elapsed_s, throughput,
       hist.percentile(0.50) / 1e3, hist.percentile(0.95) / 1e3,
       hist.percentile(0.99) / 1e3, hist.percentile(0.999) / 1e3,
@@ -395,7 +306,6 @@ int main(int argc, char** argv) {
         "  \"mode\": \"%s\",\n"
         "  \"clients\": %zu,\n"
         "  \"depth\": %zu,\n"
-        "  \"connections_per_thread\": %zu,\n"
         "  \"target_rate\": %.1f,\n"
         "  \"ops\": %llu,\n"
         "  \"errors\": %llu,\n"
@@ -403,8 +313,7 @@ int main(int argc, char** argv) {
         "  \"throughput_ops_s\": %.1f,\n"
         "  \"latency_ns\": {\"p50\": %llu, \"p95\": %llu, \"p99\": %llu, "
         "\"p999\": %llu, \"mean\": %.1f, \"max\": %llu},\n",
-        open_loop ? "open" : "closed", cfg.clients, cfg.depth,
-        cfg.conns_per_thread, cfg.rate,
+        open_loop ? "open" : "closed", cfg.clients, cfg.depth, cfg.rate,
         static_cast<unsigned long long>(total_ops),
         static_cast<unsigned long long>(errors), elapsed_s, throughput,
         static_cast<unsigned long long>(hist.percentile(0.50)),
@@ -412,20 +321,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(hist.percentile(0.99)),
         static_cast<unsigned long long>(hist.percentile(0.999)),
         hist.mean_ns(), static_cast<unsigned long long>(hist.max_ns()));
-    // The calibration record: everything pax::model::calibrate() needs to
-    // fit the serving DES to this run (and to check a prediction against
-    // it). Open-loop latencies are from scheduled send time.
-    std::fprintf(
-        f,
-        "  \"calibration\": {\"mode\": \"%s\", \"connections\": %zu, "
-        "\"depth\": %zu, \"write_frac\": %.4f, "
-        "\"offered_load_ops_s\": %.1f, \"throughput_ops_s\": %.1f, "
-        "\"duration_s\": %.4f, \"p50_us\": %.2f, \"p95_us\": %.2f, "
-        "\"p99_us\": %.2f, \"read_floor_us\": %.2f},\n",
-        open_loop ? "open" : "closed", connections, cfg.depth,
-        1.0 - cfg.get_frac, cfg.rate, throughput, elapsed_s,
-        hist.percentile(0.50) / 1e3, hist.percentile(0.95) / 1e3,
-        hist.percentile(0.99) / 1e3, read_floor_ns / 1e3);
     std::fprintf(f, "  \"server\": %s\n}\n", server_stats.c_str());
     std::fclose(f);
   }
