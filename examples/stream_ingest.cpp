@@ -8,8 +8,12 @@
 // "epochs overlap and threads never stall" goal.
 //
 // The example measures both modes on simulated PM and prints the stall the
-// async mode removed from the ingest path, then crash-checks that async
-// snapshots are exactly as safe as synchronous ones.
+// async mode removed from the ingest path — the time the loop is blocked in
+// the persist call, and how often persist_async() had to wait for a free
+// drain slot — then crash-checks that async snapshots are exactly as safe as
+// synchronous ones. PM flushes and fences are reported as device-wide
+// totals: the drain worker's flushes overlap the ingest loop, so a flush
+// counted while a persist call happened to be running is not on its path.
 #include <chrono>
 #include <thread>
 #include <cstdio>
@@ -34,36 +38,41 @@ constexpr std::uint64_t kBatches = 50;
 constexpr std::uint64_t kRecordsPerBatch = 400;
 
 struct IngestCost {
-  double persist_ms = 0;            // wall time inside persist calls
-  std::uint64_t flushes_on_path = 0;  // PM line flushes inside persist calls
-  std::uint64_t drains_on_path = 0;   // PM fences inside persist calls
+  double blocked_ms = 0;  // on path: wall time the loop spent in persist calls
+  std::uint64_t backpressure_waits = 0;  // on path: waits for a drain slot
+  std::uint64_t line_flushes = 0;  // device-wide total, on or off the path
+  std::uint64_t drains = 0;        // device-wide total, on or off the path
 };
 
-// Runs the ingest loop, charging only work inside the persist call to the
-// ingest path (background commits don't count — that's the point).
+// Runs the ingest loop. Only the time blocked in the persist call (and the
+// back-pressure waits inside it) is charged to the ingest path; background
+// commits overlap the loop, which is the point.
 template <typename PersistFn>
 IngestCost run_ingest(PaxRuntime& rt, Persistent<Telemetry>& table,
                       PersistFn&& do_persist, std::uint64_t key_base) {
   using Clock = std::chrono::steady_clock;
   IngestCost cost;
   std::chrono::nanoseconds in_persist{0};
+  const auto pm_before = rt.pm().stats();
+  const auto pipe_before = rt.pipeline_stats();
   for (std::uint64_t b = 0; b < kBatches; ++b) {
     for (std::uint64_t r = 0; r < kRecordsPerBatch; ++r) {
       (*table)[key_base + b * kRecordsPerBatch + r] = b;
     }
-    const auto before = rt.pm().stats();
     const auto t0 = Clock::now();
     std::forward<PersistFn>(do_persist)();
     in_persist += Clock::now() - t0;
-    const auto after = rt.pm().stats();
-    cost.flushes_on_path += after.line_flushes - before.line_flushes;
-    cost.drains_on_path += after.drains - before.drains;
     // Inter-batch application work (parsing, aggregation, networking…):
     // this is what an asynchronous commit overlaps with.
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
-  cost.persist_ms =
+  cost.blocked_ms =
       std::chrono::duration<double, std::milli>(in_persist).count();
+  cost.backpressure_waits =
+      rt.pipeline_stats().backpressure_waits - pipe_before.backpressure_waits;
+  const auto pm_after = rt.pm().stats();
+  cost.line_flushes = pm_after.line_flushes - pm_before.line_flushes;
+  cost.drains = pm_after.drains - pm_before.drains;
   return cost;
 }
 
@@ -115,22 +124,22 @@ int main() {
   std::printf("ingest: %llu batches x %llu records\n",
               static_cast<unsigned long long>(kBatches),
               static_cast<unsigned long long>(kRecordsPerBatch));
-  std::printf("on-ingest-path persistence work per batch (what a real PM "
-              "device would stall on):\n");
-  std::printf("  sync persist():        %6.1f PM line flushes, %4.1f fences, "
-              "%.2f ms total\n",
-              double(sync_cost.flushes_on_path) / kBatches,
-              double(sync_cost.drains_on_path) / kBatches,
-              sync_cost.persist_ms);
-  std::printf("  async persist_async(): %6.1f PM line flushes, %4.1f fences, "
-              "%.2f ms total\n",
-              double(async_cost.flushes_on_path) / kBatches,
-              double(async_cost.drains_on_path) / kBatches,
-              async_cost.persist_ms);
-  std::printf("  -> %.0f%% of on-path PM flushes moved to the background\n",
-              (1.0 - double(async_cost.flushes_on_path) /
-                         double(sync_cost.flushes_on_path)) *
-                  100.0);
+  std::printf("on the ingest path (the loop blocked in the persist call):\n");
+  std::printf("  sync persist():        %7.3f ms per batch\n",
+              sync_cost.blocked_ms / kBatches);
+  std::printf("  async persist_async(): %7.3f ms per batch, %llu "
+              "back-pressure wait(s)\n",
+              async_cost.blocked_ms / kBatches,
+              static_cast<unsigned long long>(async_cost.backpressure_waits));
+  std::printf("  -> %.0f%% of the blocked time moved off the ingest path\n",
+              (1.0 - async_cost.blocked_ms / sync_cost.blocked_ms) * 100.0);
+  std::printf("device-wide PM work per batch (totals, on or off the path):\n");
+  std::printf("  sync:  %6.1f line flushes, %4.1f fences\n",
+              double(sync_cost.line_flushes) / kBatches,
+              double(sync_cost.drains) / kBatches);
+  std::printf("  async: %6.1f line flushes, %4.1f fences\n",
+              double(async_cost.line_flushes) / kBatches,
+              double(async_cost.drains) / kBatches);
 
   // Crash-check: the pool recovers to the last COMPLETED epoch. The final
   // batch was sealed but its commit raced the crash against the drain

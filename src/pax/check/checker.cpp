@@ -160,20 +160,6 @@ struct Checker::Ring {
   std::uint16_t tid = 0;
 };
 
-// One open-addressed slot: the key doubles as the empty sentinel; 16 bytes
-// keeps the whole table cache-resident for realistic line counts, so the
-// per-event state transition is one warm probe and no allocation.
-struct Checker::LineState {
-  std::uint64_t key = kNoLine;  // kNoLine = empty slot
-  bool pending = false;         // stored to PM, not yet flushed
-};
-
-namespace {
-std::size_t line_slot_hash(std::uint64_t line) {
-  return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >> 24);
-}
-}  // namespace
-
 Checker::Checker(const CheckerOptions& options)
     : options_(options), gen_(g_checker_gen.fetch_add(1) + 1) {
   staged_.reserve(4096);
@@ -281,45 +267,6 @@ void Checker::settle_locked() {
   ++diag_.settles;
 }
 
-Checker::LineState& Checker::line_state(std::uint64_t line) {
-  if (line_slots_.empty()) line_slots_.resize(1024);
-  if ((line_count_ + 1) * 2 > line_slots_.size()) rehash_lines();
-  const std::size_t mask = line_slots_.size() - 1;
-  std::size_t idx = line_slot_hash(line) & mask;
-  while (line_slots_[idx].key != line) {
-    if (line_slots_[idx].key == kNoLine) {
-      line_slots_[idx].key = line;
-      ++line_count_;
-      break;
-    }
-    idx = (idx + 1) & mask;
-  }
-  return line_slots_[idx];
-}
-
-Checker::LineState* Checker::find_line(std::uint64_t line) {
-  if (line_slots_.empty()) return nullptr;
-  const std::size_t mask = line_slots_.size() - 1;
-  std::size_t idx = line_slot_hash(line) & mask;
-  while (line_slots_[idx].key != kNoLine) {
-    if (line_slots_[idx].key == line) return &line_slots_[idx];
-    idx = (idx + 1) & mask;
-  }
-  return nullptr;
-}
-
-void Checker::rehash_lines() {
-  std::vector<LineState> old = std::move(line_slots_);
-  line_slots_.assign(old.size() * 2, LineState{});
-  const std::size_t mask = line_slots_.size() - 1;
-  for (const LineState& ls : old) {
-    if (ls.key == kNoLine) continue;
-    std::size_t idx = line_slot_hash(ls.key) & mask;
-    while (line_slots_[idx].key != kNoLine) idx = (idx + 1) & mask;
-    line_slots_[idx] = ls;
-  }
-}
-
 void Checker::add_violation(Rule rule, const Event& e,
                             std::uint64_t dedup_key, std::string detail) {
   if (!reported_.emplace(static_cast<std::uint8_t>(rule), dedup_key)
@@ -386,11 +333,7 @@ void Checker::process(const Event& e) {
   switch (e.type) {
     case EventType::kStore: {
       if (!options_.persist_order) break;
-      LineState& ls = line_state(e.line);
-      if (!ls.pending) {
-        ls.pending = true;
-        ++pending_count_;
-      }
+      pending_lines_.try_emplace(LineIndex{e.line});
       break;
     }
     case EventType::kFlush: {
@@ -400,11 +343,7 @@ void Checker::process(const Event& e) {
       } else {
         ++flushes_since_drain_;
       }
-      LineState& ls = line_state(e.line);
-      if (ls.pending) {
-        ls.pending = false;
-        --pending_count_;
-      }
+      pending_lines_.erase(LineIndex{e.line});
       break;
     }
     case EventType::kDrain:
@@ -413,8 +352,7 @@ void Checker::process(const Event& e) {
     case EventType::kCrash:
       // Power loss resolves the pending overlay; in-flight sync state and
       // log watermarks restart from scratch with the next attach.
-      for (LineState& ls : line_slots_) ls.pending = false;
-      pending_count_ = 0;
+      pending_lines_.clear();
       flushes_since_drain_ = 0;
       log_durable_.clear();
       pipeline_fifo_.clear();
@@ -479,12 +417,11 @@ void Checker::process(const Event& e) {
                             " is at the head of the drain queue");
         }
       }
-      if (pending_count_ > 0) {  // clean commits never scan the table
+      if (!pending_lines_.empty()) {
         std::vector<std::uint64_t> pending;
-        pending.reserve(pending_count_);
-        for (const LineState& ls : line_slots_) {
-          if (ls.key != kNoLine && ls.pending) pending.push_back(ls.key);
-        }
+        pending.reserve(pending_lines_.size());
+        pending_lines_.for_each(
+            [&](LineIndex line, bool) { pending.push_back(line.value); });
         std::sort(pending.begin(), pending.end());
         for (std::uint64_t line : pending) {
           Event scoped = e;

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "pax/check/event.hpp"
+#include "pax/common/line_table.hpp"
 
 namespace pax::check {
 
@@ -213,7 +214,6 @@ class Checker {
 
  private:
   struct Ring;
-  struct LineState;
 
   void emit(Event e);
   Ring* ring_for_this_thread();
@@ -222,9 +222,6 @@ class Checker {
   Report snapshot_report_locked() const;
   void process(const Event& e);
   void process_lock_acquire(const Event& e);
-  LineState& line_state(std::uint64_t line);
-  LineState* find_line(std::uint64_t line);
-  void rehash_lines();
   void add_violation(Rule rule, const Event& e, std::uint64_t dedup_key,
                      std::string detail);
 
@@ -240,17 +237,15 @@ class Checker {
   std::unordered_map<std::thread::id, Ring*> ring_by_thread_;
   std::vector<std::unique_ptr<Ring>> rings_;
 
-  // Engine state; engine_mu_ serializes draining + replay. Per-line state
-  // lives in an open-addressed table of 16-byte slots (one cache-friendly
-  // probe per line event, no allocation once warm) with a pending counter
-  // so clean epoch commits never scan it; backtraces are mined from a
-  // global recent-event ring (sequential writes) only when a violation
-  // actually fires.
+  // Engine state; engine_mu_ serializes draining + replay. The lines
+  // stored but not yet flushed live in an open-addressed line table (one
+  // cache-friendly probe per line event, no allocation once warm; a flush
+  // erases the line, so clean epoch commits find it empty); backtraces are
+  // mined from a global recent-event ring (sequential writes) only when a
+  // violation actually fires.
   std::mutex engine_mu_;
   std::vector<Event> staged_;  // drained but not yet replayed
-  std::vector<LineState> line_slots_;  // power-of-2 open addressing
-  std::size_t line_count_ = 0;
-  std::uint64_t pending_count_ = 0;  // lines stored but not flushed
+  LineTable<bool> pending_lines_;  // stored to PM, not yet flushed
   // Runtime id -> seq of its first kSyncBatchFail.
   std::unordered_map<std::uint32_t, std::uint64_t> failed_batch_seq_;
   std::vector<Event> recent_;  // power-of-2 ring of replayed events

@@ -22,143 +22,152 @@ HbmCache::HbmCache(const HbmConfig& config)
       replacement_(config.replacement) {
   PAX_CHECK(config.ways >= 1);
   PAX_CHECK(config.capacity_lines >= config.ways);
-  sets_.resize(pick_set_count(config.capacity_lines, config.ways));
-  for (auto& s : sets_) s.ways.resize(ways_);
-}
-
-HbmCache::Set& HbmCache::set_for(LineIndex line) {
-  return sets_[std::hash<LineIndex>{}(line) & (sets_.size() - 1)];
-}
-const HbmCache::Set& HbmCache::set_for(LineIndex line) const {
-  return sets_[std::hash<LineIndex>{}(line) & (sets_.size() - 1)];
+  num_sets_ = pick_set_count(config.capacity_lines, config.ways);
+  tags_.assign(num_sets_ * ways_, kFreeTag);
+  entries_.resize(num_sets_ * ways_);
+  hands_.assign(num_sets_, 0);
 }
 
 HbmCache::Entry* HbmCache::find(LineIndex line) {
-  for (auto& e : set_for(line).ways) {
-    if (e.valid && e.line == line) return &e;
-  }
-  return nullptr;
-}
-const HbmCache::Entry* HbmCache::find(LineIndex line) const {
-  for (const auto& e : set_for(line).ways) {
-    if (e.valid && e.line == line) return &e;
+  ++stats_.probes;
+  const std::size_t base = set_of(line) * ways_;
+  for (unsigned w = 0; w < ways_; ++w) {
+    if (tags_[base + w] == line.value) return &entries_[base + w];
   }
   return nullptr;
 }
 
-std::optional<LineData> HbmCache::lookup(LineIndex line) {
-  if (Entry* e = find(line)) {
-    ++stats_.hits;
-    e->lru_tick = ++tick_;
-    e->ref = true;
-    return e->data;
+HbmCache::Entry* HbmCache::lookup(LineIndex line) {
+  Entry* e = find(line);
+  if (e == nullptr) {
+    ++stats_.misses;
+    return nullptr;
   }
-  ++stats_.misses;
-  return std::nullopt;
+  ++stats_.hits;
+  e->lru_tick = ++tick_;
+  e->ref = true;
+  return e;
 }
 
-bool HbmCache::is_dirty(LineIndex line) const {
-  const Entry* e = find(line);
-  return e != nullptr && e->dirty;
+HbmCache::Entry* HbmCache::allocate(LineIndex line,
+                                    std::uint64_t durable_log_offset,
+                                    std::optional<EvictedLine>* victim) {
+  const std::size_t set = set_of(line);
+  const std::size_t base = set * ways_;
+
+  int way = -1;
+  for (unsigned w = 0; w < ways_; ++w) {
+    if (tags_[base + w] == kFreeTag) {
+      way = static_cast<int>(w);
+      ++live_;
+      break;
+    }
+  }
+  if (way < 0) {
+    way = replacement_ == Replacement::kClock
+              ? pick_victim_clock(set, durable_log_offset)
+              : pick_victim_lru(set, durable_log_offset);
+    if (way < 0) return nullptr;  // every way pinned
+    if (replacement_ == Replacement::kClock) {
+      hands_[set] = (static_cast<unsigned>(way) + 1) % ways_;
+    }
+    const Entry& old = entries_[base + way];
+    ++stats_.evictions;
+    if (!old.dirty) {
+      ++stats_.clean_evictions;
+    } else if (old.log_record_end <= durable_log_offset) {
+      ++stats_.durable_dirty_evictions;
+    } else {
+      ++stats_.stall_evictions;
+    }
+    *victim = EvictedLine{old.line, old.data, old.dirty, old.log_record_end};
+  }
+  ++stats_.insertions;
+
+  tags_[base + way] = line.value;
+  Entry& e = entries_[base + way];
+  e.line = line;
+  e.dirty = false;
+  e.pinned = false;
+  e.ref = false;
+  e.log_record_end = 0;
+  e.lru_tick = ++tick_;
+  return &e;
 }
 
 std::optional<EvictedLine> HbmCache::insert(LineIndex line,
                                             const LineData& data, bool dirty,
                                             std::uint64_t log_record_end,
                                             std::uint64_t durable_log_offset) {
-  Set& set = set_for(line);
-
-  // Update in place if present.
-  if (Entry* e = find(line)) {
-    e->data = data;
-    e->dirty = e->dirty || dirty;
-    if (dirty) e->log_record_end = log_record_end;
-    e->lru_tick = ++tick_;
+  std::optional<EvictedLine> victim;
+  Entry* e = find(line);
+  if (e != nullptr) {
+    // Update in place: a clean re-insert never washes out dirtiness.
     e->ref = true;
-    return std::nullopt;
-  }
-
-  ++stats_.insertions;
-
-  // Free way?
-  for (auto& e : set.ways) {
-    if (!e.valid) {
-      e = Entry{true, line, data, dirty, log_record_end, ++tick_};
-      ++live_;
-      return std::nullopt;
-    }
-  }
-
-  const unsigned victim_way =
-      replacement_ == Replacement::kClock
-          ? pick_victim_clock(set, durable_log_offset)
-          : pick_victim_lru(set, durable_log_offset);
-  Entry* victim = &set.ways[victim_way];
-  if (replacement_ == Replacement::kClock) {
-    set.hand = (victim_way + 1) % ways_;
-  }
-
-  ++stats_.evictions;
-  if (!victim->dirty) {
-    ++stats_.clean_evictions;
-  } else if (victim->log_record_end <= durable_log_offset) {
-    ++stats_.durable_dirty_evictions;
+    e->lru_tick = ++tick_;
   } else {
-    ++stats_.stall_evictions;
+    e = allocate(line, durable_log_offset, &victim);
+    PAX_CHECK_MSG(e != nullptr, "every way of the set is pinned");
   }
-
-  EvictedLine out{victim->line, victim->data, victim->dirty,
-                  victim->log_record_end};
-  *victim = Entry{true, line, data, dirty, log_record_end, ++tick_, false};
-  return out;
+  e->data = data;
+  if (dirty) {
+    e->dirty = true;
+    e->log_record_end = log_record_end;
+  }
+  return victim;
 }
 
-unsigned HbmCache::pick_victim_lru(Set& set,
-                                   std::uint64_t durable_log_offset) const {
+int HbmCache::pick_victim_lru(std::size_t set,
+                              std::uint64_t durable_log_offset) {
   // Scan the set once, remembering the LRU entry of each preference class:
   // clean, dirty-with-durable-record, any.
   int any = -1, clean = -1, durable_dirty = -1;
+  const Entry* ways = &entries_[set * ways_];
   for (unsigned w = 0; w < ways_; ++w) {
-    const Entry& e = set.ways[w];
-    if (any < 0 || e.lru_tick < set.ways[any].lru_tick) any = w;
-    if (!e.dirty && (clean < 0 || e.lru_tick < set.ways[clean].lru_tick)) {
-      clean = w;
+    const Entry& e = ways[w];
+    if (e.pinned) continue;
+    const int iw = static_cast<int>(w);
+    if (any < 0 || e.lru_tick < ways[any].lru_tick) any = iw;
+    if (!e.dirty && (clean < 0 || e.lru_tick < ways[clean].lru_tick)) {
+      clean = iw;
     }
     if (e.dirty && e.log_record_end <= durable_log_offset &&
-        (durable_dirty < 0 ||
-         e.lru_tick < set.ways[durable_dirty].lru_tick)) {
-      durable_dirty = w;
+        (durable_dirty < 0 || e.lru_tick < ways[durable_dirty].lru_tick)) {
+      durable_dirty = iw;
     }
   }
   if (prefer_durable_) {
     if (clean >= 0) return clean;
     if (durable_dirty >= 0) return durable_dirty;
   }
-  PAX_CHECK(any >= 0);
   return any;
 }
 
-unsigned HbmCache::pick_victim_clock(Set& set,
-                                     std::uint64_t durable_log_offset) const {
+int HbmCache::pick_victim_clock(std::size_t set,
+                                std::uint64_t durable_log_offset) {
   // Second-chance: from the hand, entries with the ref bit get it cleared
   // and are skipped (once). Among no-ref entries (in hand order), prefer
   // clean, then durable-dirty, then the first seen. If everything had its
   // ref bit set, the full sweep cleared them, so the fallback rescan finds
   // victims in plain hand order.
+  Entry* ways = &entries_[set * ways_];
+  const unsigned hand = hands_[set];
   for (int pass = 0; pass < 2; ++pass) {
     int first = -1, clean = -1, durable_dirty = -1;
     for (unsigned i = 0; i < ways_; ++i) {
-      const unsigned w = (set.hand + i) % ways_;
-      Entry& e = set.ways[w];
+      const unsigned w = (hand + i) % ways_;
+      Entry& e = ways[w];
+      if (e.pinned) continue;
       if (e.ref) {
         e.ref = false;  // second chance
         continue;
       }
-      if (first < 0) first = w;
-      if (!e.dirty && clean < 0) clean = w;
+      const int iw = static_cast<int>(w);
+      if (first < 0) first = iw;
+      if (!e.dirty && clean < 0) clean = iw;
       if (e.dirty && e.log_record_end <= durable_log_offset &&
           durable_dirty < 0) {
-        durable_dirty = w;
+        durable_dirty = iw;
       }
     }
     if (prefer_durable_) {
@@ -167,49 +176,20 @@ unsigned HbmCache::pick_victim_clock(Set& set,
     }
     if (first >= 0) return first;
   }
-  return set.hand;  // unreachable: pass 2 always finds a no-ref entry
+  return -1;  // every way pinned
 }
 
-void HbmCache::mark_clean(LineIndex line) {
-  if (Entry* e = find(line)) {
-    e->dirty = false;
-    e->log_record_end = 0;
-  }
+void HbmCache::drop(Entry& entry) {
+  const std::size_t way = static_cast<std::size_t>(&entry - entries_.data());
+  PAX_CHECK(tags_[way] == entry.line.value);
+  tags_[way] = kFreeTag;
+  entry = Entry{};
+  --live_;
 }
 
-void HbmCache::update_if_present(LineIndex line, const LineData& data) {
-  if (Entry* e = find(line)) {
-    e->data = data;
-    e->dirty = false;
-    e->log_record_end = 0;
-  }
-}
-
-void HbmCache::mark_all_clean() {
-  for (auto& set : sets_) {
-    for (auto& e : set.ways) {
-      if (e.valid) {
-        e.dirty = false;
-        e.log_record_end = 0;
-      }
-    }
-  }
-}
-
-void HbmCache::remove(LineIndex line) {
-  if (Entry* e = find(line)) {
-    e->valid = false;
-    --live_;
-  }
-}
-
-void HbmCache::for_each_dirty(
-    const std::function<void(LineIndex, const LineData&, std::uint64_t)>& fn)
-    const {
-  for (const auto& set : sets_) {
-    for (const auto& e : set.ways) {
-      if (e.valid && e.dirty) fn(e.line, e.data, e.log_record_end);
-    }
+void HbmCache::for_each_dirty(const std::function<void(Entry&)>& fn) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (tags_[i] != kFreeTag && entries_[i].dirty) fn(entries_[i]);
   }
 }
 

@@ -8,6 +8,9 @@
 // as a last resort a dirty victim whose record still needs a log flush —
 // the "stall" case the device tries to minimize. A pure-LRU mode exists for
 // the eviction-policy ablation (Abl 5 in DESIGN.md).
+//
+// Lookups hand back the entry itself, so a device call searches a line's
+// set once and then reads, fills, dirties or cleans the entry in place.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,8 @@ struct HbmStats {
   std::uint64_t clean_evictions = 0;
   std::uint64_t durable_dirty_evictions = 0;  // record already durable
   std::uint64_t stall_evictions = 0;          // record needed a forced flush
+  /// Set tag searches (find/lookup/insert); allocate() searches no tags.
+  std::uint64_t probes = 0;
 };
 
 /// Aggregation across the striped device's per-stripe caches.
@@ -54,6 +59,7 @@ inline HbmStats& operator+=(HbmStats& a, const HbmStats& b) {
   a.clean_evictions += b.clean_evictions;
   a.durable_dirty_evictions += b.durable_dirty_evictions;
   a.stall_evictions += b.stall_evictions;
+  a.probes += b.probes;
   return a;
 }
 
@@ -67,13 +73,39 @@ struct EvictedLine {
 
 class HbmCache {
  public:
+  /// One buffered line. Holders of an Entry* (find/lookup/allocate) update
+  /// `data`, `dirty` and `log_record_end` in place; the pointer is valid
+  /// until the next allocate/insert into the same set.
+  struct Entry {
+    LineData data;
+    LineIndex line;
+    bool dirty = false;
+    /// Held by an in-progress device call: never chosen as a victim.
+    bool pinned = false;
+    bool ref = false;  // CLOCK second-chance bit
+    std::uint64_t log_record_end = 0;
+    std::uint64_t lru_tick = 0;
+
+    void mark_clean() {
+      dirty = false;
+      log_record_end = 0;
+    }
+  };
+
   explicit HbmCache(const HbmConfig& config);
 
-  /// Looks a line up; refreshes LRU on hit.
-  std::optional<LineData> lookup(LineIndex line);
+  /// Searches the line's set; no recency or hit/miss accounting.
+  Entry* find(LineIndex line);
 
-  /// True if the line is present and dirty.
-  bool is_dirty(LineIndex line) const;
+  /// find() that counts a hit or miss and refreshes recency on a hit.
+  Entry* lookup(LineIndex line);
+
+  /// Installs `line`, which the caller found absent, in a free way or the
+  /// replacement policy's victim (never a pinned way; the displaced line
+  /// goes to `victim`). The entry is clean with unspecified data. Returns
+  /// nullptr, changing nothing, when every way of the set is pinned.
+  Entry* allocate(LineIndex line, std::uint64_t durable_log_offset,
+                  std::optional<EvictedLine>* victim);
 
   /// Inserts or updates a line. `durable_log_offset` is the log's current
   /// durability watermark, used by victim selection. Returns the evicted
@@ -82,61 +114,41 @@ class HbmCache {
                                     bool dirty, std::uint64_t log_record_end,
                                     std::uint64_t durable_log_offset);
 
-  /// Marks a buffered line clean (after the device wrote it back to PM).
-  void mark_clean(LineIndex line);
+  /// Removes a buffered line (frees its way).
+  void drop(Entry& entry);
 
-  /// If the line is buffered, replaces its contents with `data` and marks it
-  /// clean (used when a persist() pull observed a newer host copy). No-op if
-  /// absent — never allocates a way.
-  void update_if_present(LineIndex line, const LineData& data);
-
-  /// Marks every buffered line clean (epoch boundary: persist() wrote
-  /// everything back).
-  void mark_all_clean();
-
-  void remove(LineIndex line);
-
-  /// Invokes `fn` on each dirty entry (used by proactive write-back and by
-  /// persist()).
-  void for_each_dirty(
-      const std::function<void(LineIndex, const LineData&, std::uint64_t)>&
-          fn) const;
+  /// Invokes fn(Entry&) on each dirty entry (proactive write-back, dirty
+  /// audits). fn may update the entry in place but must not insert or drop.
+  void for_each_dirty(const std::function<void(Entry&)>& fn);
 
   std::size_t size() const { return live_; }
-  std::size_t capacity() const { return sets_.size() * ways_; }
+  std::size_t capacity() const { return entries_.size(); }
   const HbmStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    bool valid = false;
-    LineIndex line;
-    LineData data;
-    bool dirty = false;
-    std::uint64_t log_record_end = 0;
-    std::uint64_t lru_tick = 0;
-    bool ref = false;  // CLOCK second-chance bit
-  };
-  struct Set {
-    std::vector<Entry> ways;
-    unsigned hand = 0;  // CLOCK hand
-  };
+  // A line's tag is its index; ~0 marks a free way. Tags live apart from
+  // the entries so a probe reads one contiguous run of `ways_` words.
+  static constexpr std::uint64_t kFreeTag = ~std::uint64_t{0};
 
-  // Victim selection for each replacement scheme; returns the way index.
-  unsigned pick_victim_lru(Set& set, std::uint64_t durable_log_offset) const;
-  unsigned pick_victim_clock(Set& set, std::uint64_t durable_log_offset) const;
+  std::size_t set_of(LineIndex line) const {
+    return std::hash<LineIndex>{}(line) & (num_sets_ - 1);
+  }
 
-  Set& set_for(LineIndex line);
-  const Set& set_for(LineIndex line) const;
-  Entry* find(LineIndex line);
-  const Entry* find(LineIndex line) const;
+  // Victim selection for each replacement scheme; returns the way index
+  // within `set`, or -1 if every way is pinned.
+  int pick_victim_lru(std::size_t set, std::uint64_t durable_log_offset);
+  int pick_victim_clock(std::size_t set, std::uint64_t durable_log_offset);
 
   unsigned ways_;
   bool prefer_durable_;
   Replacement replacement_;
-  std::vector<Set> sets_;
+  std::size_t num_sets_;
+  std::vector<std::uint64_t> tags_;   // set-major, ways_ per set
+  std::vector<Entry> entries_;        // parallel to tags_
+  std::vector<unsigned> hands_;       // CLOCK hand per set
   std::uint64_t tick_ = 0;
   std::size_t live_ = 0;
-  mutable HbmStats stats_;
+  HbmStats stats_;
 };
 
 }  // namespace pax::device

@@ -58,7 +58,7 @@ void PaxDevice::check_line_in_data_extent(LineIndex line) const {
 }
 
 LineData PaxDevice::device_view(Stripe& s, LineIndex line) {
-  if (auto cached = s.hbm.lookup(line)) return *cached;
+  if (const HbmCache::Entry* e = s.hbm.lookup(line)) return e->data;
   return pm_->load_line(line);
 }
 
@@ -79,16 +79,17 @@ LineData PaxDevice::read_line(LineIndex line) {
   auto lock = lock_stripe(s);
   ++s.stats.read_reqs;
 
-  if (auto cached = s.hbm.lookup(line)) {
+  if (const HbmCache::Entry* e = s.hbm.lookup(line)) {
     ++s.stats.read_hbm_hits;
-    return *cached;
+    return e->data;
   }
   ++s.stats.read_pm;
   LineData data = pm_->load_line(line);
 
-  // Fill the HBM cache with the clean copy; handle any dirty victim.
-  auto victim = s.hbm.insert(line, data, /*dirty=*/false, 0,
-                             logger_->durable());
+  // Fill the HBM cache with the clean copy; handle any dirty victim. Pins
+  // exist only inside a sync_lines group, so a way is always free.
+  std::optional<EvictedLine> victim;
+  s.hbm.allocate(line, logger_->durable(), &victim)->data = data;
   evict_victim(s, victim);
   return data;
 }
@@ -133,9 +134,20 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
   batch_syncs_.fetch_add(1, std::memory_order_relaxed);
   batch_synced_lines_.fetch_add(updates.size(), std::memory_order_relaxed);
 
+  // Per update of a stripe group: its buffer entry (pinned until filled),
+  // the line allocating that entry displaced, and its undo record's end.
+  struct Pending {
+    HbmCache::Entry* entry = nullptr;
+    bool allocated = false;
+    bool first_touch = false;
+    std::optional<EvictedLine> victim;
+    std::uint64_t record_end = 0;
+  };
+
   // One pass per stripe, taking each stripe mutex once (as peek_lines).
   // Scratch is reused across stripe groups.
   std::vector<std::size_t> group;                          // update indices
+  std::vector<Pending> pending;                            // parallel
   std::vector<std::pair<LineIndex, LineData>> first_touch;  // pre-images
   std::vector<std::uint64_t> record_ends;
   std::vector<bool> served(stripes_.size(), false);
@@ -153,32 +165,80 @@ Status PaxDevice::sync_lines(std::span<const LineUpdate> updates) {
     s.stats.write_intents += group.size();
     s.stats.host_writebacks += group.size();
 
-    // Collect the group's first-touch lines and their epoch-boundary
-    // pre-images (the device view before the new data is applied).
+    // Pass 1: one buffer probe per update. A miss takes its way now, so
+    // the same entry yields the epoch-boundary pre-image of a first-touch
+    // line (the device view before the new data is applied) and later
+    // receives the update. Displaced lines are written back in pass 3, at
+    // the point where buffering the update evicts them.
+    pending.assign(group.size(), Pending{});
     first_touch.clear();
-    for (std::size_t j : group) {
-      const LineIndex line = updates[j].line;
-      if (!s.epoch_logged.contains(line)) {
-        first_touch.emplace_back(line, device_view(s, line));
+    const std::uint64_t durable = logger_->durable();
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const LineIndex line = updates[group[k]].line;
+      Pending& p = pending[k];
+      const std::uint64_t* logged = s.epoch_logged.find(line);
+      p.first_touch = logged == nullptr;
+      if (logged != nullptr) p.record_end = *logged;
+      p.entry = s.hbm.lookup(line);
+      if (p.entry == nullptr) {
+        p.entry = s.hbm.allocate(line, durable, &p.victim);
+        p.allocated = p.entry != nullptr;
+        if (p.allocated && p.first_touch) p.entry->data = pm_->load_line(line);
       }
+      if (p.first_touch) {
+        first_touch.emplace_back(
+            line, p.entry != nullptr ? p.entry->data : pm_->load_line(line));
+      }
+      if (p.entry != nullptr) p.entry->pinned = true;
     }
 
+    // Pass 2: the group's undo records, in one append.
     if (!first_touch.empty()) {
       record_ends.clear();
-      PAX_RETURN_IF_ERROR(append_undo_batch(first_touch, &record_ends));
-      for (std::size_t k = 0; k < first_touch.size(); ++k) {
-        s.epoch_logged.emplace(first_touch[k].first, record_ends[k]);
+      const Status st = append_undo_batch(first_touch, &record_ends);
+      if (!st.is_ok()) {
+        // Nothing of the group is buffered: free the ways pass 1 took and
+        // write back what they displaced.
+        for (Pending& p : pending) {
+          if (p.allocated) {
+            s.hbm.drop(*p.entry);
+          } else if (p.entry != nullptr) {
+            p.entry->pinned = false;
+          }
+          evict_victim(s, p.victim);
+        }
+        return st;
+      }
+      std::size_t next = 0;
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        if (!pending[k].first_touch) continue;
+        // A line named twice keeps its first record (the second is a
+        // redundant, harmless copy of the same pre-image).
+        pending[k].record_end = *s.epoch_logged
+                                     .try_emplace(updates[group[k]].line,
+                                                  record_ends[next++])
+                                     .first;
       }
       s.stats.first_touch_logs += first_touch.size();
     }
 
-    // Buffer every update's new data, gated on its (now recorded) token.
-    for (std::size_t j : group) {
-      const LineUpdate& u = updates[j];
-      auto victim = s.hbm.insert(u.line, u.data, /*dirty=*/true,
-                                 s.epoch_logged.at(u.line),
-                                 logger_->durable());
-      evict_victim(s, victim);
+    // Pass 3: buffer every update's new data, gated on its record.
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const LineUpdate& u = updates[group[k]];
+      Pending& p = pending[k];
+      evict_victim(s, p.victim);
+      // No entry: every way of the set was pinned in pass 1. An entry can
+      // name another line once an earlier update of the same line
+      // unpinned it and a fallback insert below re-used its way.
+      if (p.entry != nullptr && p.entry->line == u.line) {
+        p.entry->data = u.data;
+        p.entry->dirty = true;
+        p.entry->log_record_end = p.record_end;
+        p.entry->pinned = false;
+      } else {
+        evict_victim(s, s.hbm.insert(u.line, u.data, /*dirty=*/true,
+                                     p.record_end, logger_->durable()));
+      }
     }
   }
   return Status::ok();
@@ -199,7 +259,7 @@ Status PaxDevice::write_intent(LineIndex line) {
   auto appended = append_undo(line, device_view(s, line));
   if (!appended.ok()) return appended.status();
   ++s.stats.first_touch_logs;
-  s.epoch_logged.emplace(line, appended.value());
+  s.epoch_logged.try_emplace(line, appended.value());
   return Status::ok();
 }
 
@@ -252,8 +312,8 @@ LineData PaxDevice::undo_preimage(LineIndex line,
 }
 
 LineData PaxDevice::committed_view(Stripe& s, LineIndex line) {
-  if (auto it = s.epoch_logged.find(line); it != s.epoch_logged.end()) {
-    return undo_preimage(line, it->second);
+  if (const std::uint64_t* end = s.epoch_logged.find(line)) {
+    return undo_preimage(line, *end);
   }
   return device_view(s, line);  // unmodified since the last commit
 }
@@ -296,18 +356,28 @@ Status PaxDevice::mem_write(LineIndex line, const LineData& data) {
   auto lock = lock_stripe(s);
   ++s.stats.mem_writes;
 
-  auto it = s.epoch_logged.find(line);
-  if (it == s.epoch_logged.end()) {
+  // One probe: the entry found here supplies the pre-image and takes the
+  // data (nothing else can touch the stripe's buffer in between).
+  HbmCache::Entry* e = s.hbm.lookup(line);
+  std::uint64_t record_end;
+  if (const std::uint64_t* logged = s.epoch_logged.find(line)) {
+    record_end = *logged;
+  } else {
     // First MemWr for this line this epoch: the device view still holds the
     // epoch-boundary value (the incoming data is not yet applied).
-    auto appended = append_undo(line, device_view(s, line));
+    auto appended =
+        append_undo(line, e != nullptr ? e->data : pm_->load_line(line));
     if (!appended.ok()) return appended.status();
     ++s.stats.first_touch_logs;
-    it = s.epoch_logged.emplace(line, appended.value()).first;
+    record_end = appended.value();
+    s.epoch_logged.try_emplace(line, record_end);
   }
 
-  auto victim = s.hbm.insert(line, data, /*dirty=*/true, it->second,
-                             logger_->durable());
+  std::optional<EvictedLine> victim;
+  if (e == nullptr) e = s.hbm.allocate(line, logger_->durable(), &victim);
+  e->data = data;
+  e->dirty = true;
+  e->log_record_end = record_end;
   evict_victim(s, victim);
   return Status::ok();
 }
@@ -319,13 +389,12 @@ void PaxDevice::writeback_line(LineIndex line, const LineData& data) {
   auto lock = lock_stripe(s);
   ++s.stats.host_writebacks;
 
-  auto it = s.epoch_logged.find(line);
-  PAX_CHECK_MSG(it != s.epoch_logged.end(),
+  const std::uint64_t* record_end = s.epoch_logged.find(line);
+  PAX_CHECK_MSG(record_end != nullptr,
                 "host wrote back a line it never took write ownership of");
 
-  auto victim = s.hbm.insert(line, data, /*dirty=*/true, it->second,
-                             logger_->durable());
-  evict_victim(s, victim);
+  evict_victim(s, s.hbm.insert(line, data, /*dirty=*/true, *record_end,
+                               logger_->durable()));
 }
 
 void PaxDevice::write_line_to_pm(Stripe& s, LineIndex line,
@@ -342,7 +411,6 @@ void PaxDevice::write_line_to_pm(Stripe& s, LineIndex line,
   pm_->store_line(line, data);
   pm_->flush_line(line);
   ++s.stats.pm_writeback_lines;
-  s.hbm.mark_clean(line);
 }
 
 void PaxDevice::note_writeback(LineIndex line, std::uint64_t record_end,
@@ -377,19 +445,15 @@ void PaxDevice::tick(bool force_flush) {
   const std::size_t n = stripes_.size();
   const std::size_t start =
       static_cast<std::size_t>(tick_cursor_.fetch_add(1)) % n;
-  std::vector<std::tuple<LineIndex, LineData, std::uint64_t>> ready;
   for (std::size_t i = 0; i < n; ++i) {
     Stripe& s = *stripes_[(start + i) % n];
     auto lock = lock_stripe(s, /*count=*/false);
-    ready.clear();
-    s.hbm.for_each_dirty(
-        [&](LineIndex line, const LineData& data, std::uint64_t end) {
-          if (record_is_durable(end)) ready.emplace_back(line, data, end);
-        });
-    for (const auto& [line, data, end] : ready) {
-      write_line_to_pm(s, line, data, end);
+    s.hbm.for_each_dirty([&](HbmCache::Entry& e) {
+      if (!record_is_durable(e.log_record_end)) return;
+      write_line_to_pm(s, e.line, e.data, e.log_record_end);
+      e.mark_clean();
       ++s.stats.proactive_writebacks;
-    }
+    });
   }
 }
 
@@ -417,20 +481,22 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
   check::Checker* chk = pm_->checker();
   for (auto& sp : stripes_) {
     Stripe& s = *sp;
-    for (const auto& [line, end] : s.epoch_logged) {
+    s.epoch_logged.for_each([&](LineIndex line, std::uint64_t end) {
       persist_pulls_.fetch_add(1, std::memory_order_relaxed);
       std::optional<LineData> host_copy;
       if (pull) {
         if (chk != nullptr) chk->on_pull_invoke(line.value);
         host_copy = pull(line);
       }
+      // One probe: the entry (if buffered) is read or refreshed and then
+      // cleaned in place.
+      HbmCache::Entry* e = host_copy ? s.hbm.find(line) : s.hbm.lookup(line);
       LineData value;
       if (host_copy) {
-        value = *host_copy;
         // The pulled copy supersedes any (possibly stale) buffered copy.
-        s.hbm.update_if_present(line, value);
-      } else if (auto buffered = s.hbm.lookup(line)) {
-        value = *buffered;
+        value = *host_copy;
+      } else if (e != nullptr) {
+        value = e->data;
       } else {
         // Neither host nor buffer holds it: the proactive path already
         // wrote it back; re-reading PM keeps the store below idempotent.
@@ -440,10 +506,22 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
       pm_->store_line(line, value);
       pm_->flush_line(line);
       ++s.stats.pm_writeback_lines;
-      s.hbm.mark_clean(line);
+      if (e != nullptr) {
+        e->data = value;
+        e->mark_clean();
+      }
       if (want_hook) committed_lines.emplace_back(line, value);
-    }
+    });
   }
+#ifndef NDEBUG
+  // Only lines logged this epoch are ever dirty, and the loop above cleaned
+  // each of them: the commit needs no walk over the whole buffer.
+  for (auto& sp : stripes_) {
+    sp->hbm.for_each_dirty([](HbmCache::Entry&) {
+      PAX_UNREACHABLE("a buffered line is dirty without an undo record");
+    });
+  }
+#endif
 
   // Phase 2. Fence: all data write-back durable before the commit record;
   // then atomically transition the pool to the new snapshot (§3.3).
@@ -458,10 +536,7 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
     auto log_lock = lock_log();
     logger_->reset_after_commit();
   }
-  for (auto& s : stripes_) {
-    s->epoch_logged.clear();
-    s->hbm.mark_all_clean();
-  }
+  for (auto& s : stripes_) s->epoch_logged.clear();
   epoch_ = committed + 1;
 
   PAX_LOG_DEBUG("persist: committed epoch %llu",
@@ -559,6 +634,16 @@ void PaxDevice::stripe_lock_totals(std::uint64_t* acquisitions,
   }
   if (acquisitions != nullptr) *acquisitions = acq;
   if (contended != nullptr) *contended = con;
+}
+
+std::size_t PaxDevice::buffered_dirty_lines() const {
+  auto epoch_lock = epoch_shared();
+  std::size_t total = 0;
+  for (const auto& s : stripes_) {
+    auto lock = lock_stripe(*s, /*count=*/false);
+    s->hbm.for_each_dirty([&](HbmCache::Entry&) { ++total; });
+  }
+  return total;
 }
 
 HbmStats PaxDevice::hbm_stats() const {

@@ -70,10 +70,10 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "pax/check/checker.hpp"
+#include "pax/common/line_table.hpp"
 #include "pax/common/status.hpp"
 #include "pax/common/types.hpp"
 #include "pax/device/hbm_cache.hpp"
@@ -277,6 +277,11 @@ class PaxDevice {
 
   DeviceStats stats() const;
   HbmStats hbm_stats() const;
+
+  /// Dirty lines in the HBM buffer across all stripes. Walks every way:
+  /// for tests and debug checks. Zero right after persist() — only lines
+  /// undo-logged this epoch are ever dirty, and persist() cleans them all.
+  std::size_t buffered_dirty_lines() const;
   UndoLoggerStats log_stats() const;
 
   /// Per-stripe counter snapshot, one entry per stripe in index order.
@@ -296,7 +301,7 @@ class PaxDevice {
     unsigned index = 0;  // position in stripes_; PaxCheck lock identity
     HbmCache hbm;
     // line -> undo-record end offset, for every line logged this epoch.
-    std::unordered_map<LineIndex, std::uint64_t> epoch_logged;
+    LineTable<std::uint64_t> epoch_logged;
     DeviceStats stats;  // data-path counters only; aggregated by stats()
     // Lock-contention telemetry, updated before the mutex is held (atomics)
     // so stripe_lock_totals() can sample without taking any lock.
@@ -371,9 +376,9 @@ class PaxDevice {
     return *stripes_[line.value & stripe_mask_];
   }
 
-  // Writes a data line to PM media and marks it clean in `s`'s buffer. The
-  // caller holds s.mu and must have ensured the line's undo record (if any
-  // this epoch) is durable; checked here.
+  // Writes a data line to PM media. The caller holds s.mu, must have
+  // ensured the line's undo record (if any this epoch) is durable (checked
+  // here), and cleans or has already dropped the line's buffer entry.
   void write_line_to_pm(Stripe& s, LineIndex line, const LineData& data,
                         std::uint64_t record_end);
 
@@ -383,8 +388,8 @@ class PaxDevice {
   void note_writeback(LineIndex line, std::uint64_t record_end,
                       bool gate_observed = false) const;
 
-  // Handles the victim of an HbmCache::insert under s.mu: forces a log
-  // flush if the victim's record isn't durable yet, then writes it back.
+  // Handles the victim of an HbmCache insert/allocate under s.mu: forces a
+  // log flush if the victim's record isn't durable yet, then writes it back.
   void evict_victim(Stripe& s, const std::optional<EvictedLine>& victim);
 
   // Flushes the log (all staged records become durable). Takes log_mu_;

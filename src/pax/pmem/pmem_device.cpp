@@ -116,15 +116,13 @@ void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
     {
       Shard& shard = shard_for(line);
       std::lock_guard lock(shard.mu);
-      auto it = shard.pending.find(line);
-      if (it == shard.pending.end()) {
+      auto [pending, first] = shard.pending.try_emplace(line);
+      if (first) {
         // First dirtying of this line: seed the pending copy from media.
-        LineData d;
-        std::memcpy(d.bytes.data(), media().data() + line.byte_offset(),
-                    kCacheLineSize);
-        it = shard.pending.emplace(line, d).first;
+        std::memcpy(pending->bytes.data(),
+                    media().data() + line.byte_offset(), kCacheLineSize);
       }
-      std::memcpy(it->second.bytes.data() + in_line, data.data() + done, n);
+      std::memcpy(pending->bytes.data() + in_line, data.data() + done, n);
       // Emitted under the shard mutex so the checker's sequence numbers
       // respect the real per-line store/flush order.
       if (auto* chk = checker()) chk->on_store(line.value);
@@ -148,11 +146,10 @@ void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
 
     Shard& shard = shard_for(line);
     std::lock_guard lock(shard.mu);
-    auto it = shard.pending.find(line);
+    const LineData* pending = shard.pending.find(line);
     const std::byte* src =
-        it != shard.pending.end()
-            ? it->second.bytes.data() + in_line
-            : media().data() + line.byte_offset() + in_line;
+        pending != nullptr ? pending->bytes.data() + in_line
+                           : media().data() + line.byte_offset() + in_line;
     std::memcpy(out.data() + done, src, n);
     done += n;
   }
@@ -165,7 +162,7 @@ void PmemDevice::store_line(LineIndex line, const LineData& data) {
   {
     Shard& shard = shard_for(line);
     std::lock_guard lock(shard.mu);
-    shard.pending[line] = data;
+    *shard.pending.try_emplace(line).first = data;
     if (auto* chk = checker()) chk->on_store(line.value);
   }
   bump_crash_event();
@@ -176,9 +173,7 @@ LineData PmemDevice::load_line(LineIndex line) const {
   stats_.loads.fetch_add(1, kRelaxed);
   Shard& shard = shard_for(line);
   std::lock_guard lock(shard.mu);
-  if (auto it = shard.pending.find(line); it != shard.pending.end()) {
-    return it->second;
-  }
+  if (const LineData* pending = shard.pending.find(line)) return *pending;
   LineData d;
   std::memcpy(d.bytes.data(), media().data() + line.byte_offset(),
               kCacheLineSize);
@@ -198,22 +193,23 @@ std::uint64_t PmemDevice::load_u64(PoolOffset off) const {
 }
 
 void PmemDevice::flush_line_locked(Shard& shard, LineIndex line) {
-  auto it = shard.pending.find(line);
-  if (it == shard.pending.end()) {
+  const LineData* pending = shard.pending.find(line);
+  if (pending == nullptr) {
     stats_.empty_flushes.fetch_add(1, kRelaxed);
     if (auto* chk = checker()) chk->on_flush(line.value, /*empty=*/true);
     return;
   }
-  std::memcpy(media().data() + line.byte_offset(), it->second.bytes.data(),
+  std::memcpy(media().data() + line.byte_offset(), pending->bytes.data(),
               kCacheLineSize);
-  shard.pending.erase(it);
+  shard.pending.erase(line);
   stats_.line_flushes.fetch_add(1, kRelaxed);
   stats_.media_bytes_written.fetch_add(kCacheLineSize, kRelaxed);
   // XPLine accounting: a flush touches one 256 B internal block; flushes to
   // the same block combine in the XPBuffer until the next drain. Block and
   // line live in the same shard (sharding is by block), so the window needs
   // no extra lock.
-  if (shard.xpline_window.insert(line.byte_offset() / 256).second) {
+  if (shard.xpline_window.try_emplace(LineIndex{line.value / kLinesPerXpline})
+          .second) {
     stats_.xpline_blocks_written.fetch_add(1, kRelaxed);
   }
   if (auto* chk = checker()) chk->on_flush(line.value, /*empty=*/false);
@@ -271,13 +267,13 @@ void PmemDevice::crash(const CrashConfig& config) {
     locks[i] = std::unique_lock(shards_[i].mu);
   }
   for (auto& shard : shards_) {
-    for (const auto& [line, data] : shard.pending) {
+    shard.pending.for_each([&](LineIndex line, const LineData& data) {
       const std::size_t written = resolve_crash_line(
           config, line.value, data, media().data() + line.byte_offset());
       if (written > 0) {
         stats_.media_bytes_written.fetch_add(written, kRelaxed);
       }
-    }
+    });
     shard.pending.clear();
   }
   if (auto* chk = checker()) chk->on_crash();
@@ -308,9 +304,9 @@ void PmemDevice::capture_crash_cut(std::uint64_t at_event) {
   cut.after_events = at_event;
   cut.media.assign(media().begin(), media().end());
   for (const auto& shard : shards_) {
-    for (const auto& [line, data] : shard.pending) {
+    shard.pending.for_each([&](LineIndex line, const LineData& data) {
       cut.pending.emplace_back(line, data);
-    }
+    });
   }
   std::sort(cut.pending.begin(), cut.pending.end(),
             [](const auto& a, const auto& b) {

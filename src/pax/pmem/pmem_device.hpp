@@ -33,11 +33,10 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
-#include <unordered_set>
 #include <vector>
 
+#include "pax/common/line_table.hpp"
 #include "pax/common/status.hpp"
 #include "pax/common/types.hpp"
 #include "pax/pmem/mmap_file.hpp"
@@ -255,13 +254,15 @@ class PmemDevice {
   // consecutive cache lines share a shard — which keeps each shard's
   // XPBuffer write-combining window self-contained. Media bytes themselves
   // need no lock: concurrent flushes of different lines touch disjoint
-  // ranges.
+  // ranges. Both per-shard sets are flat line tables sized to what is live
+  // (pending lines; blocks flushed since the last drain), never to the pool.
   static constexpr std::size_t kShards = 16;
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<LineIndex, LineData> pending;
-    // 256 B blocks of this shard written since the last drain.
-    std::unordered_set<std::uint64_t> xpline_window;
+    LineTable<LineData> pending;
+    // 256 B blocks of this shard written since the last drain, keyed by
+    // block number.
+    LineTable<bool> xpline_window;
   };
 
   Shard& shard_for(LineIndex line) const {

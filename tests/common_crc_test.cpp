@@ -72,5 +72,29 @@ TEST(Crc32cTest, UnalignedInputsAgree) {
   }
 }
 
+TEST(Crc32cTest, HardwareAndSoftwareAgree) {
+  // Both implementations, called directly: every length 0-300 at all 8
+  // start alignments, each chained from the previous result as its seed.
+  const crc_internal::Crc32cFn hw = crc_internal::crc32c_hardware();
+  if (hw == nullptr) GTEST_SKIP() << "CPU has no crc32 instruction";
+  std::vector<unsigned char> buf(300 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + (i >> 3) * 7 + 5);
+  }
+  std::uint32_t seed = 0;
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint32_t soft =
+          crc_internal::crc32c_slice8(buf.data() + start, len, seed);
+      ASSERT_EQ(hw(buf.data() + start, len, seed), soft)
+          << "start=" << start << " len=" << len << " seed=" << seed;
+      seed = soft;
+    }
+  }
+  const char* digits = "123456789";
+  EXPECT_EQ(hw(digits, 9, 0), 0xe3069283u);
+  EXPECT_EQ(crc_internal::crc32c_slice8(digits, 9, 0), 0xe3069283u);
+}
+
 }  // namespace
 }  // namespace pax

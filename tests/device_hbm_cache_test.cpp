@@ -19,11 +19,11 @@ HbmConfig tiny(bool prefer_durable = true) {
 
 TEST(HbmCacheTest, LookupMissThenHit) {
   HbmCache cache(tiny());
-  EXPECT_FALSE(cache.lookup(LineIndex{1}).has_value());
+  EXPECT_EQ(cache.lookup(LineIndex{1}), nullptr);
   cache.insert(LineIndex{1}, patterned_line(1), false, 0, 0);
-  auto hit = cache.lookup(LineIndex{1});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, patterned_line(1));
+  const HbmCache::Entry* hit = cache.lookup(LineIndex{1});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->data, patterned_line(1));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -34,8 +34,8 @@ TEST(HbmCacheTest, InsertUpdatesInPlaceWithoutEviction) {
   auto evicted = cache.insert(LineIndex{1}, patterned_line(2), true, 100, 0);
   EXPECT_FALSE(evicted.has_value());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(*cache.lookup(LineIndex{1}), patterned_line(2));
-  EXPECT_TRUE(cache.is_dirty(LineIndex{1}));
+  EXPECT_EQ(cache.lookup(LineIndex{1})->data, patterned_line(2));
+  EXPECT_TRUE(cache.find(LineIndex{1})->dirty);
 }
 
 TEST(HbmCacheTest, DirtyBitSticksUntilMarkedClean) {
@@ -43,9 +43,9 @@ TEST(HbmCacheTest, DirtyBitSticksUntilMarkedClean) {
   cache.insert(LineIndex{1}, patterned_line(1), true, 50, 0);
   // A clean re-insert (e.g. read refill) must not wash out dirtiness.
   cache.insert(LineIndex{1}, patterned_line(1), false, 0, 0);
-  EXPECT_TRUE(cache.is_dirty(LineIndex{1}));
-  cache.mark_clean(LineIndex{1});
-  EXPECT_FALSE(cache.is_dirty(LineIndex{1}));
+  EXPECT_TRUE(cache.find(LineIndex{1})->dirty);
+  cache.find(LineIndex{1})->mark_clean();
+  EXPECT_FALSE(cache.find(LineIndex{1})->dirty);
 }
 
 TEST(HbmCacheTest, EvictionPrefersCleanVictim) {
@@ -115,36 +115,91 @@ TEST(HbmCacheTest, LruRefreshedByLookup) {
   EXPECT_EQ(evicted->line, LineIndex{11});
 }
 
-TEST(HbmCacheTest, MarkAllCleanClearsEveryDirtyBit) {
+TEST(HbmCacheTest, ForEachDirtyCleansInPlace) {
   HbmCache cache(tiny());
   for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.insert(LineIndex{10 + i}, patterned_line(i), true, 10 + i, 0);
+    cache.insert(LineIndex{10 + i}, patterned_line(i), i % 2 == 0, 10 + i, 0);
   }
-  cache.mark_all_clean();
-  std::size_t dirty = 0;
-  cache.for_each_dirty([&](LineIndex, const LineData&, std::uint64_t) {
-    ++dirty;
+  std::size_t visited = 0;
+  cache.for_each_dirty([&](HbmCache::Entry& e) {
+    EXPECT_TRUE(e.line == LineIndex{10} || e.line == LineIndex{12});
+    e.mark_clean();
+    ++visited;
   });
-  EXPECT_EQ(dirty, 0u);
+  EXPECT_EQ(visited, 2u);
+  cache.for_each_dirty([](HbmCache::Entry& e) {
+    ADD_FAILURE() << "line " << e.line.value << " still dirty";
+  });
+  EXPECT_EQ(cache.size(), 4u);
 }
 
-TEST(HbmCacheTest, UpdateIfPresentRefreshesDataAndCleans) {
+TEST(HbmCacheTest, FoundEntryIsUpdatedWithoutAnotherProbe) {
   HbmCache cache(tiny());
   cache.insert(LineIndex{1}, patterned_line(1), true, 77, 0);
-  cache.update_if_present(LineIndex{1}, patterned_line(2));
-  EXPECT_EQ(*cache.lookup(LineIndex{1}), patterned_line(2));
-  EXPECT_FALSE(cache.is_dirty(LineIndex{1}));
-  // Absent line: no allocation.
-  cache.update_if_present(LineIndex{99}, patterned_line(3));
+  const std::uint64_t probes = cache.stats().probes;
+  HbmCache::Entry* e = cache.find(LineIndex{1});
+  ASSERT_NE(e, nullptr);
+  e->data = patterned_line(2);
+  e->mark_clean();
+  EXPECT_EQ(cache.stats().probes, probes + 1);
+  EXPECT_EQ(cache.lookup(LineIndex{1})->data, patterned_line(2));
+  EXPECT_FALSE(cache.find(LineIndex{1})->dirty);
+  // A miss allocates nothing.
+  EXPECT_EQ(cache.find(LineIndex{99}), nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(HbmCacheTest, RemoveFreesTheWay) {
+TEST(HbmCacheTest, AllocateTakesAFreeWayWithoutProbing) {
+  HbmCache cache(tiny());
+  std::optional<EvictedLine> victim;
+  HbmCache::Entry* e = cache.allocate(LineIndex{5}, 0, &victim);
+  ASSERT_NE(e, nullptr);
+  EXPECT_FALSE(victim.has_value());
+  EXPECT_EQ(e->line, LineIndex{5});
+  EXPECT_FALSE(e->dirty);
+  EXPECT_EQ(cache.stats().probes, 0u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.find(LineIndex{5}), e);
+}
+
+TEST(HbmCacheTest, AllocateNeverEvictsPinnedWays) {
+  HbmCache cache(tiny());
+  // Line 10 is the LRU clean line — the natural victim — but pinned.
+  cache.insert(LineIndex{10}, patterned_line(0), false, 0, 0);
+  for (std::uint64_t i = 1; i < 4; ++i) {
+    cache.insert(LineIndex{10 + i}, patterned_line(i), true, i, 0);
+  }
+  cache.find(LineIndex{10})->pinned = true;
+  std::optional<EvictedLine> victim;
+  ASSERT_NE(cache.allocate(LineIndex{20}, /*durable=*/99, &victim), nullptr);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(victim->line, LineIndex{11});  // LRU among the unpinned
+  EXPECT_NE(cache.find(LineIndex{10}), nullptr);
+}
+
+TEST(HbmCacheTest, AllocateFailsWhenEveryWayIsPinned) {
+  for (Replacement r : {Replacement::kLru, Replacement::kClock}) {
+    HbmConfig c = tiny();
+    c.replacement = r;
+    HbmCache cache(c);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      cache.insert(LineIndex{10 + i}, patterned_line(i), false, 0, 0);
+      cache.find(LineIndex{10 + i})->pinned = true;
+    }
+    std::optional<EvictedLine> victim;
+    EXPECT_EQ(cache.allocate(LineIndex{20}, 0, &victim), nullptr);
+    EXPECT_FALSE(victim.has_value());
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+}
+
+TEST(HbmCacheTest, DropFreesTheWay) {
   HbmCache cache(tiny());
   cache.insert(LineIndex{1}, patterned_line(1), false, 0, 0);
-  cache.remove(LineIndex{1});
+  cache.drop(*cache.find(LineIndex{1}));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(LineIndex{1}).has_value());
+  EXPECT_EQ(cache.lookup(LineIndex{1}), nullptr);
 }
 
 HbmConfig tiny_clock(bool prefer_durable = true) {
@@ -166,8 +221,8 @@ TEST(HbmCacheTest, ClockGivesSecondChanceToReferencedEntries) {
   EXPECT_TRUE(evicted->line == LineIndex{12} ||
               evicted->line == LineIndex{13})
       << "referenced entry evicted despite second chance";
-  EXPECT_TRUE(cache.lookup(LineIndex{10}).has_value());
-  EXPECT_TRUE(cache.lookup(LineIndex{11}).has_value());
+  EXPECT_NE(cache.lookup(LineIndex{10}), nullptr);
+  EXPECT_NE(cache.lookup(LineIndex{11}), nullptr);
 }
 
 TEST(HbmCacheTest, ClockEvictsWhenAllReferenced) {

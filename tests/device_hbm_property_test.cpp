@@ -77,35 +77,36 @@ TEST_P(HbmProperty, RandomOpsPreserveInvariants) {
       ref.data = data;
       ref.dirty = dirty || (ref.dirty && resident.contains(line));
       // insert() ORs dirtiness on update; recompute precisely:
-      if (auto found = cache.lookup(line)) {
-        ref.dirty = cache.is_dirty(line);
-        ASSERT_EQ(*found, data);
+      if (const HbmCache::Entry* found = cache.lookup(line)) {
+        ref.dirty = found->dirty;
+        ASSERT_EQ(found->data, data);
       } else {
         FAIL() << "line vanished immediately after insert";
       }
     } else if (dice < 0.75) {
       // Lookup must agree with the reference.
-      auto found = cache.lookup(line);
+      const HbmCache::Entry* found = cache.lookup(line);
       auto it = resident.find(line);
       if (it == resident.end()) {
-        ASSERT_FALSE(found.has_value());
+        ASSERT_EQ(found, nullptr);
       } else {
-        ASSERT_TRUE(found.has_value());
-        ASSERT_EQ(*found, it->second.data);
+        ASSERT_NE(found, nullptr);
+        ASSERT_EQ(found->data, it->second.data);
       }
     } else if (dice < 0.85) {
-      cache.mark_clean(line);
+      if (HbmCache::Entry* e = cache.find(line)) e->mark_clean();
       if (auto it = resident.find(line); it != resident.end()) {
         it->second.dirty = false;
       }
-      ASSERT_FALSE(cache.is_dirty(line));
+      const HbmCache::Entry* e = cache.find(line);
+      ASSERT_TRUE(e == nullptr || !e->dirty);
     } else if (dice < 0.92) {
       // Advance the durable watermark (the log flushed).
       durable_watermark = next_record_end;
     } else {
-      cache.remove(line);
+      if (HbmCache::Entry* e = cache.find(line)) cache.drop(*e);
       resident.erase(line);
-      ASSERT_FALSE(cache.lookup(line).has_value());
+      ASSERT_EQ(cache.lookup(line), nullptr);
     }
 
     ASSERT_LE(cache.size(), cache.capacity());
@@ -115,12 +116,11 @@ TEST_P(HbmProperty, RandomOpsPreserveInvariants) {
   // Final audit: every reference entry is still present with its data, and
   // the dirty sets agree exactly.
   std::size_t dirty_in_cache = 0;
-  cache.for_each_dirty([&](LineIndex line, const LineData& data,
-                           std::uint64_t) {
-    auto it = resident.find(line);
+  cache.for_each_dirty([&](HbmCache::Entry& e) {
+    auto it = resident.find(e.line);
     ASSERT_NE(it, resident.end());
     ASSERT_TRUE(it->second.dirty);
-    ASSERT_EQ(data, it->second.data);
+    ASSERT_EQ(e.data, it->second.data);
     ++dirty_in_cache;
   });
   std::size_t dirty_in_ref = 0;

@@ -159,6 +159,58 @@ TEST_F(PaxDeviceFixture, WorkingSetLargerThanBufferPersistsCorrectly) {
   }
 }
 
+TEST_F(PaxDeviceFixture, PersistLeavesNoDirtyLineOnAnyPath) {
+  // The commit cleans exactly the lines logged this epoch and never walks
+  // the whole buffer, so every path that dirties a buffered line must log
+  // it first. Drive all four data-path entry points through a buffer far
+  // smaller than the epoch — clean and dirty evictions, stall evictions
+  // with proactive write-back off — and check nothing is left dirty.
+  DeviceConfig c;
+  c.hbm.capacity_lines = 8;
+  c.hbm.ways = 4;
+  c.proactive_writeback = false;
+  c.log_flush_batch_bytes = 1 << 20;  // tick() never flushes on its own
+  PaxDevice dev(&tp.pool, c);
+
+  std::unordered_map<std::uint64_t, LineData> expect;
+  std::uint64_t tag = 0;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (std::uint64_t i = 0; i < 48; ++i) {
+      const LineIndex line = tp.data_line((i * 5 + epoch) % 40);
+      const LineData data = patterned_line(++tag);
+      switch (i % 4) {
+        case 0:
+          (void)dev.read_line(tp.data_line(40 + i % 8));  // clean fills
+          ASSERT_TRUE(dev.write_intent(line).is_ok());
+          dev.writeback_line(line, data);
+          break;
+        case 1:
+          ASSERT_TRUE(dev.mem_write(line, data).is_ok());
+          break;
+        default: {
+          const std::vector<LineUpdate> batch = {
+              {line, data}, {tp.data_line((i * 11 + 3) % 40), data}};
+          ASSERT_TRUE(dev.sync_lines(batch).is_ok());
+          expect[batch[1].line.value] = data;
+          break;
+        }
+      }
+      expect[line.value] = data;
+      dev.tick();  // write-back off: only the (unforced) log flush check
+    }
+    EXPECT_GT(dev.buffered_dirty_lines(), 0u);
+    ASSERT_TRUE(dev.persist(nullptr).ok());
+    EXPECT_EQ(dev.buffered_dirty_lines(), 0u) << "epoch " << epoch;
+    for (const auto& [line, data] : expect) {
+      ASSERT_EQ(tp.device->durable_line(LineIndex{line}), data)
+          << "line " << line;
+    }
+  }
+  const HbmStats hbm = dev.hbm_stats();
+  EXPECT_GT(hbm.clean_evictions, 0u);
+  EXPECT_GT(hbm.stall_evictions, 0u);
+}
+
 TEST_F(PaxDeviceFixture, LogExtentExhaustionSurfacesOutOfSpace) {
   auto small = TestPool::create(1 << 20, /*log_bytes=*/1024);
   PaxDevice dev(&small.pool, config());
