@@ -26,16 +26,7 @@ struct Row {
   std::uint64_t forced_flushes;
 };
 
-const char* policy_name(bool prefer_durable, device::Replacement repl) {
-  if (prefer_durable) {
-    return repl == device::Replacement::kClock ? "durable+CLOCK"
-                                               : "durable+LRU";
-  }
-  return repl == device::Replacement::kClock ? "pure CLOCK" : "pure LRU";
-}
-
-Row run(bool prefer_durable, device::Replacement repl,
-        std::size_t flush_batch) {
+Row run(bool prefer_durable, std::size_t flush_batch) {
   auto pm = pmem::PmemDevice::create_in_memory(64 << 20);
   auto pool = pmem::PmemPool::create(pm.get(), 16 << 20).value();
 
@@ -43,7 +34,6 @@ Row run(bool prefer_durable, device::Replacement repl,
   cfg.hbm.capacity_lines = 512;
   cfg.hbm.ways = 8;
   cfg.hbm.prefer_durable_eviction = prefer_durable;
-  cfg.hbm.replacement = repl;
   cfg.log_flush_batch_bytes = flush_batch;
   // Isolate the eviction policy: lines leave the buffer only by eviction,
   // not by background write-back.
@@ -69,7 +59,7 @@ Row run(bool prefer_durable, device::Replacement repl,
   (void)dev.persist(nullptr);
 
   const auto& hbm = dev.hbm_stats();
-  return Row{policy_name(prefer_durable, repl),
+  return Row{prefer_durable ? "durable+LRU" : "pure LRU",
              flush_batch,
              hbm.stall_evictions,
              hbm.durable_dirty_evictions,
@@ -87,14 +77,12 @@ int main() {
   std::printf("%16s %12s %12s %14s %12s %14s\n", "policy", "flush batch",
               "stall evict", "durable evict", "clean evict", "forced flush");
   for (std::size_t batch : {4096u, 65536u, 1u << 20}) {
-    for (auto repl : {device::Replacement::kLru, device::Replacement::kClock}) {
-      for (bool durable : {true, false}) {
-        Row r = run(durable, repl, batch);
-        std::printf("%16s %12zu %12" PRIu64 " %14" PRIu64 " %12" PRIu64
-                    " %14" PRIu64 "\n",
-                    r.policy, r.flush_batch, r.stall_evictions,
-                    r.durable_evictions, r.clean_evictions, r.forced_flushes);
-      }
+    for (bool durable : {true, false}) {
+      Row r = run(durable, batch);
+      std::printf("%16s %12zu %12" PRIu64 " %14" PRIu64 " %12" PRIu64
+                  " %14" PRIu64 "\n",
+                  r.policy, r.flush_batch, r.stall_evictions,
+                  r.durable_evictions, r.clean_evictions, r.forced_flushes);
     }
   }
   std::printf(

@@ -7,7 +7,9 @@
 // touching the shadow and fetches only the changed ones. This bench
 // sweeps dirty-line density over a fixed dirty-page set and reports bytes
 // memcmp'd per epoch (the quantity tracking is meant to crush) and persist
-// wall time.
+// wall time. The byte count is lines_diffed x 64, an upper bound: only a
+// page whose digests were just rebuilt memcmps its lines, elsewhere a
+// changed digest alone sends the line.
 //
 // Expectations (scripts/check_diff_perf.py):
 //   * at <= 12.5% density (8/64 lines) bytes memcmp'd are >= 4x below the

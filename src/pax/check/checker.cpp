@@ -169,10 +169,7 @@ Checker::Checker(const CheckerOptions& options)
 
 Checker::~Checker() = default;
 
-Checker::Ring* Checker::ring_for_this_thread() {
-  if (t_slot.owner == this && t_slot.gen == gen_) {
-    return static_cast<Ring*>(t_slot.ring);
-  }
+Checker::Ring* Checker::register_this_thread() {
   std::lock_guard lock(rings_mu_);
   auto [it, inserted] =
       ring_by_thread_.try_emplace(std::this_thread::get_id(), nullptr);
@@ -187,10 +184,11 @@ Checker::Ring* Checker::ring_for_this_thread() {
   return it->second;
 }
 
-void Checker::emit(Event e) {
-  Ring* ring = ring_for_this_thread();
-  e.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  e.tid = ring->tid;
+void Checker::emit(const Event& e) {
+  Ring* ring = t_slot.owner == this && t_slot.gen == gen_
+                   ? static_cast<Ring*>(t_slot.ring)
+                   : register_this_thread();
+  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   const std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
   if (tail - ring->cached_head > ring->mask) {
@@ -204,7 +202,12 @@ void Checker::emit(Event e) {
       ring->cached_head = ring->head.load(std::memory_order_relaxed);
     }
   }
-  ring->buf[tail & ring->mask] = e;
+  // Stamped in the slot itself: patching a copy first would make the copy
+  // reload bytes just stored, which stalls store forwarding.
+  Event& slot = ring->buf[tail & ring->mask];
+  slot = e;
+  slot.seq = seq;
+  slot.tid = ring->tid;
   ring->tail.store(tail + 1, std::memory_order_release);
 
   switch (e.type) {

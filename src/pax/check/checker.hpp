@@ -215,8 +215,10 @@ class Checker {
  private:
   struct Ring;
 
-  void emit(Event e);
-  Ring* ring_for_this_thread();
+  void emit(const Event& e);
+  // Registers the calling thread's ring on its first event for this
+  // checker; emit() keeps the fast path inline.
+  Ring* register_this_thread();
   void drain_ring_locked(Ring* ring);
   void settle_locked();
   Report snapshot_report_locked() const;

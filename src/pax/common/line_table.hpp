@@ -3,14 +3,15 @@
 // XPLine window, PaxCheck's pending lines). Slots live in one power-of-two
 // array with linear probing: no per-entry allocation (the array doubles
 // with the live set), erase shifts the rest of the cluster back instead of
-// leaving tombstones, and clear() costs O(live entries) — an array much
-// larger than its last load is reallocated to fit it.
+// leaving tombstones, and clear() costs O(live entries) amortized — an
+// array that stays much larger than its loads is reallocated to fit them.
 //
 // Not thread-safe; callers hold the lock that guards the owning structure.
 // Pointers from find()/try_emplace() are valid until the next insertion,
 // erase or clear.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -90,15 +91,24 @@ class LineTable {
 
   void clear() {
     if (size_ == 0) return;
-    // A table much larger than its last load would make every clear (and
-    // every probe's cache footprint) pay for a past peak: size it to that
-    // load instead.
-    const std::size_t fit = capacity_for(size_);
-    if (slots_.size() > 4 * fit) {
-      reset(fit);
+    // A table much larger than its loads would make every clear (and every
+    // probe's cache footprint) pay for a past peak, so it shrinks to fit
+    // them. Only after kShrinkAfter small loads in a row, though: a table
+    // whose loads alternate between large and small (an XPLine window
+    // between fences) keeps its capacity instead of shrinking and
+    // regrowing every cycle.
+    if (slots_.size() > 4 * capacity_for(size_)) {
+      small_peak_ = std::max(small_peak_, size_);
+      if (++small_clears_ == kShrinkAfter) {
+        reset(capacity_for(small_peak_));
+        size_ = 0;
+        return;
+      }
     } else {
-      for (Slot& s : slots_) s.key = kEmpty;
+      small_clears_ = 0;
+      small_peak_ = 0;
     }
+    for (Slot& s : slots_) s.key = kEmpty;
     size_ = 0;
   }
 
@@ -121,6 +131,7 @@ class LineTable {
   // No pool reaches 2^64 - 1 lines, so that key marks an empty slot.
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
   static constexpr std::size_t kMinCapacity = 16;
+  static constexpr unsigned kShrinkAfter = 8;
 
   struct Slot {
     std::uint64_t key = kEmpty;
@@ -143,6 +154,8 @@ class LineTable {
 
   void reset(std::size_t capacity) {
     slots_.assign(capacity, Slot{});
+    small_clears_ = 0;
+    small_peak_ = 0;
     shift_ = 0;
     while ((std::size_t{1} << shift_) < capacity) ++shift_;
   }
@@ -161,6 +174,10 @@ class LineTable {
   std::vector<Slot> slots_;
   unsigned shift_ = 0;  // log2(slots_.size())
   std::size_t size_ = 0;
+  // Consecutive clears of a load much smaller than the table, and the
+  // largest of those loads.
+  unsigned small_clears_ = 0;
+  std::size_t small_peak_ = 0;
 };
 
 }  // namespace pax

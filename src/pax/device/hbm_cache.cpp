@@ -17,15 +17,12 @@ std::size_t pick_set_count(std::size_t capacity_lines, unsigned ways) {
 }  // namespace
 
 HbmCache::HbmCache(const HbmConfig& config)
-    : ways_(config.ways),
-      prefer_durable_(config.prefer_durable_eviction),
-      replacement_(config.replacement) {
+    : ways_(config.ways), prefer_durable_(config.prefer_durable_eviction) {
   PAX_CHECK(config.ways >= 1);
   PAX_CHECK(config.capacity_lines >= config.ways);
   num_sets_ = pick_set_count(config.capacity_lines, config.ways);
   tags_.assign(num_sets_ * ways_, kFreeTag);
   entries_.resize(num_sets_ * ways_);
-  hands_.assign(num_sets_, 0);
 }
 
 HbmCache::Entry* HbmCache::find(LineIndex line) {
@@ -45,7 +42,6 @@ HbmCache::Entry* HbmCache::lookup(LineIndex line) {
   }
   ++stats_.hits;
   e->lru_tick = ++tick_;
-  e->ref = true;
   return e;
 }
 
@@ -64,13 +60,8 @@ HbmCache::Entry* HbmCache::allocate(LineIndex line,
     }
   }
   if (way < 0) {
-    way = replacement_ == Replacement::kClock
-              ? pick_victim_clock(set, durable_log_offset)
-              : pick_victim_lru(set, durable_log_offset);
+    way = pick_victim_lru(set, durable_log_offset);
     if (way < 0) return nullptr;  // every way pinned
-    if (replacement_ == Replacement::kClock) {
-      hands_[set] = (static_cast<unsigned>(way) + 1) % ways_;
-    }
     const Entry& old = entries_[base + way];
     ++stats_.evictions;
     if (!old.dirty) {
@@ -89,7 +80,6 @@ HbmCache::Entry* HbmCache::allocate(LineIndex line,
   e.line = line;
   e.dirty = false;
   e.pinned = false;
-  e.ref = false;
   e.log_record_end = 0;
   e.lru_tick = ++tick_;
   return &e;
@@ -103,7 +93,6 @@ std::optional<EvictedLine> HbmCache::insert(LineIndex line,
   Entry* e = find(line);
   if (e != nullptr) {
     // Update in place: a clean re-insert never washes out dirtiness.
-    e->ref = true;
     e->lru_tick = ++tick_;
   } else {
     e = allocate(line, durable_log_offset, &victim);
@@ -141,42 +130,6 @@ int HbmCache::pick_victim_lru(std::size_t set,
     if (durable_dirty >= 0) return durable_dirty;
   }
   return any;
-}
-
-int HbmCache::pick_victim_clock(std::size_t set,
-                                std::uint64_t durable_log_offset) {
-  // Second-chance: from the hand, entries with the ref bit get it cleared
-  // and are skipped (once). Among no-ref entries (in hand order), prefer
-  // clean, then durable-dirty, then the first seen. If everything had its
-  // ref bit set, the full sweep cleared them, so the fallback rescan finds
-  // victims in plain hand order.
-  Entry* ways = &entries_[set * ways_];
-  const unsigned hand = hands_[set];
-  for (int pass = 0; pass < 2; ++pass) {
-    int first = -1, clean = -1, durable_dirty = -1;
-    for (unsigned i = 0; i < ways_; ++i) {
-      const unsigned w = (hand + i) % ways_;
-      Entry& e = ways[w];
-      if (e.pinned) continue;
-      if (e.ref) {
-        e.ref = false;  // second chance
-        continue;
-      }
-      const int iw = static_cast<int>(w);
-      if (first < 0) first = iw;
-      if (!e.dirty && clean < 0) clean = iw;
-      if (e.dirty && e.log_record_end <= durable_log_offset &&
-          durable_dirty < 0) {
-        durable_dirty = iw;
-      }
-    }
-    if (prefer_durable_) {
-      if (clean >= 0) return clean;
-      if (durable_dirty >= 0) return durable_dirty;
-    }
-    if (first >= 0) return first;
-  }
-  return -1;  // every way pinned
 }
 
 void HbmCache::drop(Entry& entry) {

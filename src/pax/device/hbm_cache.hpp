@@ -6,8 +6,9 @@
 // describes: prefer clean victims, then dirty victims whose undo-log record
 // is already durable (they can be written back without waiting), and only
 // as a last resort a dirty victim whose record still needs a log flush —
-// the "stall" case the device tries to minimize. A pure-LRU mode exists for
-// the eviction-policy ablation (Abl 5 in DESIGN.md).
+// the "stall" case the device tries to minimize. Within a class the least
+// recently used line goes. A pure-LRU mode exists for the eviction-policy
+// ablation (Abl 5 in DESIGN.md).
 //
 // Lookups hand back the entry itself, so a device call searches a line's
 // set once and then reads, fills, dirties or cleans the entry in place.
@@ -22,20 +23,11 @@
 
 namespace pax::device {
 
-/// How the victim is ordered within a set. Orthogonal to the §3.3
-/// durability preference (which picks the *class* of victim).
-enum class Replacement {
-  kLru,    // exact recency order (timestamp per entry)
-  kClock,  // second-chance: one ref bit per entry, cheaper in hardware —
-           // what an FPGA implementation would actually build
-};
-
 struct HbmConfig {
   std::size_t capacity_lines = 4096;
   unsigned ways = 8;
   /// §3.3 durability-aware policy on; false = ignore durability (ablation).
   bool prefer_durable_eviction = true;
-  Replacement replacement = Replacement::kLru;
 };
 
 struct HbmStats {
@@ -82,7 +74,6 @@ class HbmCache {
     bool dirty = false;
     /// Held by an in-progress device call: never chosen as a victim.
     bool pinned = false;
-    bool ref = false;  // CLOCK second-chance bit
     std::uint64_t log_record_end = 0;
     std::uint64_t lru_tick = 0;
 
@@ -101,7 +92,7 @@ class HbmCache {
   Entry* lookup(LineIndex line);
 
   /// Installs `line`, which the caller found absent, in a free way or the
-  /// replacement policy's victim (never a pinned way; the displaced line
+  /// eviction policy's victim (never a pinned way; the displaced line
   /// goes to `victim`). The entry is clean with unspecified data. Returns
   /// nullptr, changing nothing, when every way of the set is pinned.
   Entry* allocate(LineIndex line, std::uint64_t durable_log_offset,
@@ -134,18 +125,15 @@ class HbmCache {
     return std::hash<LineIndex>{}(line) & (num_sets_ - 1);
   }
 
-  // Victim selection for each replacement scheme; returns the way index
-  // within `set`, or -1 if every way is pinned.
+  // Victim selection; returns the way index within `set`, or -1 if every
+  // way is pinned.
   int pick_victim_lru(std::size_t set, std::uint64_t durable_log_offset);
-  int pick_victim_clock(std::size_t set, std::uint64_t durable_log_offset);
 
   unsigned ways_;
   bool prefer_durable_;
-  Replacement replacement_;
   std::size_t num_sets_;
   std::vector<std::uint64_t> tags_;   // set-major, ways_ per set
   std::vector<Entry> entries_;        // parallel to tags_
-  std::vector<unsigned> hands_;       // CLOCK hand per set
   std::uint64_t tick_ = 0;
   std::size_t live_ = 0;
   HbmStats stats_;

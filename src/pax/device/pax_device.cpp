@@ -464,11 +464,13 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
   // Phase 1a. Every undo record of this epoch becomes durable.
   flush_log();
 
-  // Phase 1b. For every line modified this epoch, obtain its authoritative
-  // current value — from the host if it still caches it (RdShared: also
-  // revokes exclusivity so next-epoch stores re-announce themselves), else
-  // from the device buffer, else PM already has it — and write it to PM.
-  // The exclusive epoch lock quiesces the data path, so no stripe mutex is
+  // Phase 1b. Every line modified this epoch reaches PM once. A line the
+  // host still caches is pulled (RdShared: also revokes exclusivity so
+  // next-epoch stores re-announce themselves) and written back; its copy
+  // supersedes any, possibly stale, buffered one. Otherwise only a dirty
+  // buffer entry is written back: an absent or clean entry was stored and
+  // flushed by eviction or tick() once its record was durable. The
+  // exclusive epoch lock quiesces the data path, so no stripe mutex is
   // needed.
   const bool want_hook = static_cast<bool>(commit_hook_);
   std::vector<std::pair<LineIndex, LineData>> committed_lines;
@@ -482,35 +484,30 @@ Result<Epoch> PaxDevice::persist(const PullFn& pull) {
   for (auto& sp : stripes_) {
     Stripe& s = *sp;
     s.epoch_logged.for_each([&](LineIndex line, std::uint64_t end) {
-      persist_pulls_.fetch_add(1, std::memory_order_relaxed);
       std::optional<LineData> host_copy;
       if (pull) {
+        persist_pulls_.fetch_add(1, std::memory_order_relaxed);
         if (chk != nullptr) chk->on_pull_invoke(line.value);
         host_copy = pull(line);
       }
       // One probe: the entry (if buffered) is read or refreshed and then
       // cleaned in place.
       HbmCache::Entry* e = host_copy ? s.hbm.find(line) : s.hbm.lookup(line);
-      LineData value;
-      if (host_copy) {
-        // The pulled copy supersedes any (possibly stale) buffered copy.
-        value = *host_copy;
-      } else if (e != nullptr) {
-        value = e->data;
-      } else {
-        // Neither host nor buffer holds it: the proactive path already
-        // wrote it back; re-reading PM keeps the store below idempotent.
-        value = pm_->load_line(line);
+      if (host_copy && e != nullptr) e->data = *host_copy;
+      if (host_copy || (e != nullptr && e->dirty)) {
+        const LineData& value = host_copy ? *host_copy : e->data;
+        note_writeback(line, end);
+        pm_->store_line(line, value);
+        pm_->flush_line(line);
+        ++s.stats.pm_writeback_lines;
+        if (e != nullptr) e->mark_clean();
       }
-      note_writeback(line, end);
-      pm_->store_line(line, value);
-      pm_->flush_line(line);
-      ++s.stats.pm_writeback_lines;
-      if (e != nullptr) {
-        e->data = value;
-        e->mark_clean();
+      if (want_hook) {
+        committed_lines.emplace_back(
+            line, host_copy       ? *host_copy
+                  : e != nullptr ? e->data
+                                 : pm_->load_line(line));
       }
-      if (want_hook) committed_lines.emplace_back(line, value);
     });
   }
 #ifndef NDEBUG

@@ -28,7 +28,9 @@
 // pull the current value of every line modified this epoch from the host
 // (the CXL RdShared downgrade — the pull callback must also strip the host
 // of exclusive ownership so next-epoch stores are observed again), write
-// everything back to PM, fence, then atomically commit the epoch cell.
+// back every line not yet on PM, fence, then atomically commit the epoch
+// cell. A frontend that already delivered every modified line (libpax
+// pushes its whole epoch before committing) passes no pull.
 //
 // The paper's §6 non-blocking persist lives one layer up: the libpax
 // runtime's persist_async() queues a sealed snapshot for a drain worker that
@@ -58,7 +60,7 @@
 // At most one stripe mutex is held at a time.
 //
 // persist() runs on the caller's thread with the data path quiesced by the
-// exclusive epoch lock: flush the log, pull and write back every line the
+// exclusive epoch lock: flush the log, pull and write back the lines the
 // epoch modified, stripe by stripe, then fence and commit the epoch cell.
 #pragma once
 
@@ -141,7 +143,7 @@ struct DeviceStats {
   std::uint64_t proactive_writebacks = 0; // ... of which before persist()
   std::uint64_t forced_log_flushes = 0;   // stalls: eviction beat the flusher
   std::uint64_t persists = 0;
-  std::uint64_t persist_pulls = 0;        // RdShared pulls issued at persist
+  std::uint64_t persist_pulls = 0;        // host pulls invoked by persist
   std::uint64_t batch_syncs = 0;          // sync_lines() invocations
   std::uint64_t batch_synced_lines = 0;   // lines carried by those batches
   std::uint64_t log_append_acquisitions = 0;  // log-mutex holds for appends
@@ -245,13 +247,20 @@ class PaxDevice {
   using PullFn = std::function<std::optional<LineData>(LineIndex)>;
 
   /// Commits the current epoch as a crash-consistent snapshot and starts
-  /// the next one. Returns the committed epoch number.
+  /// the next one. Returns the committed epoch number. `pull` (may be
+  /// empty) is invoked once per line logged this epoch; a pulled copy
+  /// supersedes the buffer and is written back. A line not pulled is
+  /// written back only if its buffer entry is still dirty: eviction and
+  /// tick() store and flush a line once its undo record is durable, so PM
+  /// already holds an absent or clean one. Each line thus reaches PM once
+  /// per epoch unless it was pulled.
   Result<Epoch> persist(const PullFn& pull);
 
   // --- Commit hook (replication, §6) --------------------------------------
 
   /// Called after every epoch commit with the committed epoch number and
-  /// the final values of every line that epoch modified. Used by the
+  /// the final values of every line that epoch modified (a line persist()
+  /// did not write back costs one PM read, paid only while a hook is set). Used by the
   /// replication extension (device/replication.hpp) to ship epochs to a
   /// backup. Invoked with the epoch lock held exclusively (the
   /// whole data path is quiesced): keep it short or enqueue.

@@ -192,13 +192,13 @@ PaxRuntime::EpochJob PaxRuntime::snapshot(const std::vector<PageIndex>& dirty,
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     const PageIndex page = dirty[i];
     const std::byte* live = region_->page_span(page).data();
-    JobPage jp{page, 0, live};
+    const bool valid = digests_valid_[page.value];
+    JobPage jp{page, 0, !valid, live};
     if (copy) {
       std::byte* dst = job.copy.get() + i * kPageSize;
       std::memcpy(dst, live, kPageSize);
       jp.bytes = dst;
     }
-    const bool valid = digests_valid_[page.value];
     std::uint64_t* digests = &digests_[page.value * kLinesPerPage];
     for (std::size_t l = 0; l < kLinesPerPage; ++l) {
       const std::uint64_t d = line_digest(jp.bytes + l * kCacheLineSize);
@@ -279,14 +279,17 @@ Status PaxRuntime::push(const EpochJob& job) {
       }
     }
     sdelta.lines_skipped += kLinesPerPage - n;
+    sdelta.lines_diffed += n;
     if (n == 0) continue;
-    ++delta.device_calls;
-    device_->peek_lines(std::span(cand.data(), n), std::span(shadow.data(), n));
+    if (jp.rebuilt) {
+      ++delta.device_calls;
+      device_->peek_lines(std::span(cand.data(), n),
+                          std::span(shadow.data(), n));
+    }
     for (std::size_t i = 0; i < n && status.is_ok(); ++i) {
-      ++sdelta.lines_diffed;
       const LineData cur = LineData::from_bytes(
           {jp.bytes + slot[i] * kCacheLineSize, kCacheLineSize});
-      if (cur == shadow[i]) continue;
+      if (jp.rebuilt && cur == shadow[i]) continue;
       ++sdelta.lines_synced;
       if (chk != nullptr) chk->on_sync_push(check_id_, cand[i].value);
       batch.push_back({cand[i], cur});
@@ -309,27 +312,10 @@ Status PaxRuntime::push(const EpochJob& job) {
 Status PaxRuntime::push_and_commit(const EpochJob& job) {
   Status st = push(job);
   if (st.is_ok()) {
-    // The pull reads the epoch-boundary image from the job: under
-    // persist_async() the live region already carries the next epoch. Every
-    // line the device logged this epoch lies on a job page (sync_step()
-    // leaves its pages dirty), so a miss means the device's copy is current.
-    auto pull = [this, &job](LineIndex line) -> std::optional<LineData> {
-      const PoolOffset off = line.byte_offset() - pool_->data_offset();
-      const auto it = std::lower_bound(
-          job.pages.begin(), job.pages.end(), off / kPageSize,
-          [](const JobPage& jp, std::uint64_t page) {
-            return jp.page.value < page;
-          });
-      if (it == job.pages.end() || it->page.value != off / kPageSize) {
-        return std::nullopt;
-      }
-      return LineData::from_bytes(
-          {it->bytes + off % kPageSize, kCacheLineSize});
-    };
     if (auto* chk = pm_->checker()) {
       chk->on_epoch_submit(check_id_, job.epoch);
     }
-    auto committed = device_->persist(pull);
+    auto committed = device_->persist(nullptr);
     if (committed.ok()) {
       PAX_CHECK_MSG(committed.value() == job.epoch,
                     "runtime epoch numbering diverged from the device");

@@ -75,18 +75,20 @@ struct RuntimeStats {
   /// PipelineStats::async_persists when only persist_async() is used.
   std::uint64_t persists = 0;
   std::uint64_t sync_steps = 0;
-  /// Device API invocations made by the sync path: one peek_lines per page
-  /// with changed-digest lines plus one sync_lines per batch.
+  /// Device API invocations made by the sync path: one peek_lines per
+  /// digest-rebuilt page with want-lines plus one sync_lines per batch.
   std::uint64_t device_calls = 0;
   /// Batched sync_lines flushes issued.
   std::uint64_t sync_batches = 0;
 };
 
 /// Where the sync path's line examinations went. pages_scanned counts dirty
-/// pages diffed; lines_diffed counts lines memcmp'd against a fetched device
-/// shadow; lines_skipped counts lines whose digest still matched, skipped
-/// without touching the shadow; lines_synced counts lines actually pushed.
-/// Per page, lines_diffed + lines_skipped == kLinesPerPage.
+/// pages diffed; lines_diffed counts lines the digest did not skip (on a
+/// page whose digests were just rebuilt they are compared with a peeked
+/// device copy, elsewhere the changed digest proves them changed);
+/// lines_skipped counts lines whose digest still matched; lines_synced
+/// counts lines actually pushed. Per page, lines_diffed + lines_skipped ==
+/// kLinesPerPage.
 struct SyncStats {
   std::uint64_t pages_scanned = 0;
   std::uint64_t lines_diffed = 0;
@@ -236,10 +238,9 @@ class PaxRuntime {
   // --- One persist implementation: snapshot → push → commit --------------
   //
   // Every entry point turns the dirty set into an EpochJob (snapshot()),
-  // diffs it against the device and pushes the changed lines (push()), and
-  // — unless it is sync_step()'s pre-staging — commits it with
-  // PaxDevice::persist, pulling the epoch-boundary image from the job
-  // (commit()). persist() runs the job on the calling thread;
+  // pushes its changed lines to the device (push()), and — unless it is
+  // sync_step()'s pre-staging — commits it with PaxDevice::persist
+  // (push_and_commit()). persist() runs the job on the calling thread;
   // persist_async() queues it for the drain worker. Lock order: sync_mu_
   // (app side) > pipe_mu_ (queue state and stats); the drain worker takes
   // ONLY pipe_mu_, so an app thread may block on the pipeline CVs while
@@ -247,9 +248,12 @@ class PaxRuntime {
 
   struct JobPage {
     PageIndex page{0};
-    /// Lines to examine against the device shadow: snapshot-vs-digest
-    /// mismatches (all lines when digests were invalid).
+    /// Snapshot-vs-digest mismatches (all lines when digests were invalid).
     std::uint64_t want = 0;
+    /// The page's digests were rebuilt by this snapshot, so its want-lines
+    /// may still equal the device copy and push() compares them with it.
+    /// Otherwise a changed digest already proves the line differs.
+    bool rebuilt = false;
     const std::byte* bytes = nullptr;  // kPageSize: live page or job copy
   };
   struct EpochJob {
@@ -267,12 +271,13 @@ class PaxRuntime {
   /// Takes and re-protects the written pages (a failure is sticky),
   /// snapshots them, numbers the job, and announces it to PaxCheck.
   Result<EpochJob> seal(bool copy);
-  /// The one diff loop: peeks the wanted lines, compares them with the
-  /// job's bytes, and pushes the changed ones through sync_lines in
-  /// sync_batch_lines batches.
+  /// The one diff loop: pushes the want-lines that differ from the device
+  /// copy through sync_lines in sync_batch_lines batches. Only rebuilt
+  /// pages peek the device copy to find them.
   Status push(const EpochJob& job);
-  /// push() + PaxDevice::persist pulling from the job. The caller records
-  /// the outcome: the committed cursor advances, or the failure sticks.
+  /// push() + PaxDevice::persist, which needs no pull: the push delivered
+  /// every line of the job. The caller records the outcome: the committed
+  /// cursor advances, or the failure sticks.
   Status push_and_commit(const EpochJob& job);
   /// Records the sticky failure and wakes every waiter; returns `st`.
   Status fail(Status st);

@@ -98,8 +98,12 @@ std::span<const std::byte> PmemDevice::media() const {
 
 void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
   PAX_CHECK(off + data.size() <= size_);
-  stats_.stores.fetch_add(1, kRelaxed);
-  stats_.bytes_stored.fetch_add(data.size(), kRelaxed);
+  if (data.empty()) {
+    Shard& shard = shard_for(LineIndex::containing(off));
+    std::lock_guard lock(shard.mu);
+    ++shard.stats.stores;
+    return;
+  }
 
   // Split the store across the lines it touches; each touched line becomes
   // (or stays) pending with its updated contents. Lines are handled one at
@@ -116,6 +120,8 @@ void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
     {
       Shard& shard = shard_for(line);
       std::lock_guard lock(shard.mu);
+      if (done == 0) ++shard.stats.stores;
+      shard.stats.bytes_stored += n;
       auto [pending, first] = shard.pending.try_emplace(line);
       if (first) {
         // First dirtying of this line: seed the pending copy from media.
@@ -134,7 +140,12 @@ void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
 
 void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
   PAX_CHECK(off + out.size() <= size_);
-  stats_.loads.fetch_add(1, kRelaxed);
+  if (out.empty()) {
+    Shard& shard = shard_for(LineIndex::containing(off));
+    std::lock_guard lock(shard.mu);
+    ++shard.stats.loads;
+    return;
+  }
 
   std::size_t done = 0;
   while (done < out.size()) {
@@ -146,6 +157,7 @@ void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
 
     Shard& shard = shard_for(line);
     std::lock_guard lock(shard.mu);
+    if (done == 0) ++shard.stats.loads;
     const LineData* pending = shard.pending.find(line);
     const std::byte* src =
         pending != nullptr ? pending->bytes.data() + in_line
@@ -157,11 +169,11 @@ void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
 
 void PmemDevice::store_line(LineIndex line, const LineData& data) {
   PAX_CHECK(line.byte_offset() + kCacheLineSize <= size_);
-  stats_.stores.fetch_add(1, kRelaxed);
-  stats_.bytes_stored.fetch_add(kCacheLineSize, kRelaxed);
   {
     Shard& shard = shard_for(line);
     std::lock_guard lock(shard.mu);
+    ++shard.stats.stores;
+    shard.stats.bytes_stored += kCacheLineSize;
     *shard.pending.try_emplace(line).first = data;
     if (auto* chk = checker()) chk->on_store(line.value);
   }
@@ -170,9 +182,9 @@ void PmemDevice::store_line(LineIndex line, const LineData& data) {
 
 LineData PmemDevice::load_line(LineIndex line) const {
   PAX_CHECK(line.byte_offset() + kCacheLineSize <= size_);
-  stats_.loads.fetch_add(1, kRelaxed);
   Shard& shard = shard_for(line);
   std::lock_guard lock(shard.mu);
+  ++shard.stats.loads;
   if (const LineData* pending = shard.pending.find(line)) return *pending;
   LineData d;
   std::memcpy(d.bytes.data(), media().data() + line.byte_offset(),
@@ -195,22 +207,22 @@ std::uint64_t PmemDevice::load_u64(PoolOffset off) const {
 void PmemDevice::flush_line_locked(Shard& shard, LineIndex line) {
   const LineData* pending = shard.pending.find(line);
   if (pending == nullptr) {
-    stats_.empty_flushes.fetch_add(1, kRelaxed);
+    ++shard.stats.empty_flushes;
     if (auto* chk = checker()) chk->on_flush(line.value, /*empty=*/true);
     return;
   }
   std::memcpy(media().data() + line.byte_offset(), pending->bytes.data(),
               kCacheLineSize);
   shard.pending.erase(line);
-  stats_.line_flushes.fetch_add(1, kRelaxed);
-  stats_.media_bytes_written.fetch_add(kCacheLineSize, kRelaxed);
+  ++shard.stats.line_flushes;
+  shard.stats.media_bytes_written += kCacheLineSize;
   // XPLine accounting: a flush touches one 256 B internal block; flushes to
   // the same block combine in the XPBuffer until the next drain. Block and
   // line live in the same shard (sharding is by block), so the window needs
   // no extra lock.
   if (shard.xpline_window.try_emplace(LineIndex{line.value / kLinesPerXpline})
           .second) {
-    stats_.xpline_blocks_written.fetch_add(1, kRelaxed);
+    ++shard.stats.xpline_blocks_written;
   }
   if (auto* chk = checker()) chk->on_flush(line.value, /*empty=*/false);
 }
@@ -240,7 +252,7 @@ void PmemDevice::flush_range(PoolOffset off, std::size_t len) {
 }
 
 void PmemDevice::drain() {
-  stats_.drains.fetch_add(1, kRelaxed);
+  drains_.fetch_add(1, kRelaxed);
   // The XPBuffer write-combining window closes on every shard.
   for (auto& shard : shards_) {
     std::lock_guard lock(shard.mu);
@@ -268,11 +280,8 @@ void PmemDevice::crash(const CrashConfig& config) {
   }
   for (auto& shard : shards_) {
     shard.pending.for_each([&](LineIndex line, const LineData& data) {
-      const std::size_t written = resolve_crash_line(
+      shard.stats.media_bytes_written += resolve_crash_line(
           config, line.value, data, media().data() + line.byte_offset());
-      if (written > 0) {
-        stats_.media_bytes_written.fetch_add(written, kRelaxed);
-      }
     });
     shard.pending.clear();
   }
@@ -357,26 +366,27 @@ void PmemDevice::read_durable(PoolOffset off, std::span<std::byte> out) const {
 
 PmemStats PmemDevice::stats() const {
   PmemStats out;
-  out.stores = stats_.stores.load(kRelaxed);
-  out.bytes_stored = stats_.bytes_stored.load(kRelaxed);
-  out.loads = stats_.loads.load(kRelaxed);
-  out.line_flushes = stats_.line_flushes.load(kRelaxed);
-  out.empty_flushes = stats_.empty_flushes.load(kRelaxed);
-  out.drains = stats_.drains.load(kRelaxed);
-  out.media_bytes_written = stats_.media_bytes_written.load(kRelaxed);
-  out.xpline_blocks_written = stats_.xpline_blocks_written.load(kRelaxed);
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard.mu);
+    const PmemStats& st = shard.stats;
+    out.stores += st.stores;
+    out.bytes_stored += st.bytes_stored;
+    out.loads += st.loads;
+    out.line_flushes += st.line_flushes;
+    out.empty_flushes += st.empty_flushes;
+    out.media_bytes_written += st.media_bytes_written;
+    out.xpline_blocks_written += st.xpline_blocks_written;
+  }
+  out.drains = drains_.load(kRelaxed);
   return out;
 }
 
 void PmemDevice::reset_stats() {
-  stats_.stores.store(0, kRelaxed);
-  stats_.bytes_stored.store(0, kRelaxed);
-  stats_.loads.store(0, kRelaxed);
-  stats_.line_flushes.store(0, kRelaxed);
-  stats_.empty_flushes.store(0, kRelaxed);
-  stats_.drains.store(0, kRelaxed);
-  stats_.media_bytes_written.store(0, kRelaxed);
-  stats_.xpline_blocks_written.store(0, kRelaxed);
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard.mu);
+    shard.stats = PmemStats{};
+  }
+  drains_.store(0, kRelaxed);
 }
 
 }  // namespace pax::pmem

@@ -21,8 +21,10 @@
 // All mutating entry points are internally synchronized, and the pending
 // overlay is *sharded* by 256 B internal block (the XPLine), so the striped
 // PAX device's data-path threads touch disjoint lines without
-// convoying on one device-wide mutex. Counters are atomics; only drain() and
-// crash() sweep every shard (both are serialized-tail / test-only paths).
+// convoying on one device-wide mutex. Counters are plain per-shard fields,
+// updated under the shard mutex the operation already holds (drain() keeps
+// one atomic); only drain(), crash() and the stats calls sweep every shard
+// (serialized-tail, test-only and reporting paths).
 #pragma once
 
 #include <array>
@@ -263,6 +265,9 @@ class PmemDevice {
     // 256 B blocks of this shard written since the last drain, keyed by
     // block number.
     LineTable<bool> xpline_window;
+    // This shard's share of the counters (drains is device-wide). An op
+    // spanning several shards counts its call on the first one.
+    PmemStats stats;
   };
 
   Shard& shard_for(LineIndex line) const {
@@ -286,19 +291,7 @@ class PmemDevice {
 
   mutable std::array<Shard, kShards> shards_;
 
-  // Counters live outside the shards (an op may span several) as atomics;
-  // stats() snapshots them.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> bytes_stored{0};
-    std::atomic<std::uint64_t> loads{0};
-    std::atomic<std::uint64_t> line_flushes{0};
-    std::atomic<std::uint64_t> empty_flushes{0};
-    std::atomic<std::uint64_t> drains{0};
-    std::atomic<std::uint64_t> media_bytes_written{0};
-    std::atomic<std::uint64_t> xpline_blocks_written{0};
-  };
-  mutable AtomicStats stats_;  // loads are counted from const readers
+  std::atomic<std::uint64_t> drains_{0};
 
   // Crash-point machinery: the counter always runs (one relaxed add per
   // countable event); the arm/cut slots are touched only by harnesses.

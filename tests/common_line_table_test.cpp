@@ -179,7 +179,7 @@ TEST(LineTableTest, GrowsWhileEntriesAreLive) {
   expect_same_contents(table, oracle);
 }
 
-TEST(LineTableTest, ClearFitsTheTableToItsLastLoad) {
+TEST(LineTableTest, ClearFitsTheTableToRepeatedSmallLoads) {
   LineTable<std::uint64_t> table;
   for (std::uint64_t k = 0; k < 10000; ++k) table.try_emplace(LineIndex{k}, k);
   const std::size_t big = table.capacity();
@@ -188,13 +188,37 @@ TEST(LineTableTest, ClearFitsTheTableToItsLastLoad) {
   EXPECT_EQ(table.capacity(), big);  // the load it held still fits
   EXPECT_EQ(table.find(LineIndex{5}), nullptr);
 
+  // One small load does not shrink the table; a run of them does.
   for (std::uint64_t k = 0; k < 10; ++k) table.try_emplace(LineIndex{k}, k);
   table.clear();
-  EXPECT_LE(table.capacity(), 32u);  // a small epoch no longer pays for it
+  EXPECT_EQ(table.capacity(), big);
+  for (int round = 1; round < 8; ++round) {
+    for (std::uint64_t k = 0; k < 10; ++k) table.try_emplace(LineIndex{k}, k);
+    table.clear();
+  }
+  EXPECT_LE(table.capacity(), 32u);  // small epochs no longer pay for it
   table.try_emplace(LineIndex{7}, 70);
   ASSERT_NE(table.find(LineIndex{7}), nullptr);
   EXPECT_EQ(*table.find(LineIndex{7}), 70u);
   EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(LineTableTest, AlternatingLoadsKeepTheirCapacity) {
+  // An XPLine window between fences: about 96 blocks, then nearly none.
+  // The table must not shrink and regrow every cycle.
+  LineTable<bool> table;
+  for (std::uint64_t k = 0; k < 96; ++k) table.try_emplace(LineIndex{k * 7});
+  const std::size_t cap = table.capacity();
+  table.clear();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    table.try_emplace(LineIndex{3});
+    table.clear();
+    ASSERT_EQ(table.capacity(), cap) << "cycle " << cycle;
+    for (std::uint64_t k = 0; k < 96; ++k) table.try_emplace(LineIndex{k * 7});
+    ASSERT_EQ(table.size(), 96u);
+    table.clear();
+    ASSERT_EQ(table.capacity(), cap) << "cycle " << cycle;
+  }
 }
 
 TEST(LineTableTest, TryEmplaceKeepsTheExistingValue) {

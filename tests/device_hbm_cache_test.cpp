@@ -178,20 +178,16 @@ TEST(HbmCacheTest, AllocateNeverEvictsPinnedWays) {
 }
 
 TEST(HbmCacheTest, AllocateFailsWhenEveryWayIsPinned) {
-  for (Replacement r : {Replacement::kLru, Replacement::kClock}) {
-    HbmConfig c = tiny();
-    c.replacement = r;
-    HbmCache cache(c);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      cache.insert(LineIndex{10 + i}, patterned_line(i), false, 0, 0);
-      cache.find(LineIndex{10 + i})->pinned = true;
-    }
-    std::optional<EvictedLine> victim;
-    EXPECT_EQ(cache.allocate(LineIndex{20}, 0, &victim), nullptr);
-    EXPECT_FALSE(victim.has_value());
-    EXPECT_EQ(cache.size(), 4u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
+  HbmCache cache(tiny());
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    cache.insert(LineIndex{10 + i}, patterned_line(i), false, 0, 0);
+    cache.find(LineIndex{10 + i})->pinned = true;
   }
+  std::optional<EvictedLine> victim;
+  EXPECT_EQ(cache.allocate(LineIndex{20}, 0, &victim), nullptr);
+  EXPECT_FALSE(victim.has_value());
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(HbmCacheTest, DropFreesTheWay) {
@@ -200,55 +196,6 @@ TEST(HbmCacheTest, DropFreesTheWay) {
   cache.drop(*cache.find(LineIndex{1}));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup(LineIndex{1}), nullptr);
-}
-
-HbmConfig tiny_clock(bool prefer_durable = true) {
-  HbmConfig c = tiny(prefer_durable);
-  c.replacement = Replacement::kClock;
-  return c;
-}
-
-TEST(HbmCacheTest, ClockGivesSecondChanceToReferencedEntries) {
-  HbmCache cache(tiny_clock(/*prefer_durable=*/false));
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.insert(LineIndex{10 + i}, patterned_line(i), false, 0, 0);
-  }
-  // Touch 10 and 11: their ref bits protect them on the first sweep.
-  cache.lookup(LineIndex{10});
-  cache.lookup(LineIndex{11});
-  auto evicted = cache.insert(LineIndex{20}, patterned_line(9), false, 0, 0);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_TRUE(evicted->line == LineIndex{12} ||
-              evicted->line == LineIndex{13})
-      << "referenced entry evicted despite second chance";
-  EXPECT_NE(cache.lookup(LineIndex{10}), nullptr);
-  EXPECT_NE(cache.lookup(LineIndex{11}), nullptr);
-}
-
-TEST(HbmCacheTest, ClockEvictsWhenAllReferenced) {
-  // Every entry referenced: the sweep clears all ref bits and the second
-  // pass must still produce a victim (no livelock).
-  HbmCache cache(tiny_clock(false));
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.insert(LineIndex{10 + i}, patterned_line(i), false, 0, 0);
-    cache.lookup(LineIndex{10 + i});
-  }
-  auto evicted = cache.insert(LineIndex{20}, patterned_line(9), false, 0, 0);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(cache.size(), 4u);
-}
-
-TEST(HbmCacheTest, ClockStillPrefersDurableVictims) {
-  HbmCache cache(tiny_clock(/*prefer_durable=*/true));
-  // All dirty, none referenced; records end at 10..40, durable through 25.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    cache.insert(LineIndex{10 + i}, patterned_line(i), true, 10 * (i + 1), 0);
-  }
-  auto evicted =
-      cache.insert(LineIndex{20}, patterned_line(9), true, 50, /*durable=*/25);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_LE(evicted->log_record_end, 25u);  // a durable-logged victim
-  EXPECT_EQ(cache.stats().durable_dirty_evictions, 1u);
 }
 
 TEST(HbmCacheTest, SetAssociativityConfinesEvictionToSet) {

@@ -211,6 +211,105 @@ TEST_F(PaxDeviceFixture, PersistLeavesNoDirtyLineOnAnyPath) {
   EXPECT_GT(hbm.stall_evictions, 0u);
 }
 
+// Counts flush_line calls per line, split into data-extent and other
+// (log, pool header) lines.
+struct FlushCounter : pmem::PmemRepairShim {
+  PoolOffset data_begin = 0, data_end = 0;
+  std::unordered_map<std::uint64_t, int> data_flushes;
+  std::uint64_t other_flushes = 0;
+
+  void before_epoch_commit(pmem::PmemDevice&, std::uint64_t) override {}
+  void before_flush(pmem::PmemDevice&, LineIndex line) override {
+    const PoolOffset off = line.byte_offset();
+    if (off >= data_begin && off < data_end) {
+      ++data_flushes[line.value];
+    } else {
+      ++other_flushes;
+    }
+  }
+};
+
+TEST_F(PaxDeviceFixture, EachLoggedLineReachesPmOnce) {
+  // An epoch three times the buffer: eviction writes back most lines,
+  // tick() some, persist() the rest. Each logged line must reach PM exactly
+  // once, and the commit hook must still report every one with its value.
+  constexpr std::uint64_t kLines = 3 * 64;
+  PaxDevice dev(&tp.pool, config());
+  std::vector<std::pair<LineIndex, LineData>> hooked;
+  dev.set_commit_hook(
+      [&](Epoch, const std::vector<std::pair<LineIndex, LineData>>& lines) {
+        hooked = lines;
+      });
+  auto run_epoch = [&](std::uint64_t tag) {
+    std::vector<LineUpdate> batch;
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+      batch.push_back({tp.data_line(i * 3), patterned_line(tag + i)});
+      if (batch.size() == 16) {
+        ASSERT_TRUE(dev.sync_lines(batch).is_ok());
+        batch.clear();
+        if (i % 64 == 31) dev.tick(/*force_flush=*/true);
+      }
+    }
+  };
+  run_epoch(1000);
+  ASSERT_TRUE(dev.persist(nullptr).ok());
+
+  FlushCounter counter;
+  counter.data_begin = tp.pool.data_offset();
+  counter.data_end = tp.pool.data_offset() + tp.pool.data_size();
+  tp.device->set_repair_shim(&counter);
+  const pmem::PmemStats pm_before = tp.device->stats();
+  const DeviceStats dev_before = dev.stats();
+  run_epoch(2000);
+  auto committed = dev.persist(nullptr);
+  tp.device->set_repair_shim(nullptr);
+  ASSERT_TRUE(committed.ok());
+  const pmem::PmemStats pm_after = tp.device->stats();
+  const DeviceStats dev_after = dev.stats();
+
+  EXPECT_GT(dev.hbm_stats().evictions, 0u);
+  EXPECT_GT(dev_after.proactive_writebacks, dev_before.proactive_writebacks);
+  ASSERT_EQ(counter.data_flushes.size(), kLines);
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    EXPECT_EQ(counter.data_flushes[tp.data_line(i * 3).value], 1)
+        << "line " << i;
+  }
+  // The PM counters agree: every flush besides the log's and the epoch
+  // cell's is one data line's write-back.
+  const std::uint64_t flushes =
+      (pm_after.line_flushes + pm_after.empty_flushes) -
+      (pm_before.line_flushes + pm_before.empty_flushes);
+  EXPECT_EQ(flushes - counter.other_flushes, kLines);
+  EXPECT_EQ(dev_after.pm_writeback_lines - dev_before.pm_writeback_lines,
+            kLines);
+  EXPECT_EQ(dev_after.persist_pulls, 0u);
+
+  ASSERT_EQ(hooked.size(), kLines);
+  std::unordered_map<std::uint64_t, LineData> reported;
+  for (const auto& [line, data] : hooked) reported[line.value] = data;
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    const LineIndex line = tp.data_line(i * 3);
+    ASSERT_EQ(reported.count(line.value), 1u) << "line " << i;
+    EXPECT_EQ(reported[line.value], patterned_line(2000 + i)) << "line " << i;
+  }
+
+  // A crash during the next epoch, after some of it reached PM, recovers
+  // the committed one.
+  run_epoch(3000);
+  EXPECT_GT(dev.stats().proactive_writebacks, dev_after.proactive_writebacks);
+  tp.device->crash(pmem::CrashConfig::drop_all());
+  auto pool = pmem::PmemPool::open(tp.device.get());
+  ASSERT_TRUE(pool.ok());
+  auto report = recover_pool(pool.value());
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report.value().recovered_epoch, committed.value());
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    EXPECT_EQ(tp.device->durable_line(tp.data_line(i * 3)),
+              patterned_line(2000 + i))
+        << "line " << i;
+  }
+}
+
 TEST_F(PaxDeviceFixture, LogExtentExhaustionSurfacesOutOfSpace) {
   auto small = TestPool::create(1 << 20, /*log_bytes=*/1024);
   PaxDevice dev(&small.pool, config());

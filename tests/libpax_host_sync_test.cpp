@@ -124,7 +124,45 @@ TEST(HostSyncEquivalenceTest, DeviceCallAccounting) {
     EXPECT_EQ(rs.device_calls - rb.device_calls,
               (ss.pages_scanned - sb.pages_scanned) +
                   (rs.sync_batches - rb.sync_batches));
+
+    // Second round on the same pages, whose digests are now valid: a
+    // changed digest proves the line changed, so nothing is peeked.
+    for (std::size_t p = 1; p <= 8; ++p) {
+      std::memset(rt->vpm_base() + p * kPageSize, 0xa5, kPageSize);
+    }
+    ASSERT_TRUE(rt->persist().ok());
+    const RuntimeStats r2 = rt->stats();
+    const SyncStats s2 = rt->sync_stats();
+    EXPECT_EQ(s2.lines_synced - ss.lines_synced, 8 * kLinesPerPage);
+    EXPECT_EQ(r2.sync_batches - rs.sync_batches,
+              8 * kLinesPerPage / opts.sync_batch_lines);
+    EXPECT_EQ(r2.device_calls - rs.device_calls,
+              r2.sync_batches - rs.sync_batches);
   }
+}
+
+TEST(HostSyncEquivalenceTest, ReattachedRuntimeSyncsOnlyTheChangedLine) {
+  // A re-attached runtime has no digests: its first diff of a page peeks
+  // the device copy, so an 8-byte store still costs one synced line.
+  auto pm = pmem::PmemDevice::create_in_memory(kPool);
+  {
+    auto rt = PaxRuntime::attach(pm.get(), batched_opts()).value();
+    std::memset(rt->vpm_base() + 3 * kPageSize, 0x3c, kPageSize);
+    ASSERT_TRUE(rt->persist().ok());
+  }
+  auto rt = PaxRuntime::attach(pm.get(), batched_opts()).value();
+  ASSERT_TRUE(rt->persist().ok());  // settle any heap-recovery writes
+  const std::uint64_t logs = rt->device().stats().first_touch_logs;
+  const std::uint64_t value = 0x0123456789abcdefULL;
+  std::memcpy(rt->vpm_base() + 3 * kPageSize + 8 * kCacheLineSize, &value,
+              sizeof(value));
+  const RuntimeStats rb = rt->stats();
+  const SyncStats sb = rt->sync_stats();
+  ASSERT_TRUE(rt->persist().ok());
+  EXPECT_EQ(rt->sync_stats().lines_synced - sb.lines_synced, 1u);
+  EXPECT_EQ(rt->sync_stats().digest_rebuilds - sb.digest_rebuilds, 1u);
+  EXPECT_EQ(rt->stats().device_calls - rb.device_calls, 2u);  // peek + sync
+  EXPECT_EQ(rt->device().stats().first_touch_logs - logs, 1u);
 }
 
 TEST(HostSyncEquivalenceTest, SnapshotReadsAnyAlignment) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -216,6 +219,56 @@ TEST(PmemDeviceTest, StatsCountOperations) {
   EXPECT_EQ(s.empty_flushes, 1u);
   EXPECT_EQ(s.drains, 1u);
   EXPECT_EQ(s.media_bytes_written, kCacheLineSize);
+}
+
+TEST(PmemDeviceTest, StatsStayExactUnderConcurrentThreads) {
+  // Four threads store, load and flush disjoint lines that share shards;
+  // the per-shard counters must add up to exactly what they did.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kIters = 2000;
+  constexpr std::size_t kSpan = 100;  // a store/load across two lines
+  auto dev = PmemDevice::create_in_memory(8 << 20);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::byte span[kSpan];
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        // Each (thread, iteration) owns one 256 B block: line L is flushed
+        // once, the spanning store covers L+1..L+3.
+        const LineIndex line{(t + kThreads * i) * 4};
+        const LineData data = patterned_line(line.value);
+        dev->store_line(line, data);
+        EXPECT_EQ(dev->load_line(line), data);
+        dev->flush_line(line);
+        dev->flush_line(line);  // nothing pending any more
+        const PoolOffset off = (line.value + 1) * kCacheLineSize + 40;
+        std::memset(span, t + 1, kSpan);
+        dev->store(off, span);
+        dev->load(off, span);
+        if (i % 256 == 255) dev->drain();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const std::uint64_t ops = kThreads * kIters;
+  const PmemStats s = dev->stats();
+  EXPECT_EQ(s.stores, 2 * ops);
+  EXPECT_EQ(s.bytes_stored, ops * (kCacheLineSize + kSpan));
+  EXPECT_EQ(s.loads, 2 * ops);
+  EXPECT_EQ(s.line_flushes, ops);
+  EXPECT_EQ(s.empty_flushes, ops);
+  EXPECT_EQ(s.media_bytes_written, ops * kCacheLineSize);
+  EXPECT_EQ(s.xpline_blocks_written, ops);  // one block per flushed line
+  EXPECT_EQ(s.drains, kThreads * (kIters / 256));
+  EXPECT_EQ(dev->pending_line_count(), 3 * ops);
+
+  dev->reset_stats();
+  const PmemStats z = dev->stats();
+  EXPECT_EQ(z.stores + z.bytes_stored + z.loads + z.line_flushes +
+                z.empty_flushes + z.drains + z.media_bytes_written +
+                z.xpline_blocks_written,
+            0u);
 }
 
 TEST(PmemDeviceTest, FileBackedMediaPersistsAcrossReopen) {
