@@ -30,7 +30,6 @@ constexpr int kEpochs = 3;
 Status demo_workload(pmem::PmemDevice& dev, check::CrashOracle& oracle) {
   libpax::RuntimeOptions opts;
   opts.log_size = 256 << 10;
-  opts.vpm_base_hint = 0x7c00'0000'0000ULL;
   auto rt = libpax::PaxRuntime::attach(&dev, opts);
   if (!rt.ok()) return rt.status();
   auto& r = *rt.value();

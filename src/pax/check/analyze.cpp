@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "pax/check/trace_file.hpp"
+
 namespace pax::check {
 namespace {
 
@@ -95,9 +97,8 @@ std::string AnalysisReport::to_string() const {
   os << "paxscope: " << traces << " trace(s), " << stats.events
      << " events, " << stats.total_edges() << " hb edges ("
      << stats.program_edges << " program, " << stats.lock_edges << " lock, "
-     << stats.gate_edges << " gate, " << stats.fork_join_edges
-     << " fork-join, " << stats.batch_edges << " batch, "
-     << stats.pipeline_edges << " pipeline)\n";
+     << stats.gate_edges << " gate, " << stats.pipeline_edges
+     << " pipeline)\n";
   if (findings.empty()) {
     os << "paxscope: clean — no predictive findings\n";
   } else {
@@ -115,8 +116,6 @@ std::string AnalysisReport::to_json() const {
      << ",\"hb_edges\":{\"total\":" << stats.total_edges()
      << ",\"program\":" << stats.program_edges
      << ",\"lock\":" << stats.lock_edges << ",\"gate\":" << stats.gate_edges
-     << ",\"fork_join\":" << stats.fork_join_edges
-     << ",\"batch\":" << stats.batch_edges
      << ",\"pipeline\":" << stats.pipeline_edges << "}"
      << ",\"clean\":" << (clean() ? "true" : "false") << ",\"findings\":[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
@@ -274,41 +273,30 @@ struct LineWindow {
 
 struct TracePass {
   std::size_t trace_index;
-  bool hb_strict;  // v2+: gate flags and fork/join brackets are present
-  const AnalysisOptions& options;
   HbStats& stats;
   std::vector<Finding>& findings;
-  internal::LockGraph* lock_graph;
+  internal::LockGraph& lock_graph;
 
   std::vector<Vc> clock;                 // per tid
   std::vector<bool> tid_seen;
   std::vector<std::vector<HeldLock>> held;  // per tid lock stack
-  std::vector<std::uint32_t> pushes_in_flight;  // per tid, for batch edges
   std::unordered_map<std::uint64_t, LockHistory> locks;
   std::unordered_map<std::uint64_t, std::vector<FlushMark>> log_flushes;
-  std::unordered_map<std::uint64_t, std::pair<Vc, Vc>> tasks;  // dispatch, join-acc
   std::unordered_map<std::uint64_t, Vc> pipeline_seal;  // epoch → seal clock
   std::unordered_map<std::uint64_t, LineWindow> lines;
   std::vector<std::uint64_t> epoch_lines;  // lines touched since last commit
   std::vector<DrainMark> drains;           // since last commit
   std::set<std::pair<std::uint64_t, std::uint64_t>> reported_windows;
 
-  TracePass(std::size_t trace, bool strict, const AnalysisOptions& opts,
-            HbStats& s, std::vector<Finding>& f,
-            internal::LockGraph* graph)
-      : trace_index(trace),
-        hb_strict(strict),
-        options(opts),
-        stats(s),
-        findings(f),
-        lock_graph(graph) {}
+  TracePass(std::size_t trace, HbStats& s, std::vector<Finding>& f,
+            internal::LockGraph& graph)
+      : trace_index(trace), stats(s), findings(f), lock_graph(graph) {}
 
   void ensure_tid(std::uint16_t tid) {
     if (tid >= clock.size()) {
       clock.resize(tid + 1);
       tid_seen.resize(tid + 1, false);
       held.resize(tid + 1);
-      pushes_in_flight.resize(tid + 1, 0);
     }
     if (tid >= clock[tid].size()) clock[tid].resize(tid + 1, 0);
   }
@@ -347,60 +335,11 @@ struct TracePass {
     switch (e.type) {
       case EventType::kLockAcquire: handle_lock_acquire(e, vc); break;
       case EventType::kLockRelease: handle_lock_release(e, vc); break;
-      case EventType::kTaskDispatch: {
-        auto& t = tasks[e.a];
-        t.first = vc;
-        break;
-      }
-      case EventType::kTaskBegin: {
-        auto it = tasks.find(e.a);
-        if (it != tasks.end()) {
-          vc_join(vc, it->second.first);
-          ++stats.fork_join_edges;
-        }
-        break;
-      }
-      case EventType::kTaskEnd: {
-        auto it = tasks.find(e.a);
-        if (it != tasks.end()) {
-          vc_join(it->second.second, vc);
-          ++stats.fork_join_edges;
-        }
-        break;
-      }
-      case EventType::kTaskJoin: {
-        auto it = tasks.find(e.a);
-        if (it != tasks.end()) {
-          vc_join(vc, it->second.second);
-          tasks.erase(it);
-        }
-        break;
-      }
-      case EventType::kSyncPush:
-        ++pushes_in_flight[e.tid];
-        break;
-      case EventType::kSyncBatchOk:
-      case EventType::kSyncBatchFail:
-        // Push → outcome edges are program-order today (the pushing thread
-        // observes its own batch outcome); counted so the stats reflect the
-        // dependency even though the join is a no-op.
-        stats.batch_edges += pushes_in_flight[e.tid];
-        pushes_in_flight[e.tid] = 0;
-        break;
       case EventType::kPipelineSeal:
         pipeline_seal[e.a] = vc;
         break;
-      case EventType::kEpochSeal: {
-        auto it = pipeline_seal.find(e.a);
-        if (it != pipeline_seal.end()) {
-          vc_join(vc, it->second);
-          it->second = vc;  // seal point now carries runtime + device order
-          ++stats.pipeline_edges;
-        }
-        break;
-      }
       case EventType::kStore:
-        if (options.persist_order && e.line != kNoLine) {
+        if (e.line != kNoLine) {
           LineWindow& w = line(e.line);
           w.stored = true;
           w.flushed = false;
@@ -409,18 +348,15 @@ struct TracePass {
         }
         break;
       case EventType::kFlush:
-        if (options.persist_order && e.line != kNoLine &&
-            (e.flags & kFlagEmptyFlush) == 0) {
+        if (e.line != kNoLine && (e.flags & kFlagEmptyFlush) == 0) {
           handle_data_flush(e, vc);
         }
         break;
       case EventType::kDrain:
-        if (options.persist_order) {
-          drains.push_back({e.tid, vc[e.tid], vc});
-        }
+        drains.push_back({e.tid, vc[e.tid], vc});
         break;
       case EventType::kLogAppend:
-        if (options.persist_order && e.line != kNoLine) {
+        if (e.line != kNoLine) {
           LineWindow& w = line(e.line);
           w.has_append = true;
           w.append_logger = e.a;
@@ -450,7 +386,7 @@ struct TracePass {
           pipeline_seal.erase(it);
           ++stats.pipeline_edges;
         }
-        if (options.persist_order) handle_commit(e, vc);
+        handle_commit(e, vc);
         break;
       }
       case EventType::kCrash:
@@ -459,11 +395,12 @@ struct TracePass {
         lines.clear();
         epoch_lines.clear();
         drains.clear();
-        tasks.clear();
         pipeline_seal.clear();
         break;
       case EventType::kPullInvoke:
-      case EventType::kDigestApply:
+      case EventType::kSyncPush:
+      case EventType::kSyncBatchOk:
+      case EventType::kSyncBatchFail:
       case EventType::kPipelinePage:
       case EventType::kEpochSubmit:
         break;
@@ -483,12 +420,10 @@ struct TracePass {
       vc_join(vc, h.all_releases);
       ++stats.lock_edges;
     }
-    if (options.lock_graph && lock_graph != nullptr) {
-      const std::uint64_t dst = lock_node(cls, e.b);
-      for (const HeldLock& held_lock : held[e.tid]) {
-        lock_graph->add_edge(lock_node(held_lock.cls, held_lock.id), dst,
-                             trace_index, e.seq);
-      }
+    const std::uint64_t dst = lock_node(cls, e.b);
+    for (const HeldLock& held_lock : held[e.tid]) {
+      lock_graph.add_edge(lock_node(held_lock.cls, held_lock.id), dst,
+                          trace_index, e.seq);
     }
     held[e.tid].push_back({cls, e.b, shared});
   }
@@ -545,15 +480,13 @@ struct TracePass {
 
   // Is there a kLogFlush of the record's logger whose durable watermark
   // covers `append_end` and that is ordered before the querying point?
-  // v1 traces have no fork/join or gate material, so seq order is the best
-  // available oracle there; v2 requires a real HB edge.
   bool undo_covered(const LineWindow& w, const Vc& at,
                     std::uint64_t at_seq) const {
     auto it = log_flushes.find(w.append_logger);
     if (it == log_flushes.end()) return false;
     for (const FlushMark& m : it->second) {
       if (m.durable < w.append_end || m.seq > at_seq) continue;
-      if (!hb_strict || vc_covers(at, m.tid, m.idx)) return true;
+      if (vc_covers(at, m.tid, m.idx)) return true;
     }
     return false;
   }
@@ -577,7 +510,7 @@ struct TracePass {
       }
       return;
     }
-    if (!options.persist_order || !hb_strict || e.b == 0) return;
+    if (e.b == 0) return;
     // Ungated write-back with a real undo dependency: some covering log
     // flush must be HB-before it. If none exists at all the online rule
     // (kWritebackBeforeUndoDurable) already fires — only the predictive
@@ -619,7 +552,6 @@ struct TracePass {
         f.epoch = e.a;
         continue;
       }
-      if (!hb_strict) continue;
       if (!vc_covers(vc, w.flush_tid, w.flush_idx)) {
         std::ostringstream os;
         os << "flush of line " << l << " (seq " << w.flush_seq
@@ -671,15 +603,9 @@ TraceAnalyzer::TraceAnalyzer(AnalysisOptions options)
 
 TraceAnalyzer::~TraceAnalyzer() = default;
 
-Status TraceAnalyzer::add_trace(std::span<const Event> events,
-                                std::uint32_t version) {
-  if (version == 0 || version > kTraceVersion) {
-    return invalid_argument("paxscope: unsupported trace version " +
-                            std::to_string(version));
-  }
+Status TraceAnalyzer::add_trace(std::span<const Event> events) {
   const std::size_t trace_index = traces_++;
-  TracePass pass(trace_index, /*strict=*/version >= 2, options_, stats_,
-                 findings_, options_.lock_graph ? lock_graph_.get() : nullptr);
+  TracePass pass(trace_index, stats_, findings_, *lock_graph_);
   std::uint64_t prev_seq = 0;
   for (const Event& e : events) {
     if (e.seq < prev_seq) {
@@ -712,60 +638,58 @@ AnalysisReport TraceAnalyzer::finish() {
   findings_.clear();
   report.stats = stats_;
   report.traces = traces_;
-  if (options_.lock_graph) {
-    // Rank pass: any aggregated edge from a higher rank to a lower one is
-    // against the documented order, even if no single run blocked on it.
-    for (const auto& [key, info] : lock_graph_->edges) {
-      const std::uint64_t src_cls = key.first >> 32;
-      const std::uint64_t dst_cls = key.second >> 32;
-      if (src_cls > dst_cls) {
-        Finding f;
-        f.kind = FindingKind::kLockRankViolation;
-        f.trace_index = info.first_trace;
-        f.seq = info.first_seq;
-        f.detail = "aggregated lock edge " + lock_node_name(key.first) +
-                   " -> " + lock_node_name(key.second) +
-                   " acquires against the documented order (seen " +
-                   std::to_string(info.count) + "x, first at trace " +
-                   std::to_string(info.first_trace) + " seq " +
-                   std::to_string(info.first_seq) + ")";
-        report.findings.push_back(std::move(f));
-      }
-    }
-    // Cycle pass: strongly connected components of size > 1 are potential
-    // deadlocks — even same-rank, same-class ones the online checker can
-    // never flag, and even when the two halves of the inversion came from
-    // different runs.
-    SccFinder finder(lock_graph_->edges);
-    finder.run();
-    for (const auto& scc : finder.sccs) {
-      std::set<std::uint64_t> members(scc.begin(), scc.end());
-      std::ostringstream os;
-      os << "potential deadlock cycle over " << scc.size() << " locks:";
-      std::size_t first_trace = 0;
-      std::uint64_t first_seq = 0;
-      bool first = true;
-      for (const auto& [key, info] : lock_graph_->edges) {
-        if (members.count(key.first) == 0 || members.count(key.second) == 0) {
-          continue;
-        }
-        os << " " << lock_node_name(key.first) << " -> "
-           << lock_node_name(key.second) << " (trace "
-           << info.first_trace << ", seq " << info.first_seq << ");";
-        if (first) {
-          first_trace = info.first_trace;
-          first_seq = info.first_seq;
-          first = false;
-        }
-      }
-      os << " no single run blocked, but the orders compose into a cycle";
+  // Rank pass: any aggregated edge from a higher rank to a lower one is
+  // against the documented order, even if no single run blocked on it.
+  for (const auto& [key, info] : lock_graph_->edges) {
+    const std::uint64_t src_cls = key.first >> 32;
+    const std::uint64_t dst_cls = key.second >> 32;
+    if (src_cls > dst_cls) {
       Finding f;
-      f.kind = FindingKind::kLockCycle;
-      f.trace_index = first_trace;
-      f.seq = first_seq;
-      f.detail = os.str();
+      f.kind = FindingKind::kLockRankViolation;
+      f.trace_index = info.first_trace;
+      f.seq = info.first_seq;
+      f.detail = "aggregated lock edge " + lock_node_name(key.first) +
+                 " -> " + lock_node_name(key.second) +
+                 " acquires against the documented order (seen " +
+                 std::to_string(info.count) + "x, first at trace " +
+                 std::to_string(info.first_trace) + " seq " +
+                 std::to_string(info.first_seq) + ")";
       report.findings.push_back(std::move(f));
     }
+  }
+  // Cycle pass: strongly connected components of size > 1 are potential
+  // deadlocks — even same-rank, same-class ones the online checker can
+  // never flag, and even when the two halves of the inversion came from
+  // different runs.
+  SccFinder finder(lock_graph_->edges);
+  finder.run();
+  for (const auto& scc : finder.sccs) {
+    std::set<std::uint64_t> members(scc.begin(), scc.end());
+    std::ostringstream os;
+    os << "potential deadlock cycle over " << scc.size() << " locks:";
+    std::size_t first_trace = 0;
+    std::uint64_t first_seq = 0;
+    bool first = true;
+    for (const auto& [key, info] : lock_graph_->edges) {
+      if (members.count(key.first) == 0 || members.count(key.second) == 0) {
+        continue;
+      }
+      os << " " << lock_node_name(key.first) << " -> "
+         << lock_node_name(key.second) << " (trace "
+         << info.first_trace << ", seq " << info.first_seq << ");";
+      if (first) {
+        first_trace = info.first_trace;
+        first_seq = info.first_seq;
+        first = false;
+      }
+    }
+    os << " no single run blocked, but the orders compose into a cycle";
+    Finding f;
+    f.kind = FindingKind::kLockCycle;
+    f.trace_index = first_trace;
+    f.seq = first_seq;
+    f.detail = os.str();
+    report.findings.push_back(std::move(f));
   }
   // Severity order: cycles and rank problems first, then persist windows,
   // then what the online engine already knew.
@@ -781,10 +705,9 @@ Result<AnalysisReport> analyze_trace_files(std::span<const std::string> paths,
                                            AnalysisOptions options) {
   TraceAnalyzer analyzer(options);
   for (const std::string& path : paths) {
-    auto trace = read_trace_versioned(path);
-    if (!trace.ok()) return trace.status();
-    PAX_RETURN_IF_ERROR(
-        analyzer.add_trace(trace.value().events, trace.value().version));
+    auto events = read_trace(path);
+    if (!events.ok()) return events.status();
+    PAX_RETURN_IF_ERROR(analyzer.add_trace(events.value()));
   }
   return analyzer.finish();
 }

@@ -43,18 +43,7 @@
 //                          covers its record (the emitter's acquire load of
 //                          the watermark is real synchronization, and log
 //                          flushes are ordered by the log mutex);
-//   fork/join            — kTaskDispatch → every kTaskBegin of the token,
-//                          every kTaskEnd → the token's kTaskJoin;
-//   batch                — kSyncPush → the same thread's batch outcome
-//                          (subsumed by program order today, kept explicit
-//                          for stats and future cross-thread batches);
-//   pipeline             — kPipelineSeal(e) → kEpochSeal(e) →
-//                          kEpochCommit(e).
-//
-// Traces recorded before format v2 (trace_file.hpp) lack the gate flag and
-// the fork/join brackets, so their fan-out writebacks would all look
-// unordered; for those the persist-order pass falls back to the online
-// (sequence-order) interpretation instead of reporting false windows.
+//   pipeline             — kPipelineSeal(e) → kEpochCommit(e).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +54,6 @@
 
 #include "pax/check/checker.hpp"
 #include "pax/check/event.hpp"
-#include "pax/check/trace_file.hpp"
 #include "pax/common/status.hpp"
 
 namespace pax::check {
@@ -105,13 +93,10 @@ struct HbStats {
   std::uint64_t program_edges = 0;
   std::uint64_t lock_edges = 0;
   std::uint64_t gate_edges = 0;
-  std::uint64_t fork_join_edges = 0;
-  std::uint64_t batch_edges = 0;
   std::uint64_t pipeline_edges = 0;
 
   std::uint64_t total_edges() const {
-    return program_edges + lock_edges + gate_edges + fork_join_edges +
-           batch_edges + pipeline_edges;
+    return program_edges + lock_edges + gate_edges + pipeline_edges;
   }
 };
 
@@ -119,8 +104,6 @@ struct AnalysisOptions {
   /// Also run each trace through the online rule engines (Checker::replay)
   /// and fold its violations in as kOnlineViolation findings.
   bool online_replay = true;
-  bool lock_graph = true;
-  bool persist_order = true;
 };
 
 struct AnalysisReport {
@@ -149,10 +132,8 @@ class TraceAnalyzer {
   TraceAnalyzer& operator=(const TraceAnalyzer&) = delete;
 
   /// One recorded execution, in seq order (as recorded_events() and
-  /// decode_trace return it). `version` is the trace-format version the
-  /// events came from; pre-v2 streams get the lenient interpretation.
-  Status add_trace(std::span<const Event> events,
-                   std::uint32_t version = kTraceVersion);
+  /// decode_trace return it).
+  Status add_trace(std::span<const Event> events);
 
   /// Runs the aggregated lock-graph pass and returns everything found.
   /// The analyzer may be reused afterwards (the lock graph keeps

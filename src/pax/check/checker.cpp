@@ -19,11 +19,17 @@ struct TlsSlot {
 };
 thread_local TlsSlot t_slot;
 
-std::size_t round_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
+// Events buffered per thread before the producer hands off early.
+constexpr std::size_t kRingCapacity = 1024;
+// Findings beyond this are counted but not stored.
+constexpr std::size_t kMaxViolations = 64;
+// Preceding same-line events shown in a violation backtrace.
+constexpr std::size_t kHistoryPerLine = 6;
+// Global recent-event window backtraces are mined from; older history is
+// lost. Per-event cost is one sequential 40-byte write either way.
+constexpr std::size_t kRecentEvents = 65536;
+static_assert((kRingCapacity & (kRingCapacity - 1)) == 0);
+static_assert((kRecentEvents & (kRecentEvents - 1)) == 0);
 
 }  // namespace
 
@@ -41,21 +47,15 @@ const char* event_type_name(EventType t) {
     case EventType::kLogFlush: return "LOG_FLUSH";
     case EventType::kLogReset: return "LOG_RESET";
     case EventType::kWriteback: return "WRITEBACK";
-    case EventType::kEpochSeal: return "EPOCH_SEAL";
     case EventType::kEpochCommit: return "EPOCH_COMMIT";
     case EventType::kPullInvoke: return "PULL";
     case EventType::kSyncPush: return "SYNC_PUSH";
     case EventType::kSyncBatchOk: return "SYNC_BATCH_OK";
     case EventType::kSyncBatchFail: return "SYNC_BATCH_FAIL";
-    case EventType::kDigestApply: return "DIGEST_APPLY";
     case EventType::kLockAcquire: return "LOCK_ACQ";
     case EventType::kLockRelease: return "LOCK_REL";
     case EventType::kPipelineSeal: return "PIPE_SEAL";
     case EventType::kPipelinePage: return "PIPE_PAGE";
-    case EventType::kTaskDispatch: return "TASK_DISPATCH";
-    case EventType::kTaskBegin: return "TASK_BEGIN";
-    case EventType::kTaskEnd: return "TASK_END";
-    case EventType::kTaskJoin: return "TASK_JOIN";
     case EventType::kEpochSubmit: return "EPOCH_SUBMIT";
   }
   return "?";
@@ -163,8 +163,7 @@ struct Checker::Ring {
 Checker::Checker(const CheckerOptions& options)
     : options_(options), gen_(g_checker_gen.fetch_add(1) + 1) {
   staged_.reserve(4096);
-  recent_.resize(
-      round_pow2(std::max<std::size_t>(options_.recent_events, 1024)));
+  if (options_.rules) recent_.resize(kRecentEvents);
 }
 
 Checker::~Checker() = default;
@@ -174,8 +173,7 @@ Checker::Ring* Checker::register_this_thread() {
   auto [it, inserted] =
       ring_by_thread_.try_emplace(std::this_thread::get_id(), nullptr);
   if (inserted) {
-    auto ring = std::make_unique<Ring>(
-        round_pow2(std::max<std::size_t>(options_.ring_capacity, 8)));
+    auto ring = std::make_unique<Ring>(kRingCapacity);
     ring->tid = static_cast<std::uint16_t>(rings_.size());
     it->second = ring.get();
     rings_.push_back(std::move(ring));
@@ -214,7 +212,6 @@ void Checker::emit(const Event& e) {
     case EventType::kDrain:
     case EventType::kCrash:
     case EventType::kLogFlush:
-    case EventType::kEpochSeal:
     case EventType::kEpochCommit:
     case EventType::kSyncBatchOk:
     case EventType::kSyncBatchFail: {
@@ -261,8 +258,9 @@ void Checker::settle_locked() {
   }
   const std::uint64_t recent_mask = recent_.size() - 1;
   for (const Event& e : staged_) {
-    recent_[recent_pos_++ & recent_mask] = e;
     if (options_.record_events) recorded_.push_back(e);
+    if (!options_.rules) continue;
+    recent_[recent_pos_++ & recent_mask] = e;
     process(e);
   }
   diag_.events += staged_.size();
@@ -276,7 +274,7 @@ void Checker::add_violation(Rule rule, const Event& e,
            .second) {
     return;
   }
-  if (violations_.size() >= options_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     ++diag_.suppressed;
     return;
   }
@@ -287,13 +285,13 @@ void Checker::add_violation(Rule rule, const Event& e,
   v.detail = std::move(detail);
   // Mine the recent-event window for the line's preceding events — paid
   // only when a violation actually fires.
-  if (e.line != kNoLine && options_.history_per_line > 0) {
+  if (e.line != kNoLine) {
     const std::uint64_t mask = recent_.size() - 1;
     const std::uint64_t span =
         std::min<std::uint64_t>(recent_pos_, recent_.size());
     std::vector<Event> newest_first;
     for (std::uint64_t i = 0;
-         i < span && newest_first.size() < options_.history_per_line; ++i) {
+         i < span && newest_first.size() < kHistoryPerLine; ++i) {
       const Event& r = recent_[(recent_pos_ - 1 - i) & mask];
       if (r.line == e.line && r.seq != e.seq) newest_first.push_back(r);
     }
@@ -335,12 +333,10 @@ void Checker::process_lock_acquire(const Event& e) {
 void Checker::process(const Event& e) {
   switch (e.type) {
     case EventType::kStore: {
-      if (!options_.persist_order) break;
       pending_lines_.try_emplace(LineIndex{e.line});
       break;
     }
     case EventType::kFlush: {
-      if (!options_.persist_order) break;
       if (e.flags & kFlagEmptyFlush) {
         ++diag_.redundant_flushes;
       } else {
@@ -370,7 +366,6 @@ void Checker::process(const Event& e) {
       log_durable_[e.a] = 0;
       break;
     case EventType::kWriteback: {
-      if (!options_.persist_order) break;
       const auto it = log_durable_.find(e.a);
       const std::uint64_t durable =
           it == log_durable_.end() ? 0 : it->second;
@@ -385,24 +380,9 @@ void Checker::process(const Event& e) {
       }
       break;
     }
-    case EventType::kEpochSeal: {
-      if (!options_.persist_order) break;
-      // Only pre-v3 runtimes drove the device's own seal: runtime 0.
-      const auto& fifo = pipeline_fifo_[0];
-      if (!fifo.empty() && fifo.front().epoch != e.a) {
-        add_violation(Rule::kPipelineCommitOrder, e, e.a,
-                      "device sealed epoch " + std::to_string(e.a) +
-                          " while pipeline snapshot for epoch " +
-                          std::to_string(fifo.front().epoch) +
-                          " is at the head of the drain queue");
-      }
-      break;
-    }
     case EventType::kEpochCommit: {
-      if (!options_.persist_order) break;
       // The device commits on the thread that submitted the epoch; a
-      // commit nobody submitted (device-level callers, pre-v3 traces)
-      // belongs to runtime 0.
+      // commit nobody submitted (device-level callers) belongs to runtime 0.
       std::uint32_t runtime = 0;
       if (const auto it = submitter_.find(e.tid); it != submitter_.end()) {
         runtime = it->second;
@@ -444,7 +424,6 @@ void Checker::process(const Event& e) {
       break;
     }
     case EventType::kPullInvoke: {
-      if (!options_.lock_discipline) break;
       const auto it = lock_stacks_.find(e.tid);
       if (it == lock_stacks_.end()) break;
       for (const Event& held : it->second) {
@@ -462,7 +441,6 @@ void Checker::process(const Event& e) {
       break;
     }
     case EventType::kSyncPush: {
-      if (!options_.persist_order) break;
       // While snapshots are outstanding, the drain worker is the only sync
       // producer and must push only the head snapshot's pages — anything
       // else is live next-epoch mutation bleeding into the sealed epoch.
@@ -486,7 +464,6 @@ void Checker::process(const Event& e) {
       break;
     }
     case EventType::kEpochSubmit: {
-      if (!options_.persist_order) break;
       submitter_[e.tid] = e.runtime;
       if (const auto it = failed_batch_seq_.find(e.runtime);
           it != failed_batch_seq_.end()) {
@@ -502,22 +479,15 @@ void Checker::process(const Event& e) {
     case EventType::kSyncBatchFail:
       // The first failure is sticky for the runtime (see the failure model
       // in runtime.hpp): nothing may be pushed or submitted after it.
-      // Runtime 0 marks events from traces older than v3, whose runtime
-      // could retry after a failure.
-      if (options_.persist_order && e.runtime != 0) {
-        failed_batch_seq_.try_emplace(e.runtime, e.seq);
-      }
+      failed_batch_seq_.try_emplace(e.runtime, e.seq);
       break;
     case EventType::kSyncBatchOk:
-    case EventType::kDigestApply:  // only in traces of the older sync path
       break;
     case EventType::kPipelineSeal: {
-      if (!options_.persist_order) break;
       pipeline_fifo_[e.runtime].push_back({e.a, {}});
       break;
     }
     case EventType::kPipelinePage: {
-      if (!options_.persist_order) break;
       // Pages arrive right after their seal event; match from the back.
       auto& fifo = pipeline_fifo_[e.runtime];
       for (auto it = fifo.rbegin(); it != fifo.rend(); ++it) {
@@ -529,10 +499,9 @@ void Checker::process(const Event& e) {
       break;
     }
     case EventType::kLockAcquire:
-      if (options_.lock_discipline) process_lock_acquire(e);
+      process_lock_acquire(e);
       break;
     case EventType::kLockRelease: {
-      if (!options_.lock_discipline) break;
       auto& stack = lock_stacks_[e.tid];
       for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
         if (it->a == e.a && it->b == e.b) {
@@ -542,13 +511,6 @@ void Checker::process(const Event& e) {
       }
       break;
     }
-    case EventType::kTaskDispatch:
-    case EventType::kTaskBegin:
-    case EventType::kTaskEnd:
-    case EventType::kTaskJoin:
-      // Fork-join bracketing is offline material: the happens-before
-      // analysis (analyze.hpp) consumes it; no online rule does.
-      break;
   }
 }
 

@@ -78,9 +78,9 @@ enum class Rule : std::uint8_t {
   //     target a page captured by the OLDEST outstanding snapshot — a push
   //     outside that set means live epoch-(N+1) mutation leaked into the
   //     device sync of sealed epoch N (kSealedEpochMutation);
-  //   * device kEpochSeal / kEpochCommit must match the snapshot FIFO head —
-  //     commits crossing the drain queue out of order break the §3.3
-  //     in-order epoch contract (kPipelineCommitOrder).
+  //   * a device kEpochCommit must match the snapshot FIFO head — commits
+  //     crossing the drain queue out of order break the §3.3 in-order
+  //     epoch contract (kPipelineCommitOrder).
   kSealedEpochMutation,
   kPipelineCommitOrder,
 };
@@ -88,19 +88,10 @@ enum class Rule : std::uint8_t {
 const char* rule_name(Rule r);
 
 struct CheckerOptions {
-  bool persist_order = true;
-  bool lock_discipline = true;
-  /// Events buffered per thread before the producer hands off early
-  /// (rounded up to a power of two).
-  std::size_t ring_capacity = 1024;
-  /// Findings beyond this are counted but not stored.
-  std::size_t max_violations = 64;
-  /// Max preceding same-line events shown in a violation backtrace.
-  std::size_t history_per_line = 6;
-  /// Size of the global recent-event window backtraces are mined from
-  /// (rounded up to a power of two). Backtraces older than this window are
-  /// lost; per-event cost is one sequential 40-byte write either way.
-  std::size_t recent_events = 65536;
+  /// Run the persist-order and lock-discipline rule engines. Off leaves a
+  /// record-only checker (record_events), which the crash explorer uses to
+  /// name the first event of a determinism drift.
+  bool rules = true;
   /// Keep a copy of every event the engine processes, retrievable with
   /// recorded_events() — the raw material for .paxevt traces
   /// (trace_file.hpp) and crash-point stream truncation. Unbounded memory
@@ -122,7 +113,7 @@ struct CheckDiagnostics {
   std::uint64_t redundant_flushes = 0;  // CLWB found nothing pending
   std::uint64_t events = 0;             // events processed by the engine
   std::uint64_t settles = 0;            // engine replay passes
-  std::uint64_t suppressed = 0;         // violations beyond max_violations
+  std::uint64_t suppressed = 0;         // violations beyond the stored cap
 };
 
 struct Report {
@@ -209,8 +200,6 @@ class Checker {
   /// Copy of every event processed so far, in sequence order. Populated
   /// only when CheckerOptions::record_events is set; settles first.
   std::vector<Event> recorded_events();
-
-  const CheckerOptions& options() const { return options_; }
 
  private:
   struct Ring;

@@ -1,6 +1,7 @@
 #include "pax/check/crashpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "pax/check/trace_file.hpp"
@@ -11,72 +12,82 @@ namespace pax::check {
 // --- CrashOracle ---------------------------------------------------------
 
 Status CrashOracle::note_commit(Epoch epoch) {
-  if (!collect_) return Status::ok();
-  auto pool = pmem::PmemPool::open(device_);
-  if (!pool.ok()) return pool.status();
-  if (!snapshots_.empty() && epoch <= snapshots_.back().epoch) {
+  if (!commits_.empty() && epoch <= commits_.back().epoch) {
     return invalid_argument(
         "oracle epochs must be strictly increasing (got " +
         std::to_string(epoch) + " after " +
-        std::to_string(snapshots_.back().epoch) + ")");
+        std::to_string(commits_.back().epoch) + ")");
   }
-  Snapshot snap;
-  snap.epoch = epoch;
-  snap.events_at = device_->crash_events();
-  snap.data.resize(pool.value().data_size());
-  device_->read_durable(pool.value().data_offset(), snap.data);
-  snapshots_.push_back(std::move(snap));
+  commits_.push_back({epoch, device_->crash_events()});
+  const std::size_t index = commits_.size() - 1;
+  if (!pre_commit_.has_value() ||
+      (index != *pre_commit_ && index != *pre_commit_ + 1)) {
+    return Status::ok();
+  }
+  auto pool = pmem::PmemPool::open(device_);
+  if (!pool.ok()) return pool.status();
+  Image& image = index == *pre_commit_ ? pre_.emplace() : post_.emplace();
+  image.epoch = epoch;
+  image.data.resize(pool.value().data_size());
+  device_->read_durable(pool.value().data_offset(), image.data);
   return Status::ok();
 }
 
 std::uint64_t CrashOracle::baseline_events() const {
-  return snapshots_.empty() ? 0 : snapshots_.front().events_at;
+  return commits_.empty() ? 0 : commits_.front().events_at;
 }
 
-Status CrashOracle::check_recovered(pmem::PmemPool& pool,
-                                    std::uint64_t crash_after) const {
-  if (snapshots_.empty()) {
-    return failed_precondition("oracle holds no snapshots");
+std::size_t CrashOracle::commit_before(std::uint64_t crash_after) const {
+  std::size_t pre = 0;
+  for (std::size_t i = 0; i < commits_.size(); ++i) {
+    if (commits_[i].events_at <= crash_after) pre = i;
+  }
+  return pre;
+}
+
+Status CrashOracle::check_recovered(pmem::PmemPool& pool) const {
+  if (!pre_.has_value()) {
+    return failed_precondition("oracle holds no commit before the crash");
   }
   const Epoch recovered = pool.committed_epoch();
 
-  // The newest snapshot whose commit precedes (or is) the crash point is
-  // the "pre" epoch. The only other legal outcome is the next committed
-  // epoch: the crash landed inside its persist, after the epoch cell
-  // became durable but before the reference run's note_commit observed it.
-  std::size_t pre = 0;
-  for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    if (snapshots_[i].events_at <= crash_after) pre = i;
-  }
-  const Snapshot* expected = nullptr;
-  if (recovered == snapshots_[pre].epoch) {
-    expected = &snapshots_[pre];
-  } else if (pre + 1 < snapshots_.size() &&
-             recovered == snapshots_[pre + 1].epoch) {
-    expected = &snapshots_[pre + 1];
+  // The pre epoch is the newest commit at or before the crash point. The
+  // only other legal outcome is the next committed epoch: the crash landed
+  // inside its persist, after the epoch cell became durable but before
+  // note_commit observed it.
+  const Image* expected = nullptr;
+  if (recovered == pre_->epoch) {
+    expected = &*pre_;
+  } else if (post_.has_value() && recovered == post_->epoch) {
+    expected = &*post_;
   }
   if (expected == nullptr) {
     return corruption(
         "recovered epoch " + std::to_string(recovered) +
-        " is neither pre-epoch " + std::to_string(snapshots_[pre].epoch) +
+        " is neither pre-epoch " + std::to_string(pre_->epoch) +
         " nor post-epoch" +
-        (pre + 1 < snapshots_.size()
-             ? " " + std::to_string(snapshots_[pre + 1].epoch)
-             : std::string(" (none exists)")));
+        (post_.has_value() ? " " + std::to_string(post_->epoch)
+                           : std::string(" (none exists)")));
   }
 
-  std::vector<std::byte> durable(expected->data.size());
-  pool.device()->read_durable(pool.data_offset(), durable);
-  if (durable != expected->data) {
-    const auto mismatch = std::mismatch(durable.begin(), durable.end(),
-                                        expected->data.begin());
-    const std::size_t off =
-        static_cast<std::size_t>(mismatch.first - durable.begin());
-    return corruption("recovered data extent diverges from epoch " +
-                      std::to_string(expected->epoch) +
-                      " snapshot at data line " +
-                      std::to_string(off / kCacheLineSize) + " (byte " +
-                      std::to_string(off) + ")");
+  // Compare a page at a time: copying the whole extent for every recovery
+  // would cost more than the comparison itself.
+  std::array<std::byte, kPageSize> chunk;
+  for (std::size_t off = 0; off < expected->data.size(); off += kPageSize) {
+    const std::span<std::byte> got = std::span(chunk).first(
+        std::min(kPageSize, expected->data.size() - off));
+    pool.device()->read_durable(pool.data_offset() + off, got);
+    const auto mismatch =
+        std::mismatch(got.begin(), got.end(), expected->data.begin() + off);
+    if (mismatch.first != got.end()) {
+      const std::size_t at =
+          off + static_cast<std::size_t>(mismatch.first - got.begin());
+      return corruption("recovered data extent diverges from epoch " +
+                        std::to_string(expected->epoch) +
+                        " image at data line " +
+                        std::to_string(at / kCacheLineSize) + " (byte " +
+                        std::to_string(at) + ")");
+    }
   }
   return Status::ok();
 }
@@ -111,11 +122,11 @@ std::string ExplorationResult::to_string() const {
   std::string out =
       "crash exploration: " + std::to_string(crash_points) +
       " crash point(s) of " + std::to_string(total_events) +
-      " event(s), " + std::to_string(epochs) + " epoch snapshot(s), " +
+      " event(s), " + std::to_string(epochs) + " committed epoch(s), " +
       std::to_string(executions) + " execution(s), " +
       std::to_string(recoveries) + " audited recovery/ies";
   if (findings.empty()) {
-    out += "\n  clean: every recovery matched a committed snapshot";
+    out += "\n  clean: every recovery matched a committed image";
   } else {
     out += "\n  " + std::to_string(findings.size()) +
            " finding(s), first bad crash index " +
@@ -211,23 +222,23 @@ CrashExplorer::CrashExplorer(std::size_t device_bytes, Workload workload,
 Result<ExplorationResult> CrashExplorer::explore() {
   ExplorationResult result;
 
-  // Reference pass: count events, record the stream, snapshot each epoch.
+  // Reference pass: count events, record the stream, note each commit.
   auto ref_device = pmem::PmemDevice::create_in_memory(device_bytes_);
-  CheckerOptions ref_options = options_.checker;
+  CheckerOptions ref_options;
   ref_options.record_events = true;
   Checker ref_checker(ref_options);
   ref_device->set_checker(&ref_checker);
-  CrashOracle oracle(ref_device.get(), /*collect=*/true);
+  CrashOracle oracle(ref_device.get());
   const Status ref_status = workload_(*ref_device, oracle);
   ref_device->set_checker(nullptr);
   PAX_RETURN_IF_ERROR(ref_status);
-  if (oracle.snapshot_count() == 0) {
+  if (oracle.commits_.empty()) {
     return failed_precondition(
         "workload never called CrashOracle::note_commit");
   }
   result.total_events = ref_device->crash_events();
   result.executions = 1;
-  result.epochs = oracle.snapshot_count();
+  result.epochs = oracle.commits_.size();
   const std::vector<Event> reference = ref_checker.recorded_events();
 
   // Crash points: a stride-`every` grid over (baseline, total], evenly
@@ -253,8 +264,9 @@ Result<ExplorationResult> CrashExplorer::explore() {
   }
 
   for (std::uint64_t point : points) {
-    PAX_RETURN_IF_ERROR(
-        audit_crash_point(point, reference, oracle, result));
+    PAX_RETURN_IF_ERROR(audit_crash_point(point, reference,
+                                          oracle.commit_before(point),
+                                          result));
     ++result.crash_points;
     if (options_.max_findings > 0 &&
         result.findings.size() >= options_.max_findings) {
@@ -266,21 +278,22 @@ Result<ExplorationResult> CrashExplorer::explore() {
 
 Status CrashExplorer::audit_crash_point(std::uint64_t point,
                                         std::span<const Event> reference,
-                                        const CrashOracle& oracle,
+                                        std::size_t pre_commit,
                                         ExplorationResult& result) {
-  // Re-execute with a consistent-cut capture armed at `point`. The stream
-  // is recorded (rules off — the reference pass already audited a clean
-  // run) purely so a determinism drift can name its first diverging event.
+  // Re-execute with a consistent-cut capture armed at `point`; the oracle
+  // keeps this execution's images of the commits around the cut. The
+  // stream is recorded (rules off — the reference pass already audited a
+  // clean run) purely so a determinism drift can name its first diverging
+  // event.
   auto device = pmem::PmemDevice::create_in_memory(device_bytes_);
   device->arm_crash_point(point);
   CheckerOptions redo_options;
-  redo_options.persist_order = false;
-  redo_options.lock_discipline = false;
+  redo_options.rules = false;
   redo_options.record_events = true;
   Checker redo(redo_options);
   device->set_checker(&redo);
-  CrashOracle scratch(device.get(), /*collect=*/false);
-  const Status rerun = workload_(*device, scratch);
+  CrashOracle oracle(device.get(), pre_commit);
+  const Status rerun = workload_(*device, oracle);
   device->set_checker(nullptr);
   PAX_RETURN_IF_ERROR(rerun);
   ++result.executions;
@@ -302,12 +315,8 @@ Status CrashExplorer::audit_crash_point(std::uint64_t point,
     auto crashed =
         pmem::PmemDevice::create_in_memory_from(cut->resolve(mode.config));
 
-    CheckerOptions audit_options = options_.checker;
+    CheckerOptions audit_options;
     audit_options.record_events = true;  // artifacts want the full stream
-    if (!options_.paxcheck_audit) {
-      audit_options.persist_order = false;
-      audit_options.lock_discipline = false;
-    }
     Checker audit(audit_options);
     audit.replay(prefix);
     audit.on_crash();
@@ -323,7 +332,7 @@ Status CrashExplorer::audit_crash_point(std::uint64_t point,
       if (!recovery.ok()) {
         failure = "recovery failed: " + recovery.status().to_string();
       } else {
-        Status invariant = oracle.check_recovered(pool.value(), point);
+        Status invariant = oracle.check_recovered(pool.value());
         if (invariant.is_ok() && invariant_) {
           invariant =
               invariant_(pool.value(), pool.value().committed_epoch());

@@ -5,9 +5,9 @@
 // recovery tests crash at hand-picked sites. CrashExplorer closes both
 // gaps. It runs a deterministic workload once — the *reference pass* — to
 // learn the device's total crash-countable event count, record the PaxCheck
-// event stream, and snapshot the durable data extent at every committed
-// epoch. Then, for every k-th device persistence event, it re-executes the
-// workload with a consistent-cut capture armed at that event
+// event stream, and note the event count at every committed epoch. Then,
+// for every k-th device persistence event, it re-executes the workload with
+// a consistent-cut capture armed at that event
 // (PmemDevice::arm_crash_point), resolves the cut under each requested
 // CrashConfig mode (drop_all / random / torn — one captured cut serves all
 // three), and audits the resulting post-crash device three ways:
@@ -16,21 +16,23 @@
 //   2. the PaxCheck rules must stay silent over [recorded stream truncated
 //      at the crash point] + crash + recovery — the full persist-order and
 //      lock-discipline audit, localized to this crash point;
-//   3. the recovered state must byte-exactly equal one of the committed
-//      snapshots the crash point straddles — "pre-epoch or post-epoch,
-//      nothing in between" — plus any caller-supplied invariant.
+//   3. the recovered state must byte-exactly equal the durable image of
+//      one of the two commits the crash point straddles, as the crashing
+//      execution itself committed them — "pre-epoch or post-epoch, nothing
+//      in between" — plus any caller-supplied invariant.
 //
 // Every failure is a CrashFinding naming the exact first bad crash index;
 // with an artifact directory set, each finding also writes the audited
 // event stream as a replayable .paxevt file (trace_file.hpp).
 //
-// Determinism contract: the workload must produce the identical device
-// event sequence on every execution — fixed seeds, no wall-clock, single-
-// threaded persistence (libpax workloads: blocking persist() on the
-// workload thread, plus a fixed vpm_base_hint so heap-internal raw pointers
-// land at the same addresses and snapshots compare byte-equal). The
-// explorer verifies the total event count on every re-execution and fails
-// loudly on drift.
+// Determinism contract: only the device event count must repeat — fixed
+// seeds, no wall-clock, single-threaded persistence (libpax workloads:
+// blocking persist() on the workload thread). The bytes stored may differ
+// between executions (padding inside a persistent object, a heap address):
+// an armed execution runs to completion after its cut and keeps its own
+// images of the commits around it, so recovery is judged against the
+// execution that crashed. The explorer verifies the total event count on
+// every re-execution and fails loudly on drift.
 #pragma once
 
 #include <cstdint>
@@ -48,48 +50,57 @@
 
 namespace pax::check {
 
-/// Collected on the reference (crash-free) execution: one byte-exact
-/// snapshot of the durable data extent per committed epoch, tagged with the
-/// device's crash-event count at commit time. Workloads call note_commit()
+/// What a workload reports its commits to. Workloads call note_commit()
 /// right after attach/recovery finishes (the baseline epoch) and right
-/// after every persist; the explorer then knows, for any crash point, which
-/// snapshots a correct recovery may land on. During crash re-executions the
-/// explorer passes a non-collecting oracle, keeping note_commit free of
-/// device side effects either way (it only reads).
+/// after every persist; the oracle records each commit's epoch and device
+/// crash-event count. The oracle of an armed execution also keeps the
+/// durable data extent of the newest commit at or before its crash point
+/// and of the commit after it — the only two images a correct recovery may
+/// land on. note_commit only reads the device either way.
 class CrashOracle {
  public:
-  CrashOracle(pmem::PmemDevice* device, bool collect)
-      : device_(device), collect_(collect) {}
+  explicit CrashOracle(pmem::PmemDevice* device) : device_(device) {}
 
-  /// Records "epoch `epoch` is durably committed; the data extent's durable
-  /// bytes are its snapshot". Epochs must arrive in increasing order,
-  /// starting with the post-attach baseline.
+  /// Records "epoch `epoch` is durably committed". Epochs must arrive in
+  /// increasing order, starting with the post-attach baseline.
   Status note_commit(Epoch epoch);
 
-  std::size_t snapshot_count() const { return snapshots_.size(); }
+ private:
+  friend class CrashExplorer;
 
-  /// Event count at the baseline snapshot. Crash points at or before it
-  /// fall inside pool setup, where no committed snapshot exists to compare
+  /// An armed execution's oracle: keeps the images of commit `pre` (the
+  /// reference pass's commit_before the cut) and of the commit after it.
+  CrashOracle(pmem::PmemDevice* device, std::size_t pre)
+      : device_(device), pre_commit_(pre) {}
+
+  /// Event count at the baseline commit. Crash points at or before it
+  /// fall inside pool setup, where no committed image exists to compare
   /// against; enumeration starts after it.
   std::uint64_t baseline_events() const;
 
-  /// The pre-or-post-epoch invariant: the recovered pool must sit at an
-  /// epoch the crash point allows (the newest epoch committed at or before
-  /// the crash, or the immediately following one whose commit the crash
-  /// landed inside) and match that epoch's snapshot byte-for-byte.
-  Status check_recovered(pmem::PmemPool& pool,
-                         std::uint64_t crash_after) const;
+  /// Index of the newest commit at or before crash event `crash_after`.
+  std::size_t commit_before(std::uint64_t crash_after) const;
 
- private:
-  struct Snapshot {
+  /// The pre-or-post-epoch invariant: the recovered pool must sit at the
+  /// epoch of the newest commit at or before the armed crash point, or of
+  /// the following one whose commit the crash landed inside, and match
+  /// this execution's image of that commit byte-for-byte.
+  Status check_recovered(pmem::PmemPool& pool) const;
+
+  struct Commit {
     Epoch epoch = 0;
     std::uint64_t events_at = 0;
+  };
+  struct Image {
+    Epoch epoch = 0;
     std::vector<std::byte> data;
   };
 
   pmem::PmemDevice* device_;
-  bool collect_;
-  std::vector<Snapshot> snapshots_;
+  std::optional<std::size_t> pre_commit_;  // armed executions only
+  std::vector<Commit> commits_;
+  std::optional<Image> pre_;   // commit pre_commit_
+  std::optional<Image> post_;  // the commit after it
 };
 
 /// One named crash lottery.
@@ -109,14 +120,10 @@ struct CrashExplorerOptions {
   /// Crash modes to resolve each cut under; empty = all three defaults
   /// (drop_all, random 0.5, torn 0.5).
   std::vector<CrashMode> modes;
-  /// Run the PaxCheck rule audit over truncated stream + crash + recovery.
-  /// Off leaves only recovery success + the snapshot/app invariants.
-  bool paxcheck_audit = true;
   /// Directory to write one .paxevt artifact per finding ("" = none).
   std::string artifact_dir;
   /// Stop after this many findings (0 = collect every one).
   std::size_t max_findings = 16;
-  CheckerOptions checker;
 
   static std::vector<CrashMode> default_modes(std::uint64_t seed);
 };
@@ -138,7 +145,7 @@ struct ExplorationResult {
   std::uint64_t crash_points = 0;   // points actually tested
   std::uint64_t executions = 0;     // workload runs (reference + armed)
   std::uint64_t recoveries = 0;     // recover_pool invocations audited
-  std::uint64_t epochs = 0;         // committed snapshots in the reference
+  std::uint64_t epochs = 0;         // commits noted by the reference pass
   std::vector<CrashFinding> findings;
 
   bool clean() const { return findings.empty(); }
@@ -156,7 +163,7 @@ class CrashExplorer {
   using Workload = std::function<Status(pmem::PmemDevice&, CrashOracle&)>;
 
   /// Optional application-level invariant, evaluated on each recovered
-  /// pool after the snapshot check.
+  /// pool after the image check.
   using Invariant = std::function<Status(pmem::PmemPool&, Epoch recovered)>;
 
   CrashExplorer(std::size_t device_bytes, Workload workload,
@@ -174,8 +181,7 @@ class CrashExplorer {
  private:
   Status audit_crash_point(std::uint64_t point,
                            std::span<const Event> reference,
-                           const CrashOracle& oracle,
-                           ExplorationResult& result);
+                           std::size_t pre_commit, ExplorationResult& result);
 
   std::size_t device_bytes_;
   Workload workload_;

@@ -23,15 +23,12 @@ enum class EventType : std::uint8_t {
   kFlush,        // line := CLWB'd; flag kFlagEmptyFlush if nothing pending
   kDrain,        // SFENCE ordering point
   kCrash,        // simulated power loss (pending overlay resolved + cleared)
-  // Undo logger (the device's one log; traces of older builds may name a
-  // second, banked logger).
+  // Undo logger.
   kLogAppend,    // line, a := logger id, b := record end offset
   kLogFlush,     // a := logger id, b := new durable watermark
   kLogReset,     // a := logger id (log reclaimed after its epoch committed)
   // PAX device.
   kWriteback,    // line written to PM media; a := logger id, b := record end
-  kEpochSeal,    // a := sealed epoch number; emitted only by older builds'
-                 // device-level epoch overlap, kept so their traces decode
   kEpochCommit,  // a := epoch number; emitted just before the epoch-cell
                  // store, so the cell's own store/flush/drain follow it
   kPullInvoke,   // line := host pull (RdShared) about to be invoked
@@ -39,30 +36,16 @@ enum class EventType : std::uint8_t {
   kSyncPush,      // line queued into a sync_lines batch
   kSyncBatchOk,   // the emitting thread's in-flight batch succeeded
   kSyncBatchFail, // ... or failed (nothing from it reached the device)
-  kDigestApply,   // line's digest advanced; emitted only by the older
-                  // trailing-digest sync path, kept so its traces decode
   // Lock discipline.
   kLockAcquire,  // a := LockClass, b := instance id; flag kFlagSharedLock
   kLockRelease,  // a := LockClass, b := instance id
-  // Epoch pipeline (appended so existing .paxevt traces stay decodable and
-  // crash-point numbering is unchanged — none of these is crash-countable).
+  // Epoch pipeline (none of these is crash-countable).
   kPipelineSeal,  // runtime sealed a dirty-set snapshot; a := epoch,
                   // b := snapshotted page count
   kPipelinePage,  // one page of that snapshot; line := the page's first
                   // pool line, a := epoch
-  // Fork/join (trace v2; not crash-countable). Older builds' PAX device
-  // bracketed each parallel persist fan-out with these so the offline
-  // happens-before analysis (analyze.hpp) saw the pool's synchronization:
-  // dispatch happens-before every begin of the same token, and every end
-  // happens-before the join. a := fork token, unique per parallel section.
-  // No current emitter; kept so v2/v3 traces decode and analyze.
-  kTaskDispatch,  // coordinator announces a parallel section
-  kTaskBegin,     // a worker (or the coordinator itself) starts a slice
-  kTaskEnd,       // that slice finished
-  kTaskJoin,      // coordinator observed all slices complete
-  // Trace v3; not crash-countable.
-  kEpochSubmit,  // a runtime hands a pushed snapshot to the device for
-                 // commit; a := epoch
+  kEpochSubmit,   // a runtime hands a pushed snapshot to the device for
+                  // commit; a := epoch
 };
 
 /// Lock classes in their required acquisition order (LOCK ORDER comment in
@@ -78,7 +61,7 @@ enum class LockClass : std::uint8_t {
 
 inline constexpr std::uint8_t kFlagEmptyFlush = 1u << 0;
 inline constexpr std::uint8_t kFlagSharedLock = 1u << 1;
-/// On kWriteback (trace v2): the emitting thread checked the logger's
+/// On kWriteback: the emitting thread checked the logger's
 /// durable watermark (an acquire load that returned >= the record end)
 /// before writing the line back. The offline analyzer turns this into a
 /// happens-before edge from the covering kLogFlush, mirroring the real
@@ -98,7 +81,7 @@ struct Event {
   std::uint16_t tid = 0;      // ring id of the emitting thread
   // Id of the libpax runtime that emitted a sync or pipeline event
   // (kSyncPush, the batch outcomes, kPipelineSeal/Page, kEpochSubmit);
-  // 0 for every other event and in traces older than v3.
+  // 0 for every other event.
   std::uint32_t runtime = 0;
 };
 

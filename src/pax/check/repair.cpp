@@ -273,7 +273,7 @@ Result<std::vector<Event>> record_scenario_trace(const RepairScenario& s) {
   copts.record_events = true;
   Checker checker(copts);
   dev->set_checker(&checker);
-  CrashOracle oracle(dev.get(), /*collect=*/false);
+  CrashOracle oracle(dev.get());
   Status st = s.workload(*dev, oracle);
   dev->set_checker(nullptr);
   PAX_RETURN_IF_ERROR(st);

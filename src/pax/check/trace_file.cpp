@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "pax/common/crc.hpp"
 
@@ -23,16 +22,9 @@ T get(const std::byte* src, std::size_t off) {
   return value;
 }
 
-// Highest event-type byte each format version may carry: decoding enforces
-// the vocabulary the file claims, so a v1 artifact containing a v2 type is
-// corruption, not silent acceptance.
-std::uint8_t max_event_type_for(std::uint32_t version) {
-  switch (version) {
-    case 1: return static_cast<std::uint8_t>(EventType::kPipelinePage);
-    case 2: return static_cast<std::uint8_t>(EventType::kTaskJoin);
-    default: return static_cast<std::uint8_t>(EventType::kEpochSubmit);
-  }
-}
+// The last EventType: any type byte beyond it is corruption.
+constexpr auto kMaxEventType =
+    static_cast<std::uint8_t>(EventType::kEpochSubmit);
 
 }  // namespace
 
@@ -63,12 +55,6 @@ std::vector<std::byte> encode_trace(std::span<const Event> events) {
 }
 
 Result<std::vector<Event>> decode_trace(std::span<const std::byte> bytes) {
-  auto trace = decode_trace_versioned(bytes);
-  if (!trace.ok()) return trace.status();
-  return std::move(trace.value().events);
-}
-
-Result<Trace> decode_trace_versioned(std::span<const std::byte> bytes) {
   if (bytes.size() < kTraceHeaderSize) {
     return corruption(".paxevt truncated: " + std::to_string(bytes.size()) +
                       " bytes, header needs " +
@@ -82,12 +68,11 @@ Result<Trace> decode_trace_versioned(std::span<const std::byte> bytes) {
     return corruption(".paxevt header CRC mismatch");
   }
   const std::uint32_t version = get<std::uint32_t>(h, 8);
-  if (version == 0 || version > kTraceVersion) {
+  if (version != kTraceVersion) {
     return invalid_argument(".paxevt version " + std::to_string(version) +
-                            " not supported (this reader handles 1.." +
+                            " not supported (this reader handles only " +
                             std::to_string(kTraceVersion) + ")");
   }
-  const std::uint8_t max_type = max_event_type_for(version);
   const std::uint64_t count = get<std::uint64_t>(h, 16);
   // Overflow-safe size check: count came off disk, trust nothing.
   if (count > (bytes.size() - kTraceHeaderSize) / kTraceRecordSize ||
@@ -101,17 +86,14 @@ Result<Trace> decode_trace_versioned(std::span<const std::byte> bytes) {
     return corruption(".paxevt payload CRC mismatch");
   }
 
-  Trace trace;
-  trace.version = version;
-  std::vector<Event>& events = trace.events;
+  std::vector<Event> events;
   events.reserve(count);
   const std::byte* p = h + kTraceHeaderSize;
   for (std::uint64_t i = 0; i < count; ++i, p += kTraceRecordSize) {
     const std::uint8_t raw_type = get<std::uint8_t>(p, 32);
-    if (raw_type > max_type) {
+    if (raw_type > kMaxEventType) {
       return corruption(".paxevt event " + std::to_string(i) +
-                        " has unknown type " + std::to_string(raw_type) +
-                        " for version " + std::to_string(version));
+                        " has unknown type " + std::to_string(raw_type));
     }
     Event e;
     e.seq = get<std::uint64_t>(p, 0);
@@ -121,10 +103,10 @@ Result<Trace> decode_trace_versioned(std::span<const std::byte> bytes) {
     e.type = static_cast<EventType>(raw_type);
     e.flags = get<std::uint8_t>(p, 33);
     e.tid = get<std::uint16_t>(p, 34);
-    e.runtime = get<std::uint32_t>(p, 36);  // zero padding before v3
+    e.runtime = get<std::uint32_t>(p, 36);
     events.push_back(e);
   }
-  return trace;
+  return events;
 }
 
 Status write_trace(const std::string& path, std::span<const Event> events) {
@@ -140,12 +122,6 @@ Status write_trace(const std::string& path, std::span<const Event> events) {
 }
 
 Result<std::vector<Event>> read_trace(const std::string& path) {
-  auto trace = read_trace_versioned(path);
-  if (!trace.ok()) return trace.status();
-  return std::move(trace.value().events);
-}
-
-Result<Trace> read_trace_versioned(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return io_error("cannot open " + path);
   std::vector<std::byte> buf;
@@ -157,7 +133,7 @@ Result<Trace> read_trace_versioned(const std::string& path) {
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) return io_error("read failed for " + path);
-  return decode_trace_versioned(buf);
+  return decode_trace(buf);
 }
 
 }  // namespace pax::check

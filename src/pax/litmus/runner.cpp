@@ -171,7 +171,7 @@ Result<ShapeResult> run_shape(const Shape& shape,
       checker_options.record_events = !options.trace_dir.empty();
       check::Checker checker(checker_options);
       device->set_checker(&checker);
-      check::CrashOracle oracle(device.get(), /*collect=*/false);
+      check::CrashOracle oracle(device.get());
       Outcome got;
       const Status executed = execute_interleaving(
           *device, oracle, shape, order, options.faults, &got);
@@ -218,7 +218,6 @@ Result<ShapeResult> run_shape(const Shape& shape,
       explorer_options.every = options.crash_every;
       explorer_options.max_crash_points = options.max_crash_points;
       explorer_options.seed = options.seed;
-      explorer_options.paxcheck_audit = options.paxcheck_audit;
       explorer_options.modes = options.modes;
       explorer_options.max_findings =
           options.max_findings == 0
@@ -237,8 +236,8 @@ Result<ShapeResult> run_shape(const Shape& shape,
       // Once the final epoch is the recovered one, the durable variables
       // must be the SC finals — this is what catches a persist that never
       // pulled (or a snoop that dropped) a host-Modified line, which the
-      // explorer's own snapshot audit cannot see (its reference snapshots
-      // come from the same buggy execution).
+      // explorer's own image audit cannot see (its committed images come
+      // from the same buggy execution).
       explorer.set_invariant(
           [&shape, expected](pmem::PmemPool& pool,
                              Epoch recovered) -> Status {

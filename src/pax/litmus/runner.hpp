@@ -16,7 +16,7 @@
 //      deterministic workload, enumerating every k-th device persistence
 //      event as a crash point and auditing each recovery three ways
 //      (recovery succeeds, PaxCheck silent, durable bytes equal a
-//      committed snapshot) plus a litmus invariant: once the final epoch
+//      committed image) plus a litmus invariant: once the final epoch
 //      is the recovered epoch, the durable variables must equal the SC
 //      finals of the interleaving.
 //
@@ -58,8 +58,6 @@ struct LitmusOptions {
   std::uint64_t max_interleavings = 0;
   /// Seed for the random/torn crash lotteries.
   std::uint64_t seed = 1;
-  /// Run the PaxCheck rule audit at every crash point.
-  bool paxcheck_audit = true;
   /// Crash modes; empty = explorer defaults (drop_all, random, torn).
   std::vector<check::CrashMode> modes;
   /// Seeded protocol bugs (mutation-testing the harness).

@@ -41,10 +41,9 @@ struct TraceBuilder {
   }
 };
 
-AnalysisReport analyze_one(const std::vector<Event>& events,
-                           std::uint32_t version = kTraceVersion) {
+AnalysisReport analyze_one(const std::vector<Event>& events) {
   TraceAnalyzer analyzer;
-  Status st = analyzer.add_trace(events, version);
+  Status st = analyzer.add_trace(events);
   EXPECT_TRUE(st.is_ok()) << st.to_string();
   return analyzer.finish();
 }
@@ -186,13 +185,19 @@ TEST(PaxScopePersistOrder, MutexHandoffTwinIsClean) {
   EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
-TEST(PaxScopePersistOrder, V1TraceGetsLenientInterpretation) {
-  // The same unordered trace stamped v1: pre-v2 streams carry no fork/join
-  // or gate material, so the strict HB requirement would flag every old
-  // artifact. The lenient pass falls back to the online interpretation.
-  const AnalysisReport report =
-      analyze_one(cross_thread_commit(/*buggy=*/true), /*version=*/1);
+TEST(PaxScopePersistOrder, PipelineSealOrdersTheCommit) {
+  // The unordered shape above, but thread 0 seals the epoch's snapshot
+  // after its drain: the seal → commit edge orders the flush and the drain
+  // before thread 1's commit.
+  TraceBuilder t;
+  t.add(EventType::kStore, 0, 5)
+      .add(EventType::kFlush, 0, 5)
+      .add(EventType::kDrain, 0)
+      .add(EventType::kPipelineSeal, 0, kNoLine, 1)
+      .add(EventType::kEpochCommit, 1, kNoLine, 1);
+  const AnalysisReport report = analyze_one(t.events);
   EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.stats.pipeline_edges, 1u);
 }
 
 TEST(PaxScopePersistOrder, MissingDrainBetweenFlushAndCommitDetected) {
@@ -257,22 +262,6 @@ TEST(PaxScopePersistOrder, GateObservedWritebackIsClean) {
   const AnalysisReport report = analyze_one(t.events);
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_EQ(report.stats.gate_edges, 1u);
-}
-
-TEST(PaxScopePersistOrder, ForkJoinBracketsOrderTheWriteback) {
-  // The coordinator flushes the log, then dispatches the fan-out; the
-  // worker's ungated write-back is ordered through dispatch → begin.
-  TraceBuilder t;
-  t.add(EventType::kLogAppend, 0, 5, 4096, 128)
-      .add(EventType::kLogFlush, 0, kNoLine, 4096, 128)
-      .add(EventType::kTaskDispatch, 0, kNoLine, 42)
-      .add(EventType::kTaskBegin, 1, kNoLine, 42)
-      .add(EventType::kWriteback, 1, 5, 4096, 128)
-      .add(EventType::kTaskEnd, 1, kNoLine, 42)
-      .add(EventType::kTaskJoin, 0, kNoLine, 42);
-  const AnalysisReport report = analyze_one(t.events);
-  EXPECT_TRUE(report.clean()) << report.to_string();
-  EXPECT_GE(report.stats.fork_join_edges, 2u);
 }
 
 TEST(PaxScopePersistOrder, UndoFlushWindowDetected) {
@@ -381,8 +370,7 @@ TEST(PaxScopeReport, StatsCountEdgesByKind) {
   EXPECT_GT(report.stats.lock_edges, 0u);
   EXPECT_EQ(report.stats.total_edges(),
             report.stats.program_edges + report.stats.lock_edges +
-                report.stats.gate_edges + report.stats.fork_join_edges +
-                report.stats.batch_edges + report.stats.pipeline_edges);
+                report.stats.gate_edges + report.stats.pipeline_edges);
 }
 
 }  // namespace

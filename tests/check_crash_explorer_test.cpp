@@ -34,9 +34,10 @@ struct WalBugs {
 // explicit. Each bug switch deletes one edge; `vulnerable_out` captures the
 // first device event index at which the deleted edge matters (set once, on
 // whichever execution reaches it first — the count is identical on every
-// run, which the explorer verifies).
+// run, which the explorer verifies). `salt` shifts every data value.
 Status wal_workload(pmem::PmemDevice& dev, CrashOracle& oracle,
-                    const WalBugs& bugs, std::uint64_t* vulnerable_out) {
+                    const WalBugs& bugs, std::uint64_t* vulnerable_out,
+                    std::uint64_t salt = 0) {
   auto pool = pmem::PmemPool::create(&dev, kLogBytes);
   if (!pool.ok()) return pool.status();
   auto& p = pool.value();
@@ -55,7 +56,7 @@ Status wal_workload(pmem::PmemDevice& dev, CrashOracle& oracle,
               reinterpret_cast<const std::byte*>(&undo), sizeof(undo)));
       if (!end.ok()) return end.status();
       if (!bugs.skip_undo_flush) log.flush();  // undo durable before data
-      dev.store_line(line, testing::patterned_line(e * 16 + i));
+      dev.store_line(line, testing::patterned_line(salt + e * 16 + i));
       dev.flush_line(line);
       if (bugs.skip_undo_flush && vulnerable_out != nullptr &&
           *vulnerable_out == 0) {
@@ -66,7 +67,7 @@ Status wal_workload(pmem::PmemDevice& dev, CrashOracle& oracle,
     // Touch a data line after the log flush so the commit genuinely depends
     // on the epoch-closing drain below.
     const LineIndex line{p.data_offset() / kCacheLineSize};
-    dev.store_line(line, testing::patterned_line(e * 16));
+    dev.store_line(line, testing::patterned_line(salt + e * 16));
     dev.flush_line(line);
     if (bugs.skip_commit_drain) {
       if (vulnerable_out != nullptr && *vulnerable_out == 0) {
@@ -105,6 +106,26 @@ TEST(CrashExplorer, CleanWorkloadEnumeratesCleanExhaustively) {
   // Exhaustive k=1: every point after the baseline was tested, and each
   // tested point was recovered under all three default modes.
   EXPECT_EQ(r.executions, r.crash_points + 1);
+  EXPECT_EQ(r.recoveries, 3 * r.crash_points);
+}
+
+TEST(CrashExplorer, RecoveryIsJudgedAgainstTheExecutionThatCrashed) {
+  // Every execution stores different bytes (its own ordinal as the salt)
+  // through the same device events, as padding inside a persistent object
+  // or a heap address can. Each recovery must match the commits of the
+  // execution that crashed, not those of the reference pass.
+  std::uint64_t executions = 0;
+  CrashExplorer explorer(
+      kDeviceBytes,
+      [&executions](pmem::PmemDevice& dev, CrashOracle& oracle) {
+        return wal_workload(dev, oracle, WalBugs{}, nullptr, ++executions);
+      },
+      {});
+  auto result = explorer.explore();
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const ExplorationResult& r = result.value();
+  EXPECT_TRUE(r.clean()) << r.to_string();
+  EXPECT_EQ(r.executions, executions);
   EXPECT_EQ(r.recoveries, 3 * r.crash_points);
 }
 

@@ -151,8 +151,7 @@ TEST(PaxCheckPersistOrder, CommitAfterFailedBatchFires) {
 // Successful batches never arm the rule, and a failure arms it only for
 // the runtime that failed: another runtime on the same checker (a shared
 // checker, or a re-attach after destroying the failed one) pushes and
-// commits cleanly, with or without a crash in between. Id 0 (traces older
-// than v3) never arms it.
+// commits cleanly, with or without a crash in between.
 TEST(PaxCheckPersistOrder, FailureIsScopedToItsRuntime) {
   Checker checker;
   checker.on_sync_push(1, 9);
@@ -168,9 +167,6 @@ TEST(PaxCheckPersistOrder, FailureIsScopedToItsRuntime) {
   checker.on_crash();
   checker.on_sync_push(3, 11);
   checker.on_sync_batch_ok(3);
-  checker.on_sync_push(0, 12);
-  checker.on_sync_batch_fail(0);
-  checker.on_sync_push(0, 12);
   EXPECT_TRUE(checker.report().clean()) << checker.report().to_string();
 }
 

@@ -1,9 +1,10 @@
 // Recovery-equivalence property: every enumerated crash point of the demo
 // libpax workloads (persistent-heap object chain, ShardedMap) must recover
 // to exactly pre-epoch or post-epoch bytes under the line-tracked, batched
-// sync path. The explorer's snapshot oracle is the property; these tests
-// just pick representative workloads. Sampled (not k=1) to keep the suite quick; paxctl explore
-// and the CI explore job run the exhaustive sweep.
+// sync path. The explorer's committed-image oracle is the property; these
+// tests just pick representative workloads. Sampled (not k=1) to keep the
+// suite quick; paxctl explore and the CI explore job run the exhaustive
+// sweep.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,15 +22,12 @@ using check::CrashOracle;
 
 constexpr std::size_t kPoolBytes = 4 << 20;
 constexpr Epoch kEpochs = 3;
-// Fixed vPM base: PaxStlAllocator-backed containers store raw pointers, so
-// byte-identical snapshots require identical mapping addresses on every
-// execution. Away from the sequential-hint range vpm_region.cpp hands out.
-constexpr std::uintptr_t kVpmBase = 0x7e00'0000'0000ULL;
-
+// No fixed vPM base: each execution maps its region elsewhere, so the raw
+// pointers PaxStlAllocator-backed containers store differ between
+// executions, and recovery must match the crashing execution's own images.
 RuntimeOptions explore_options() {
   RuntimeOptions o;
   o.log_size = 512 << 10;
-  o.vpm_base_hint = kVpmBase;
   return o;
 }
 

@@ -4,10 +4,12 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "pax/check/trace_file.hpp"
 #include "pax/coherence/trace.hpp"
+#include "pax/common/crc.hpp"
 #include "pax/libpax/persistent.hpp"
 
 #ifndef PAXCTL_PATH
@@ -213,6 +215,30 @@ TEST(PaxctlTest, AnalyzeCleanReplayTraceExitsZero) {
   auto r = run("analyze " + path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("clean"), std::string::npos) << r.output;
+  std::remove(path.c_str());
+}
+
+TEST(PaxctlTest, AnalyzeRejectsOlderTraceVersionByNumber) {
+  // A well-formed trace whose header claims format v3 (CRC re-sealed):
+  // the reader accepts only the current vocabulary and says which version
+  // it refused.
+  check::Event e;
+  e.seq = 1;
+  e.type = check::EventType::kDrain;
+  const std::vector<check::Event> events{e};
+  std::vector<std::byte> buf = check::encode_trace(events);
+  const std::uint32_t version = 3;
+  std::memcpy(buf.data() + 8, &version, sizeof(version));
+  const std::uint32_t reseal = crc32c(buf.data(), 28);
+  std::memcpy(buf.data() + 28, &reseal, sizeof(reseal));
+  const std::string path = "/tmp/paxctl_scope_v3.paxevt";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+  std::fclose(f);
+  auto r = run("analyze " + path);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("version 3"), std::string::npos) << r.output;
   std::remove(path.c_str());
 }
 

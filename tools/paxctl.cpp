@@ -22,7 +22,7 @@
 //                             of a deterministic libpax workload: crash
 //                             after every N-th device event under drop_all /
 //                             random / torn, recover, and audit each
-//                             recovery (PaxCheck + snapshot equivalence);
+//                             recovery (PaxCheck + committed images);
 //                             --pipelined runs the workload with the
 //                             undo-append ring active; exit 1 on any finding
 //   paxctl analyze <file.paxevt>... [--json]   PaxScope offline predictive
@@ -417,7 +417,6 @@ int cmd_explore(std::size_t pages, int epochs, std::uint64_t every,
                             check::CrashOracle& oracle) -> Status {
     libpax::RuntimeOptions opts;
     opts.log_size = 256 << 10;
-    opts.vpm_base_hint = 0x7d00'0000'0000ULL;  // byte-identical snapshots
     if (pipelined) {
       opts.log_ring_slots = 64;
     }
@@ -539,13 +538,12 @@ int cmd_fix(const std::string& trace_path, const std::string& scenario_name,
 
   check::TraceAnalyzer analyzer;
   if (!trace_path.empty()) {
-    auto trace = check::read_trace_versioned(trace_path);
-    if (!trace.ok()) {
-      std::fprintf(stderr, "%s\n", trace.status().to_string().c_str());
+    auto events = check::read_trace(trace_path);
+    if (!events.ok()) {
+      std::fprintf(stderr, "%s\n", events.status().to_string().c_str());
       return 1;
     }
-    Status st =
-        analyzer.add_trace(trace.value().events, trace.value().version);
+    Status st = analyzer.add_trace(events.value());
     if (!st.is_ok()) {
       std::fprintf(stderr, "%s\n", st.to_string().c_str());
       return 1;
