@@ -8,7 +8,9 @@ Validates two inputs:
     commit issues FEWER log flushes per acknowledged write op than
     per-shard independent commit, that group mode actually committed in
     waves, and that every row's percentiles are sane
-    (0 < p50 <= p99 <= p999) with nonzero throughput.
+    (0 < p50 <= p99 <= p999) with nonzero throughput. It also prints the
+    group/independent closed-loop throughput ratio per shard count, as a
+    diagnostic with no bound.
   * Optionally, loadgen reports (paxkv-loadgen --json) passed as extra
     arguments — the loopback smoke against the real binary. Enforces zero
     op errors, nonzero throughput, sane percentiles, and (for group-mode
@@ -44,6 +46,12 @@ def check_bench(path, failures):
         if shards < 2 or "group" not in modes or "independent" not in modes:
             continue
         g, ind = modes["group"], modes["independent"]
+        g_tput, ind_tput = g["throughput_ops_s"], ind["throughput_ops_s"]
+        ratio = g_tput / ind_tput if ind_tput > 0 else float("nan")
+        print(
+            f"{shards} shards: group/independent closed-loop throughput "
+            f"{ratio:.2f} ({g_tput:.0f} / {ind_tput:.0f} ops/s)"
+        )
         if g["flushes_per_op"] >= ind["flushes_per_op"]:
             failures.append(
                 f"{shards} shards: group commit {g['flushes_per_op']:.4f} "

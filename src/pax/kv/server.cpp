@@ -433,10 +433,8 @@ void KvServer::post_completions(std::vector<Completion> batch) {
 
 void KvServer::worker_loop(std::size_t shard) {
   ShardWorker& worker = *workers_[shard];
-  const bool independent =
-      options_.commit_mode == KvServerOptions::CommitMode::kIndependent;
-  const bool group =
-      options_.commit_mode == KvServerOptions::CommitMode::kGroup;
+  const bool durable =
+      options_.commit_mode != KvServerOptions::CommitMode::kVolatile;
 
   std::unique_lock lock(worker.mu);
   for (;;) {
@@ -450,15 +448,17 @@ void KvServer::worker_loop(std::size_t shard) {
     batch.swap(worker.queue);
     lock.unlock();
 
-    // execute_op appends to `deferred` only for acked writes in durable
-    // modes; everything else posts to the loop's completion queue inline.
+    // Acked writes in durable modes wait for their commit; everything else
+    // completes now, in one post for the batch.
+    std::vector<Completion> immediate;
     std::vector<Completion> deferred;
     for (const Op& op : batch) {
-      execute_op(op, group || independent ? &deferred : nullptr);
+      execute_op(op, immediate, durable ? deferred : immediate);
     }
+    post_completions(std::move(immediate));
 
     if (!deferred.empty()) {
-      if (independent) {
+      if (options_.commit_mode == KvServerOptions::CommitMode::kIndependent) {
         // Per-shard commit: this shard alone, one log-flush round per
         // worker batch. The group-commit baseline.
         auto committed = store_->group().commit_one(shard);
@@ -483,8 +483,8 @@ void KvServer::worker_loop(std::size_t shard) {
   }
 }
 
-void KvServer::execute_op(const Op& op,
-                          std::vector<Completion>* deferred_writes) {
+void KvServer::execute_op(const Op& op, std::vector<Completion>& immediate,
+                          std::vector<Completion>& durable_writes) {
   Completion c;
   c.conn_id = op.conn_id;
   c.seq = op.seq;
@@ -524,32 +524,15 @@ void KvServer::execute_op(const Op& op,
       break;
   }
 
-  if (durable_write && deferred_writes != nullptr) {
-    deferred_writes->push_back(std::move(c));
-  } else {
-    std::vector<Completion> one;
-    one.push_back(std::move(c));
-    post_completions(std::move(one));
-  }
+  (durable_write ? durable_writes : immediate).push_back(std::move(c));
 }
 
 void KvServer::coordinator_loop() {
   std::unique_lock lock(co_mu_);
   for (;;) {
-    if (parked_writes_.empty()) {
-      co_cv_.wait(lock,
-                  [this] { return co_stop_ || !parked_writes_.empty(); });
-    } else {
-      // Cadence: fire when the pending-ack threshold is reached, or after
-      // group_interval with any ack parked — whichever comes first.
-      co_cv_.wait_for(lock, options_.group_interval, [this] {
-        return co_stop_ || parked_writes_.size() >= options_.group_max_ops;
-      });
-    }
-    if (parked_writes_.empty()) {
-      if (co_stop_) return;
-      continue;
-    }
+    // No timer (§3.2): a wave covers the acks parked while the last one ran.
+    co_cv_.wait(lock, [this] { return co_stop_ || !parked_writes_.empty(); });
+    if (parked_writes_.empty()) return;  // stopping, nothing left to commit
     std::vector<Completion> batch;
     batch.swap(parked_writes_);
     lock.unlock();
@@ -564,9 +547,7 @@ void KvServer::coordinator_loop() {
       }
     }
     post_completions(std::move(batch));
-
     lock.lock();
-    if (co_stop_ && parked_writes_.empty()) return;
   }
 }
 

@@ -34,13 +34,12 @@
 //
 //   kGroup        cross-shard epoch group commit. Writes are applied
 //                 immediately but their responses are parked with the
-//                 coordinator; the coordinator accumulates dirty shards
-//                 and, every group_interval (or sooner at group_max_ops
-//                 pending writes), issues ONE commit wave — one
+//                 coordinator, which issues ONE commit wave — one
 //                 persist_async() per dirty shard, drains overlapping on
 //                 each shard's epoch pipeline — then releases every parked
-//                 response at once. One log-flush round per WAVE, not per
-//                 write or per shard-batch.
+//                 response at once. No timer: the next wave fires as soon
+//                 as this one is durable, covering the acks parked while
+//                 it ran. One log-flush round per WAVE, not per write.
 //   kIndependent  per-shard commit: each worker commits its own shard
 //                 after each drained batch, then releases that batch's
 //                 write responses. The baseline group commit is measured
@@ -62,7 +61,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -86,11 +84,6 @@ struct KvServerOptions {
 
   enum class CommitMode { kGroup, kIndependent, kVolatile };
   CommitMode commit_mode = CommitMode::kGroup;
-
-  /// kGroup cadence: a wave fires when this many write acks are pending…
-  std::uint64_t group_max_ops = 256;
-  /// …or this long after the first of them arrived, whichever is first.
-  std::chrono::microseconds group_interval{200};
 
   /// Reads pause once a connection has this many responses outstanding.
   std::size_t max_inflight_per_conn = 1024;
@@ -203,7 +196,8 @@ class KvServer {
   void drain_completions();
 
   void worker_loop(std::size_t shard);
-  void execute_op(const Op& op, std::vector<Completion>* deferred_writes);
+  void execute_op(const Op& op, std::vector<Completion>& immediate,
+                  std::vector<Completion>& durable_writes);
   void coordinator_loop();
 
   /// Queues completions for the loop and wakes it once.

@@ -134,7 +134,7 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
         reinterpret_cast<std::uintptr_t>(rt->region_->base());
   }
 
-  // Seed the region from the recovered PM image.
+  // Seed the region from the recovered PM image, in one bulk read.
   pm->load(rt->pool_->data_offset(),
            {rt->region_->base(), rt->region_->size()});
 

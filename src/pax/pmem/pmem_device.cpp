@@ -58,17 +58,23 @@ std::vector<std::byte> CrashCut::resolve(const CrashConfig& config) const {
 std::unique_ptr<PmemDevice> PmemDevice::create_in_memory(std::size_t bytes) {
   PAX_CHECK_MSG(bytes % kCacheLineSize == 0,
                 "PM size must be line-aligned");
-  return std::unique_ptr<PmemDevice>(
-      new PmemDevice(std::vector<std::byte>(bytes), bytes));
+  // calloc: glibc serves a block above its mmap threshold (32 MiB at most)
+  // from a fresh mapping, zero without a fill and unbacked until written.
+  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes));
+  dev->zeroed_media_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
+  PAX_CHECK_MSG(dev->zeroed_media_ != nullptr, "PM media allocation failed");
+  dev->base_ = dev->zeroed_media_.get();
+  return dev;
 }
 
 std::unique_ptr<PmemDevice> PmemDevice::create_in_memory_from(
     std::vector<std::byte> media) {
   PAX_CHECK_MSG(media.size() % kCacheLineSize == 0,
                 "PM size must be line-aligned");
-  const std::size_t bytes = media.size();
-  return std::unique_ptr<PmemDevice>(
-      new PmemDevice(std::move(media), bytes));
+  std::unique_ptr<PmemDevice> dev(new PmemDevice(media.size()));
+  dev->image_media_ = std::move(media);
+  dev->base_ = dev->image_media_.data();
+  return dev;
 }
 
 Result<std::unique_ptr<PmemDevice>> PmemDevice::open_file(
@@ -78,22 +84,18 @@ Result<std::unique_ptr<PmemDevice>> PmemDevice::open_file(
   }
   auto file = MmapFile::open(path, bytes, create);
   if (!file.ok()) return file.status();
-  return std::unique_ptr<PmemDevice>(
-      new PmemDevice(std::move(file).value(), bytes));
+  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes));
+  dev->file_ = std::move(file).value();
+  dev->base_ = dev->file_->data().data();
+  return dev;
 }
 
-PmemDevice::PmemDevice(std::vector<std::byte> heap_media, std::size_t size)
-    : heap_media_(std::move(heap_media)), size_(size) {}
-
-PmemDevice::PmemDevice(std::unique_ptr<MmapFile> file, std::size_t size)
-    : file_(std::move(file)), size_(size) {}
-
-std::span<std::byte> PmemDevice::media() {
-  return file_ ? file_->data() : std::span<std::byte>(heap_media_);
-}
-
-std::span<const std::byte> PmemDevice::media() const {
-  return file_ ? file_->data() : std::span<const std::byte>(heap_media_);
+auto PmemDevice::lock_all_shards() const -> AllShardLocks {
+  AllShardLocks locks;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    locks[i] = std::unique_lock(shards_[i].mu);
+  }
+  return locks;
 }
 
 void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
@@ -140,10 +142,22 @@ void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
 
 void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
   PAX_CHECK(off + out.size() <= size_);
-  if (out.empty()) {
-    Shard& shard = shard_for(LineIndex::containing(off));
-    std::lock_guard lock(shard.mu);
-    ++shard.stats.loads;
+  if (out.empty() || out.size() >= kBulkLoadBytes) {
+    // One consistent cut, as crash() takes it: the media range, then every
+    // pending line that overlaps it on top.
+    const auto locks = lock_all_shards();
+    ++shard_for(LineIndex::containing(off)).stats.loads;
+    std::copy_n(media().data() + off, out.size(), out.data());
+    for (const auto& shard : shards_) {
+      shard.pending.for_each([&](LineIndex line, const LineData& data) {
+        const PoolOffset lo = std::max<PoolOffset>(line.byte_offset(), off);
+        const PoolOffset hi = std::min<PoolOffset>(
+            line.byte_offset() + kCacheLineSize, off + out.size());
+        if (lo >= hi) return;
+        std::memcpy(out.data() + (lo - off),
+                    data.bytes.data() + (lo - line.byte_offset()), hi - lo);
+      });
+    }
     return;
   }
 
@@ -274,10 +288,7 @@ void PmemDevice::atomic_durable_store_u64(PoolOffset off,
 void PmemDevice::crash(const CrashConfig& config) {
   // Stop-the-world: hold every shard while the lottery runs so the torn
   // state is a consistent cut of the overlay.
-  std::array<std::unique_lock<std::mutex>, kShards> locks;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    locks[i] = std::unique_lock(shards_[i].mu);
-  }
+  const auto locks = lock_all_shards();
   for (auto& shard : shards_) {
     shard.pending.for_each([&](LineIndex line, const LineData& data) {
       shard.stats.media_bytes_written += resolve_crash_line(
@@ -305,10 +316,7 @@ void PmemDevice::capture_crash_cut(std::uint64_t at_event) {
   // Stop-the-world copy under every shard lock (same discipline as
   // crash()). The triggering operation released its shard lock before
   // bump_crash_event, so no lock is held twice.
-  std::array<std::unique_lock<std::mutex>, kShards> locks;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    locks[i] = std::unique_lock(shards_[i].mu);
-  }
+  const auto locks = lock_all_shards();
   CrashCut cut;
   cut.after_events = at_event;
   cut.media.assign(media().begin(), media().end());

@@ -30,6 +30,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -118,7 +119,7 @@ class PmemRepairShim {
 
 class PmemDevice {
  public:
-  /// Media held in DRAM; contents vanish with the object. For unit tests.
+  /// Zeroed DRAM media, resident only where written; gone with the object.
   static std::unique_ptr<PmemDevice> create_in_memory(std::size_t bytes);
 
   /// Media backed by a file mapping (the DAX-pool stand-in).
@@ -126,9 +127,9 @@ class PmemDevice {
                                                        std::size_t bytes,
                                                        bool create);
 
-  /// In-memory device whose media starts as a copy of `media` — typically a
-  /// CrashCut::resolve image: the post-crash reincarnation crash-point
-  /// exploration recovers and audits (check/crashpoint.hpp).
+  /// In-memory device whose media is `media`, adopted without a copy —
+  /// typically a CrashCut::resolve image: the post-crash reincarnation
+  /// crash-point exploration recovers and audits (check/crashpoint.hpp).
   static std::unique_ptr<PmemDevice> create_in_memory_from(
       std::vector<std::byte> media);
 
@@ -141,8 +142,11 @@ class PmemDevice {
   /// overlay.
   void store(PoolOffset off, std::span<const std::byte> data);
 
-  /// Reads the CPU-visible value (pending overlay over media).
+  /// Reads the CPU-visible value (pending overlay over media). A read of
+  /// kBulkLoadBytes or more copies media under all shard locks, then the
+  /// pending lines over it, instead of a lock and probe per line.
   void load(PoolOffset off, std::span<std::byte> out) const;
+  static constexpr std::size_t kBulkLoadBytes = 64 * 1024;
 
   /// Whole-line variants used by the device model and the undo logger.
   void store_line(LineIndex line, const LineData& data);
@@ -249,8 +253,7 @@ class PmemDevice {
   void note_epoch_commit(std::uint64_t epoch);
 
  private:
-  PmemDevice(std::vector<std::byte> heap_media, std::size_t size);
-  PmemDevice(std::unique_ptr<MmapFile> file, std::size_t size);
+  explicit PmemDevice(std::size_t size) : size_(size) {}
 
   // The overlay is partitioned by 256 B internal block (XPLine), i.e. four
   // consecutive cache lines share a shard — which keeps each shard's
@@ -275,8 +278,11 @@ class PmemDevice {
   }
   static constexpr std::uint64_t kLinesPerXpline = 256 / kCacheLineSize;
 
-  std::span<std::byte> media();
-  std::span<const std::byte> media() const;
+  std::span<std::byte> media() { return {base_, size_}; }
+  std::span<const std::byte> media() const { return {base_, size_}; }
+
+  using AllShardLocks = std::array<std::unique_lock<std::mutex>, kShards>;
+  AllShardLocks lock_all_shards() const;  // stop-the-world, in shard order
 
   void flush_line_locked(Shard& shard, LineIndex line);
 
@@ -285,8 +291,14 @@ class PmemDevice {
   void bump_crash_event();
   void capture_crash_cut(std::uint64_t at_event);
 
-  std::vector<std::byte> heap_media_;    // in-memory mode
-  std::unique_ptr<MmapFile> file_;       // file mode
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  // Exactly one of these holds the media bytes base_ points at.
+  std::unique_ptr<std::byte, Free> zeroed_media_;  // create_in_memory
+  std::vector<std::byte> image_media_;             // create_in_memory_from
+  std::unique_ptr<MmapFile> file_;                 // open_file
+  std::byte* base_ = nullptr;
   std::size_t size_;
 
   mutable std::array<Shard, kShards> shards_;

@@ -1,10 +1,10 @@
 // KvServer over loopback: basic ops, pipelined ordering, commit modes, the
 // STATS surface, protocol-error handling, connection lifetime on the epoll
 // loop (a reader that stalls mid-send, a lone slow reader of pipelined
-// responses, accept-side fd exhaustion), and a
-// concurrent torture run. This test rides in the TSan CI job: the torture
-// case is the data-race check for the loop / shard worker / coordinator
-// handoffs.
+// responses, accept-side fd exhaustion), closed-loop pipelined PUTs
+// against the wave counters, and a concurrent torture run. This test rides
+// in the TSan CI job: the torture case is the data-race check for the
+// loop / shard worker / coordinator handoffs.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -457,13 +457,73 @@ TEST(KvServerTest, AcceptResumesAfterFdExhaustion) {
   EXPECT_EQ(srv.stats().conns_accepted, 2u);
 }
 
+// Closed-loop pipelined PUTs from several connections, the shape of the
+// benchmark's write load: waves fire back-to-back with no timer, every
+// acked PUT rides exactly one wave, and a wave never holds more acks than
+// the clients can have in flight.
+TEST(KvServerTest, PipelinedPutsRideOneWaveEach) {
+  auto server =
+      KvServer::start(small_options(KvServerOptions::CommitMode::kGroup));
+  ASSERT_TRUE(server.ok());
+
+  constexpr int kConns = 4;
+  constexpr int kDepth = 16;
+  constexpr int kPutsPerConn = 400;
+  std::vector<std::thread> threads;
+  std::vector<char> success(kConns, 0);
+  for (int t = 0; t < kConns; ++t) {
+    threads.emplace_back([t, &success, &server] {
+      auto client = connect_to(*server.value());
+      if (!client.ok()) return;
+      KvClient& c = client.value();
+      int sent = 0;
+      auto send_one = [&] {
+        c.send_put("c" + std::to_string(t) + "-" + std::to_string(sent % 50),
+                   std::to_string(sent));
+        ++sent;
+      };
+      while (sent < kDepth) send_one();
+      if (!c.flush().is_ok()) return;
+      for (int acked = 0; acked < kPutsPerConn; ++acked) {
+        auto resp = c.recv_response();
+        if (!resp.ok() || resp.value().status != RespStatus::kOk) return;
+        if (sent < kPutsPerConn) {
+          send_one();
+          if (!c.flush().is_ok()) return;
+        }
+      }
+      success[t] = 1;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kConns; ++t) ASSERT_TRUE(success[t]) << t;
+
+  auto client = connect_to(*server.value());
+  ASSERT_TRUE(client.ok());
+  auto stats = client.value().stats();
+  ASSERT_TRUE(stats.ok());
+  const std::string& json = stats.value().value;
+  const std::vector<std::uint64_t> acked{kConns * kPutsPerConn};
+  EXPECT_EQ(shard_counter(json, "acked_write_ops"), acked) << json;
+  EXPECT_EQ(shard_counter(json, "wave_ops"), acked) << json;
+  const std::vector<std::uint64_t> async =
+      shard_counter(json, "async_persists");
+  ASSERT_EQ(async.size(), 2u) << json;
+  EXPECT_EQ(shard_counter(json, "wave_shard_seals"),
+            std::vector<std::uint64_t>{async[0] + async[1]})
+      << json;
+  const std::vector<std::uint64_t> max_ops =
+      shard_counter(json, "max_wave_ops");
+  ASSERT_EQ(max_ops.size(), 1u) << json;
+  EXPECT_LE(max_ops[0], static_cast<std::uint64_t>(kConns * kDepth)) << json;
+}
+
 // The TSan torture: concurrent clients hammer both shards through every
 // handoff (event loop → worker → coordinator → event loop) while STATS
 // reads the runtime counters.
 TEST(KvServerTest, ConcurrentTorture) {
-  auto options = small_options(KvServerOptions::CommitMode::kGroup);
-  options.group_max_ops = 32;
-  auto server = KvServer::start(options);
+  auto server =
+      KvServer::start(small_options(KvServerOptions::CommitMode::kGroup));
   ASSERT_TRUE(server.ok());
 
   constexpr int kThreads = 4;

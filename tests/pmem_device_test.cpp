@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -336,6 +340,108 @@ TEST(PmemDeviceTest, XpLineWindowClosesAtDrain) {
   dev->flush_line(LineIndex{1});
   dev->drain();
   EXPECT_EQ(dev->stats().xpline_blocks_written, 2u);
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE))
+                  : 0;
+}
+
+TEST(PmemDeviceTest, FreshInMemoryMediaStaysNonResidentUntilWritten) {
+  constexpr std::size_t kBytes = std::size_t{256} << 20;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  auto dev = PmemDevice::create_in_memory(kBytes);
+  for (std::size_t off = 0; off < kBytes; off += kBytes / 64) {
+    EXPECT_EQ(dev->load_line(LineIndex::containing(off)), LineData{})
+        << "offset " << off;
+    EXPECT_EQ(dev->durable_line(LineIndex::containing(off)), LineData{});
+  }
+#if !defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer's calloc zero-fills every block, so only the libc
+  // allocator leaves the media unbacked.
+  EXPECT_LT(resident_bytes() - before, std::size_t{16} << 20);
+#endif
+
+  // Written lines read back; their neighbours still read zero.
+  dev->store_line(LineIndex{7}, patterned_line(7));
+  dev->flush_line(LineIndex{7});
+  EXPECT_EQ(dev->durable_line(LineIndex{7}), patterned_line(7));
+  EXPECT_EQ(dev->durable_line(LineIndex{8}), LineData{});
+}
+
+// The media image a crash cut captures, and a device adopting it, agree
+// with the device they came from byte for byte.
+TEST(PmemDeviceTest, CrashCutAndAdoptedImageRoundTripByteExact) {
+  constexpr std::size_t kBytes = 1 << 20;
+  auto dev = PmemDevice::create_in_memory(kBytes);
+  for (std::uint64_t i = 0; i < kBytes / kCacheLineSize; i += 37) {
+    dev->store_line(LineIndex{i}, patterned_line(i));
+    if (i % 2 == 0) dev->flush_line(LineIndex{i});
+  }
+  dev->drain();
+  dev->arm_crash_point(dev->crash_events() + 1);
+  dev->store_u64(8 * kCacheLineSize, 0xfeedULL);  // stays pending
+  auto cut = dev->take_crash_cut();
+  ASSERT_TRUE(cut.has_value());
+
+  std::vector<std::byte> media(kBytes);
+  dev->read_durable(0, media);
+  EXPECT_EQ(cut->media, media);
+
+  auto dropped = PmemDevice::create_in_memory_from(cut->resolve({}));
+  std::vector<std::byte> adopted(kBytes);
+  dropped->read_durable(0, adopted);
+  EXPECT_EQ(adopted, media);
+
+  // Every pending line survives: the adopted image is the CPU view.
+  auto kept = PmemDevice::create_in_memory_from(
+      cut->resolve(CrashConfig::random(1.0, 1)));
+  std::vector<std::byte> visible(kBytes);
+  dev->load(0, visible);
+  kept->read_durable(0, adopted);
+  EXPECT_EQ(adopted, visible);
+  EXPECT_EQ(kept->load_u64(8 * kCacheLineSize), 0xfeedULL);
+}
+
+// A bulk load (one media copy plus the pending overlay) reads exactly what
+// the per-line path reads, unflushed stores and unaligned edges included.
+TEST(PmemDeviceTest, BulkLoadReturnsPendingLines) {
+  constexpr std::size_t kBytes = 1 << 20;
+  auto dev = PmemDevice::create_in_memory(kBytes);
+  for (std::uint64_t i = 0; i < kBytes / kCacheLineSize; i += 13) {
+    dev->store_line(LineIndex{i}, patterned_line(i + 1));
+    if (i % 3 == 0) dev->flush_line(LineIndex{i});
+  }
+  // Unflushed stores straddling line boundaries, at both ends of the range.
+  std::array<std::byte, 100> tail;
+  tail.fill(std::byte{0xab});
+  dev->store(3 * kCacheLineSize - 50, tail);
+  dev->store(3 * kCacheLineSize + 2 * PmemDevice::kBulkLoadBytes - 30, tail);
+  ASSERT_GT(dev->pending_line_count(), 0u);
+
+  const PoolOffset off = 3 * kCacheLineSize - 20;
+  std::vector<std::byte> bulk(2 * PmemDevice::kBulkLoadBytes);
+  const std::uint64_t loads_before = dev->stats().loads;
+  dev->load(off, bulk);
+  EXPECT_EQ(dev->stats().loads, loads_before + 1);
+
+  std::vector<std::byte> per_line(bulk.size());
+  constexpr std::size_t kChunk = 4096;
+  static_assert(kChunk < PmemDevice::kBulkLoadBytes);
+  for (std::size_t at = 0; at < per_line.size(); at += kChunk) {
+    dev->load(off + at, std::span(per_line).subspan(at, kChunk));
+  }
+  EXPECT_EQ(bulk, per_line);
+  EXPECT_EQ(bulk[0], std::byte{0xab});
+  EXPECT_EQ(bulk[bulk.size() - 1], std::byte{0xab});
 }
 
 TEST(PmemDeviceDeathTest, MisalignedU64StoreAborts) {

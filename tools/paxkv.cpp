@@ -2,7 +2,6 @@
 //
 //   paxkv [--port P] [--bind ADDR] [--shards N] [--pool-mb MB]
 //         [--commit group|independent|volatile]
-//         [--group-max-ops N] [--group-interval-us U]
 //
 // Serves the PaxKV binary protocol (GET/PUT/DEL/STATS) over TCP on top of
 // N shard runtimes backed by in-memory simulated PM. Writes are made
@@ -33,8 +32,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: paxkv [--port P] [--bind ADDR] [--shards N] [--pool-mb MB]\n"
-      "             [--commit group|independent|volatile]\n"
-      "             [--group-max-ops N] [--group-interval-us U]\n");
+      "             [--commit group|independent|volatile]\n");
   return 2;
 }
 
@@ -67,11 +65,6 @@ int main(int argc, char** argv) {
       } else {
         return usage();
       }
-    } else if (arg == "--group-max-ops" && i + 1 < argc) {
-      options.group_max_ops = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--group-interval-us" && i + 1 < argc) {
-      options.group_interval =
-          std::chrono::microseconds(std::strtoull(argv[++i], nullptr, 0));
     } else {
       return usage();
     }
