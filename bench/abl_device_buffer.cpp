@@ -73,7 +73,8 @@ Row run(std::size_t buffer_lines) {
 }  // namespace
 
 int main() {
-  std::printf("=== Ablation 3: per-epoch write set vs device buffer size ===\n");
+  std::printf(
+      "=== Ablation 3: per-epoch write set vs device buffer size ===\n");
   std::printf("write set: %" PRIu64 " lines (1 MiB) per epoch\n\n",
               kWriteSetLines);
   std::printf("%12s %10s %12s %14s %12s %12s %9s\n", "buffer[lines]",

@@ -3,8 +3,9 @@
 // The PaxDevice partitions its state into per-LineIndex stripes, each with
 // its own lock, so data-path operations on different stripes proceed in
 // parallel; persist() writes the epoch back on the calling thread. This
-// bench sweeps stripes x threads, with each thread hammering a disjoint hot line range
-// (write_intent + writeback_line + reads, the CXL.cache op mix), and
+// bench sweeps stripes x threads, with each thread hammering a disjoint hot
+// line range (write_intent + writeback_line + reads, the CXL.cache op mix),
+// and
 // reports aggregate ops/s plus persist() latency. stripes=1 reproduces the
 // old single-mutex device, so the 1-stripe column is the baseline the
 // speedup is measured against.
@@ -131,7 +132,8 @@ Row run(unsigned stripes, unsigned threads) {
 
 int main() {
   const unsigned cpus = std::thread::hardware_concurrency();
-  std::printf("=== Striped device data path: ops/s vs stripes x threads ===\n");
+  std::printf(
+      "=== Striped device data path: ops/s vs stripes x threads ===\n");
   std::printf("host cpus: %u\n", cpus);
   if (cpus <= 1) {
     std::printf(

@@ -87,7 +87,8 @@ Row run(std::uint64_t interval) {
 }  // namespace
 
 int main() {
-  std::printf("=== Ablation 1: group-commit interval (persist every k ops) ===\n");
+  std::printf(
+      "=== Ablation 1: group-commit interval (persist every k ops) ===\n");
   std::printf(
       "workload: 40k random u64 upserts over 20k keys through libpax "
       "std::unordered_map (host_cpus %u)\n\n",

@@ -50,9 +50,9 @@ Row run(double shared_fraction) {
     if (rng.next_bool(shared_fraction)) {
       at = shared_base + rng.next_below(kSharedLines) * kCacheLineSize;
     } else {
-      at = private_base +
-           (core * kPrivateLinesPerCore + rng.next_below(kPrivateLinesPerCore)) *
-               kCacheLineSize;
+      at = private_base + (core * kPrivateLinesPerCore +
+                           rng.next_below(kPrivateLinesPerCore)) *
+                              kCacheLineSize;
     }
     if (!domain.core(core).store_u64(at, rng.next()).is_ok()) std::abort();
     if ((i + 1) % 16384 == 0) {

@@ -149,7 +149,8 @@ int main() {
                  "\"sync_batch_lines\": %zu, \"persist_ms_off\": %.3f, "
                  "\"persist_ms_on\": %.3f, \"overhead_ratio\": %.3f, "
                  "\"events\": %" PRIu64 ", \"violations\": %" PRIu64 "}%s\n",
-                 r.config, r.batch, r.persist_ms_off, r.persist_ms_on, r.overhead_ratio, r.events, r.violations,
+                 r.config, r.batch, r.persist_ms_off, r.persist_ms_on,
+                 r.overhead_ratio, r.events, r.violations,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

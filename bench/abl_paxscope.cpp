@@ -78,7 +78,8 @@ std::vector<Event> synthesize() {
     }
     emit(EventType::kDrain, 0, kNoLine);
     emit(EventType::kLockAcquire, 0, kNoLine, kLogMuCls, 9);
-    emit(EventType::kEpochCommit, 0, kNoLine, static_cast<std::uint64_t>(epoch));
+    emit(EventType::kEpochCommit, 0, kNoLine,
+         static_cast<std::uint64_t>(epoch));
     emit(EventType::kLockRelease, 0, kNoLine, kLogMuCls, 9);
   }
   return events;

@@ -86,7 +86,8 @@ Row run(coherence::DeviceProtocol protocol) {
   // CLWBs "are serialized [and] consume cycles" on the CPU.
   const auto lat = simtime::MemoryLatency::c6420();
   const auto cxl = simtime::InterconnectLatency::cxl();
-  const double device_slot_ns = 1e9 / simtime::BandwidthSpec::paper().device_pipeline_hz;
+  const double device_slot_ns =
+      1e9 / simtime::BandwidthSpec::paper().device_pipeline_hz;
   double persist_ns;
   if (protocol == coherence::DeviceProtocol::kCxlMem) {
     persist_ns = double(total_clwbs) / kEpochs * lat.clwb_ns +

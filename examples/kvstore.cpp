@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
     } else if (cmd == "quit") {
       break;
     } else {
-      std::printf("? commands: set k v | get k | del k | list | sync | quit\n");
+      std::printf(
+          "? commands: set k v | get k | del k | list | sync | quit\n");
     }
   }
   // Note: no persist on exit — uncommitted mutations vanish, by design.

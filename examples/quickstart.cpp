@@ -28,7 +28,8 @@ using HashMap =
                                                  std::uint64_t>>>;
 
 int main(int argc, char** argv) {
-  const std::string pool_path = argc > 1 ? argv[1] : "/tmp/pax_quickstart.pool";
+  const std::string pool_path =
+      argc > 1 ? argv[1] : "/tmp/pax_quickstart.pool";
 
   // 1. Map the pool (creating it on first run, recovering on later runs).
   auto runtime = PaxRuntime::map_pool(pool_path, /*pool_size=*/64 << 20);

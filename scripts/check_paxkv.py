@@ -15,6 +15,10 @@ Validates two inputs:
     arguments — the loopback smoke against the real binary. Enforces zero
     op errors, nonzero throughput, sane percentiles, and (for group-mode
     servers) waves > 0 with multi-shard waves observed at >= 2 shards.
+    For each report after the first, it also prints that phase's own log
+    flushes per acknowledged write: the difference of the server's
+    cumulative counters since the report before it (a diagnostic with no
+    bound; the 1.0 bound applies to each report's cumulative figure).
 
 Usage: check_paxkv.py [BENCH_paxkv.json] [loadgen1.json loadgen2.json ...]
 """
@@ -105,19 +109,42 @@ def check_loadgen(path, failures):
                 f"{label}: {server['log_flushes_per_acked_op']:.3f} "
                 "flushes/acked-op — group commit is not amortizing"
             )
+    return report
+
+
+def print_phase_figures(reports):
+    """Prints each phase's own flushes per acked write.
+
+    A loadgen report carries the server's cumulative counters, so a phase
+    run after another one reads the earlier phase's writes as well. The
+    difference from the report before it isolates the phase.
+    """
+    for (prev_path, prev), (path, cur) in zip(reports, reports[1:]):
+        a, b = prev.get("server", {}), cur.get("server", {})
+        if "log_flushes_total" not in a or "log_flushes_total" not in b:
+            continue
+        writes = b["acked_write_ops"] - a["acked_write_ops"]
+        flushes = b["log_flushes_total"] - a["log_flushes_total"]
+        if writes <= 0:
+            continue
+        print(
+            f"{path} ({cur['mode']} loop) alone: "
+            f"{flushes / writes:.3f} log flushes per acked write "
+            f"({flushes} / {writes} since {prev_path})"
+        )
 
 
 def main() -> int:
     args = sys.argv[1:] or ["BENCH_paxkv.json"]
     failures = []
     compared = 0
-    loadgens = 0
+    reports = []
     for path in args:
         if "BENCH" in path:
             compared += check_bench(path, failures)
         else:
-            check_loadgen(path, failures)
-            loadgens += 1
+            reports.append((path, check_loadgen(path, failures)))
+    print_phase_figures(reports)
 
     if failures:
         print("paxkv guard FAILED")
@@ -127,7 +154,7 @@ def main() -> int:
 
     print(
         f"paxkv guard ok ({compared} group-vs-independent comparison(s), "
-        f"{loadgens} loadgen report(s))"
+        f"{len(reports)} loadgen report(s))"
     )
     return 0
 

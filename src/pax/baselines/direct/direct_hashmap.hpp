@@ -45,7 +45,8 @@ class DirectHashMap {
   pmem::PmemPool* pool_;
   pmem::PmemDevice* pm_;
   std::uint64_t nslots_;
-  std::uint64_t count_ = 0;  // volatile: this structure makes no durability promises
+  // Volatile: this structure makes no durability promises.
+  std::uint64_t count_ = 0;
 };
 
 }  // namespace pax::baselines::direct

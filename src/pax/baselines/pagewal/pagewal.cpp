@@ -35,9 +35,7 @@ Result<std::unique_ptr<PageWalRuntime>> PageWalRuntime::attach(
   if (!region.ok()) return region.status();
   rt->region_ = std::move(region).value();
 
-  pm->load(rt->pool_->data_offset(),
-           {rt->region_->base(), rt->region_->size()});
-  PAX_RETURN_IF_ERROR(rt->region_->protect_all());
+  PAX_RETURN_IF_ERROR(rt->region_->seed(*pm, rt->pool_->data_offset()));
 
   rt->writer_ = std::make_unique<wal::LogWriter>(
       pm, rt->pool_->log_offset(), rt->pool_->log_size());

@@ -81,11 +81,11 @@ Status PVector::grow_in_tx() {
 
   // Flip the header fields under snapshots.
   PAX_RETURN_IF_ERROR(tx_->tx_snapshot(base + kArrayOff, 8));
-  PAX_RETURN_IF_ERROR(
-      tx_->tx_store(base + kArrayOff, std::as_bytes(std::span(&new_array, 1))));
+  PAX_RETURN_IF_ERROR(tx_->tx_store(
+      base + kArrayOff, std::as_bytes(std::span(&new_array, 1))));
   PAX_RETURN_IF_ERROR(tx_->tx_snapshot(base + kCapacityOff, 8));
-  PAX_RETURN_IF_ERROR(tx_->tx_store(base + kCapacityOff,
-                                    std::as_bytes(std::span(&new_capacity, 1))));
+  PAX_RETURN_IF_ERROR(tx_->tx_store(
+      base + kCapacityOff, std::as_bytes(std::span(&new_capacity, 1))));
   PAX_RETURN_IF_ERROR(tx_->tx_snapshot(base + kBumpOff, 8));
   const std::uint64_t new_bump = bump + new_capacity * 8;
   PAX_RETURN_IF_ERROR(

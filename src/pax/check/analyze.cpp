@@ -599,7 +599,8 @@ struct TracePass {
 }  // namespace
 
 TraceAnalyzer::TraceAnalyzer(AnalysisOptions options)
-    : options_(options), lock_graph_(std::make_unique<internal::LockGraph>()) {}
+    : options_(options),
+      lock_graph_(std::make_unique<internal::LockGraph>()) {}
 
 TraceAnalyzer::~TraceAnalyzer() = default;
 

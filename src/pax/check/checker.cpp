@@ -456,8 +456,8 @@ void Checker::process(const Event& e) {
       if (const auto it = failed_batch_seq_.find(e.runtime);
           it != failed_batch_seq_.end()) {
         add_violation(Rule::kPushAfterFailedBatch, e, e.line,
-                      "line " + std::to_string(e.line) + " pushed by runtime " +
-                          std::to_string(e.runtime) +
+                      "line " + std::to_string(e.line) +
+                          " pushed by runtime " + std::to_string(e.runtime) +
                           " after its sync_lines batch failed at #" +
                           std::to_string(it->second));
       }

@@ -62,12 +62,13 @@ Status CrashOracle::check_recovered(pmem::PmemPool& pool) const {
     expected = &*post_;
   }
   if (expected == nullptr) {
-    return corruption(
-        "recovered epoch " + std::to_string(recovered) +
-        " is neither pre-epoch " + std::to_string(pre_->epoch) +
-        " nor post-epoch" +
-        (post_.has_value() ? " " + std::to_string(post_->epoch)
-                           : std::string(" (none exists)")));
+    const std::string post = post_.has_value()
+                                 ? std::to_string(post_->epoch)
+                                 : std::string("(none exists)");
+    return corruption("recovered epoch " + std::to_string(recovered) +
+                      " is neither pre-epoch " +
+                      std::to_string(pre_->epoch) + " nor post-epoch " +
+                      post);
   }
 
   // Compare a page at a time: copying the whole extent for every recovery

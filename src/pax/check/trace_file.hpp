@@ -36,7 +36,8 @@
 
 namespace pax::check {
 
-inline constexpr std::uint64_t kTraceMagic = 0x0a31545645584150ULL;  // "PAXEVT1\n"
+// "PAXEVT1\n"
+inline constexpr std::uint64_t kTraceMagic = 0x0a31545645584150ULL;
 inline constexpr std::uint32_t kTraceVersion = 4;
 inline constexpr std::size_t kTraceHeaderSize = 32;
 inline constexpr std::size_t kTraceRecordSize = 40;

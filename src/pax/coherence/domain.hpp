@@ -94,8 +94,8 @@ struct DomainFaults {
 
 class CoherenceDomain {
  public:
-  CoherenceDomain(device::PaxDevice* device, const HostCacheConfig& core_config,
-                  unsigned core_count);
+  CoherenceDomain(device::PaxDevice* device,
+                  const HostCacheConfig& core_config, unsigned core_count);
 
   unsigned core_count() const { return static_cast<unsigned>(cores_.size()); }
 

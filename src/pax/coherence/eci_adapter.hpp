@@ -42,7 +42,8 @@ namespace pax::coherence {
 
 /// ThunderX-1 cache block size.
 inline constexpr std::size_t kEciBlockSize = 128;
-inline constexpr std::size_t kLinesPerEciBlock = kEciBlockSize / kCacheLineSize;
+inline constexpr std::size_t kLinesPerEciBlock =
+    kEciBlockSize / kCacheLineSize;
 
 /// Index of a 128 B ECI block within the pool.
 struct EciBlockIndex {

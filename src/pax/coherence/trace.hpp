@@ -26,7 +26,8 @@
 namespace pax::coherence {
 
 /// Writes `events` to `path` (CRC-protected binary format).
-Status save_trace(const std::string& path, const std::vector<CxlEvent>& events);
+Status save_trace(const std::string& path,
+                  const std::vector<CxlEvent>& events);
 
 /// Loads a trace; fails with kCorruption on bad magic/CRC/truncation.
 Result<std::vector<CxlEvent>> load_trace(const std::string& path);

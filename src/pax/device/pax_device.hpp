@@ -260,10 +260,10 @@ class PaxDevice {
 
   /// Called after every epoch commit with the committed epoch number and
   /// the final values of every line that epoch modified (a line persist()
-  /// did not write back costs one PM read, paid only while a hook is set). Used by the
-  /// replication extension (device/replication.hpp) to ship epochs to a
-  /// backup. Invoked with the epoch lock held exclusively (the
-  /// whole data path is quiesced): keep it short or enqueue.
+  /// did not write back costs one PM read, paid only while a hook is
+  /// set). Used by the replication extension (device/replication.hpp) to
+  /// ship epochs to a backup. Invoked with the epoch lock held exclusively
+  /// (the whole data path is quiesced): keep it short or enqueue.
   using CommitHook = std::function<void(
       Epoch, const std::vector<std::pair<LineIndex, LineData>>&)>;
   void set_commit_hook(CommitHook hook);

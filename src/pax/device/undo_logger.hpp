@@ -120,9 +120,9 @@ class UndoLogger {
   /// whole batch; per-record end offsets are appended to `ends_out` in
   /// input order. All-or-nothing on kOutOfSpace (the whole batch's slots
   /// are published aborted). Callers need NOT hold the log mutex.
-  Status ring_append_batch(Epoch epoch,
-                           std::span<const std::pair<LineIndex, LineData>> items,
-                           std::vector<std::uint64_t>* ends_out);
+  Status ring_append_batch(
+      Epoch epoch, std::span<const std::pair<LineIndex, LineData>> items,
+      std::vector<std::uint64_t>* ends_out);
 
   /// Replays every published ring slot into the LogWriter in ticket order
   /// (serialized on an internal leaf mutex — safe from any thread).

@@ -134,13 +134,11 @@ Result<std::unique_ptr<PaxRuntime>> PaxRuntime::build(
         reinterpret_cast<std::uintptr_t>(rt->region_->base());
   }
 
-  // Seed the region from the recovered PM image, in one bulk read.
-  pm->load(rt->pool_->data_offset(),
-           {rt->region_->base(), rt->region_->size()});
-
-  // Arm write tracking *before* the heap constructor so a fresh heap's
-  // format writes are captured like any application store.
-  PAX_RETURN_IF_ERROR(rt->region_->protect_all());
+  // Seed the region from the recovered PM image in O(data): only pages
+  // holding data are copied, the rest map the zero page. seed() ends in
+  // protect_all(), arming write tracking *before* the heap constructor so
+  // a fresh heap's format writes are captured like any application store.
+  PAX_RETURN_IF_ERROR(rt->region_->seed(*pm, rt->pool_->data_offset()));
 
   rt->heap_ =
       std::make_unique<PaxHeap>(rt->region_->base(), rt->region_->size());

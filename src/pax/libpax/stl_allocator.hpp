@@ -3,8 +3,9 @@
 // Reuse" property, §1; Listing 1 passes exactly such an allocator to an
 // off-the-shelf hash map).
 //
-//   using Map = std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-//                                  pax::libpax::PaxStlAllocator<std::pair<const K, V>>>;
+//   using Map = std::unordered_map<
+//       K, V, std::hash<K>, std::equal_to<K>,
+//       pax::libpax::PaxStlAllocator<std::pair<const K, V>>>;
 //
 // Containers embed a copy of their allocator, and that copy lives inside the
 // persistent region — so the allocator must stay valid across process

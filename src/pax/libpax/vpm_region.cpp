@@ -9,11 +9,14 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
 
+#include "pax/common/check.hpp"
 #include "pax/common/log.hpp"
+#include "pax/pmem/pmem_device.hpp"
 
 // uapi additions of Linux 6.7 (async write-protect and PAGEMAP_SCAN), for
 // builds against older kernel headers. Values are the kernel's ABI.
@@ -79,6 +82,14 @@ std::atomic<std::uintptr_t> g_next_hint{kVpmBaseHint};
 // call (the walk resumes at walk_end).
 constexpr std::size_t kScanRanges = 512;
 
+// PM bytes seed() reads per bulk load.
+constexpr std::size_t kSeedChunk = 16 * pmem::PmemDevice::kBulkLoadBytes;
+
+bool all_zero(const std::byte* page) {
+  return page[0] == std::byte{0} &&
+         std::memcmp(page, page + 1, kPageSize - 1) == 0;
+}
+
 Status unsupported(const char* what) {
   const int err = errno;
   struct utsname u {};
@@ -100,9 +111,9 @@ Result<std::unique_ptr<VpmRegion>> VpmRegion::create(
           ? fixed_hint
           : g_next_hint.fetch_add((size + (std::uintptr_t{1} << 30)) &
                                   ~((std::uintptr_t{1} << 30) - 1));
-  void* base = ::mmap(reinterpret_cast<void*>(hint), size,
-                      PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1, 0);
+  void* base =
+      ::mmap(reinterpret_cast<void*>(hint), size, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE, -1, 0);
   if (base == MAP_FAILED) {
     // Hint occupied (unusual): fall back to any address. Persistent raw
     // pointers then only survive within this process lifetime.
@@ -120,7 +131,9 @@ Result<std::unique_ptr<VpmRegion>> VpmRegion::create(
       new VpmRegion(static_cast<std::byte*>(base), size));
   region->uffd_ = static_cast<int>(
       ::syscall(SYS_userfaultfd, UFFD_USER_MODE_ONLY | O_CLOEXEC));
-  if (region->uffd_ < 0) return unsupported("userfaultfd(UFFD_USER_MODE_ONLY)");
+  if (region->uffd_ < 0) {
+    return unsupported("userfaultfd(UFFD_USER_MODE_ONLY)");
+  }
   region->pagemap_ = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
   if (region->pagemap_ < 0) return unsupported("open(/proc/self/pagemap)");
 
@@ -153,6 +166,10 @@ VpmRegion::~VpmRegion() {
 }
 
 Status VpmRegion::protect_all() {
+  if (::madvise(base_, size_, MADV_POPULATE_READ) != 0) {
+    return io_error(std::string("madvise(MADV_POPULATE_READ): ") +
+                    std::strerror(errno));
+  }
   uffdio_writeprotect wp{};
   wp.range.start = reinterpret_cast<std::uintptr_t>(base_);
   wp.range.len = size_;
@@ -163,6 +180,25 @@ Status VpmRegion::protect_all() {
                     std::strerror(errno));
   }
   return Status::ok();
+}
+
+Status VpmRegion::seed(const pmem::PmemDevice& pm, PoolOffset from) {
+  PAX_CHECK(from + size_ <= pm.size());
+  const std::size_t written = std::max<PoolOffset>(pm.written_end(), from) -
+                              from;
+  const std::size_t end =
+      std::min(size_, (written + kPageSize - 1) & ~(kPageSize - 1));
+  auto chunk = std::make_unique_for_overwrite<std::byte[]>(kSeedChunk);
+  for (std::size_t at = 0; at < end; at += kSeedChunk) {
+    const std::size_t n = std::min(kSeedChunk, end - at);
+    pm.load(from + at, {chunk.get(), n});
+    for (std::size_t p = 0; p < n; p += kPageSize) {
+      if (!all_zero(chunk.get() + p)) {
+        std::memcpy(base_ + at + p, chunk.get() + p, kPageSize);
+      }
+    }
+  }
+  return protect_all();
 }
 
 Result<std::vector<PageIndex>> VpmRegion::take_written() {

@@ -18,6 +18,13 @@
 // write-protects them again in the same walk; written_pages() only reads.
 // Kernel-mode writes (read(2) into the region) are tracked like user
 // stores. The region does not survive fork(): a child must map its own.
+//
+// Seeding: callers copy in the pages that hold data, then protect_all(),
+// which maps every untouched page to the shared zero page before it
+// write-protects; seed() does both from PM. No holes: a write-protected
+// hole becomes a uffd-wp marker, and every scan walks markers several
+// times slower than present pages. A store to the zero page is tracked
+// like any first write.
 #pragma once
 
 #include <atomic>
@@ -30,13 +37,17 @@
 #include "pax/common/status.hpp"
 #include "pax/common/types.hpp"
 
+namespace pax::pmem {
+class PmemDevice;
+}  // namespace pax::pmem
+
 namespace pax::libpax {
 
 class VpmRegion {
  public:
   /// Maps `size` bytes (page-aligned) and registers them for write
   /// tracking. The region starts unprotected (writable, every page counted
-  /// as written); call protect_all() after seeding it. `fixed_hint`, if
+  /// as written); seed it, then call protect_all(). `fixed_hint`, if
   /// nonzero, requests a specific base address — PaxRuntime passes the
   /// address a pool was mapped at before, so that recovered raw pointers
   /// stay valid when the same pool is reopened. Returns
@@ -58,9 +69,14 @@ class VpmRegion {
     return {base_ + page.byte_offset(), kPageSize};
   }
 
-  /// Write-protects every page (one UFFDIO_WRITEPROTECT) and forgets the
+  /// Maps untouched pages to the zero page (MADV_POPULATE_READ), then
+  /// write-protects every page (one UFFDIO_WRITEPROTECT) and forgets the
   /// written set: the state at an epoch boundary.
   Status protect_all();
+
+  /// Copies the pages of PM [from, from + size()) that hold a nonzero byte,
+  /// reading nothing past pm.written_end(), then protect_all().
+  Status seed(const pmem::PmemDevice& pm, PoolOffset from);
 
   /// The seal: returns the pages written since their last protection, in
   /// index order, and write-protects them again in the same scan (one

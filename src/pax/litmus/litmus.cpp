@@ -175,14 +175,15 @@ std::size_t Shape::op_count() const {
 std::string var_name(unsigned v) {
   if (v == 0) return "x";
   if (v == 1) return "y";
-  return "v" + std::to_string(v);
+  return std::string("v").append(std::to_string(v));
 }
 
 std::string Outcome::to_string() const {
   std::string out;
   for (std::size_t r = 0; r < regs.size(); ++r) {
     if (!out.empty()) out += " ";
-    out += "r" + std::to_string(r) + "=" + std::to_string(regs[r]);
+    out.append("r").append(std::to_string(r)).append("=");
+    out.append(std::to_string(regs[r]));
   }
   if (!regs.empty() && !finals.empty()) out += " | ";
   for (std::size_t v = 0; v < finals.size(); ++v) {
@@ -222,7 +223,7 @@ std::string schedule_string(std::span<const unsigned> order) {
   std::string out;
   for (unsigned c : order) {
     if (!out.empty()) out += " ";
-    out += "P" + std::to_string(c);
+    out.append("P").append(std::to_string(c));
   }
   return out;
 }

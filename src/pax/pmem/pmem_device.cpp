@@ -60,7 +60,7 @@ std::unique_ptr<PmemDevice> PmemDevice::create_in_memory(std::size_t bytes) {
                 "PM size must be line-aligned");
   // calloc: glibc serves a block above its mmap threshold (32 MiB at most)
   // from a fresh mapping, zero without a fill and unbacked until written.
-  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes));
+  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes, 0));
   dev->zeroed_media_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
   PAX_CHECK_MSG(dev->zeroed_media_ != nullptr, "PM media allocation failed");
   dev->base_ = dev->zeroed_media_.get();
@@ -71,7 +71,8 @@ std::unique_ptr<PmemDevice> PmemDevice::create_in_memory_from(
     std::vector<std::byte> media) {
   PAX_CHECK_MSG(media.size() % kCacheLineSize == 0,
                 "PM size must be line-aligned");
-  std::unique_ptr<PmemDevice> dev(new PmemDevice(media.size()));
+  std::unique_ptr<PmemDevice> dev(
+      new PmemDevice(media.size(), media.size()));
   dev->image_media_ = std::move(media);
   dev->base_ = dev->image_media_.data();
   return dev;
@@ -84,7 +85,7 @@ Result<std::unique_ptr<PmemDevice>> PmemDevice::open_file(
   }
   auto file = MmapFile::open(path, bytes, create);
   if (!file.ok()) return file.status();
-  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes));
+  std::unique_ptr<PmemDevice> dev(new PmemDevice(bytes, bytes));
   dev->file_ = std::move(file).value();
   dev->base_ = dev->file_->data().data();
   return dev;
@@ -98,8 +99,16 @@ auto PmemDevice::lock_all_shards() const -> AllShardLocks {
   return locks;
 }
 
+void PmemDevice::note_written(std::size_t end) {
+  std::size_t cur = written_end_.load(kRelaxed);
+  while (cur < end &&
+         !written_end_.compare_exchange_weak(cur, end, kRelaxed)) {
+  }
+}
+
 void PmemDevice::store(PoolOffset off, std::span<const std::byte> data) {
   PAX_CHECK(off + data.size() <= size_);
+  note_written(off + data.size());
   if (data.empty()) {
     Shard& shard = shard_for(LineIndex::containing(off));
     std::lock_guard lock(shard.mu);
@@ -183,6 +192,7 @@ void PmemDevice::load(PoolOffset off, std::span<std::byte> out) const {
 
 void PmemDevice::store_line(LineIndex line, const LineData& data) {
   PAX_CHECK(line.byte_offset() + kCacheLineSize <= size_);
+  note_written(line.byte_offset() + kCacheLineSize);
   {
     Shard& shard = shard_for(line);
     std::lock_guard lock(shard.mu);

@@ -136,6 +136,13 @@ class PmemDevice {
   std::size_t size() const { return size_; }
   std::size_t num_lines() const { return size_ / kCacheLineSize; }
 
+  /// Every byte at or past this offset reads zero: 0 on a fresh
+  /// create_in_memory device, size() on adopted or file-backed media.
+  /// store()/store_line() raise it; nothing lowers it, crash() included.
+  std::size_t written_end() const {
+    return written_end_.load(std::memory_order_relaxed);
+  }
+
   // --- CPU-visible data path -------------------------------------------
 
   /// Writes `data` at byte offset `off` (may span lines) into the pending
@@ -253,7 +260,8 @@ class PmemDevice {
   void note_epoch_commit(std::uint64_t epoch);
 
  private:
-  explicit PmemDevice(std::size_t size) : size_(size) {}
+  PmemDevice(std::size_t size, std::size_t written_end)
+      : size_(size), written_end_(written_end) {}
 
   // The overlay is partitioned by 256 B internal block (XPLine), i.e. four
   // consecutive cache lines share a shard — which keeps each shard's
@@ -286,6 +294,8 @@ class PmemDevice {
 
   void flush_line_locked(Shard& shard, LineIndex line);
 
+  void note_written(std::size_t end);  // atomic max into written_end_
+
   /// Advances the crash-event counter; captures the armed cut when the
   /// counter hits it. Called with no shard lock held.
   void bump_crash_event();
@@ -300,6 +310,7 @@ class PmemDevice {
   std::unique_ptr<MmapFile> file_;                 // open_file
   std::byte* base_ = nullptr;
   std::size_t size_;
+  std::atomic<std::size_t> written_end_;
 
   mutable std::array<Shard, kShards> shards_;
 

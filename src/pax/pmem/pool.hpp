@@ -22,7 +22,8 @@
 
 namespace pax::pmem {
 
-inline constexpr std::uint64_t kPoolMagic = 0x314c4f4f50584150ULL;  // "PAXPOOL1"
+// "PAXPOOL1"
+inline constexpr std::uint64_t kPoolMagic = 0x314c4f4f50584150ULL;
 inline constexpr std::uint32_t kPoolVersion = 1;
 inline constexpr PoolOffset kEpochCellOffset = 64;
 inline constexpr PoolOffset kRootCellOffset = 128;

@@ -62,7 +62,8 @@ struct BandwidthSpec {
   double dram_bps = 100e9;      // DRAM per-socket bandwidth
   double cxl_link_bps = 63e9;   // PCIe 5.0 x16 full-duplex per direction [6]
   double enzian_link_bps = 30e9;  // 24×10 Gb/s lanes ≈ 30 GB/s
-  double device_pipeline_hz = 300e6;  // CVU9P FPGA clock: msgs/s ceiling (§5.1)
+  // CVU9P FPGA clock: msgs/s ceiling (§5.1).
+  double device_pipeline_hz = 300e6;
 
   static BandwidthSpec paper() { return BandwidthSpec{}; }
 };

@@ -50,7 +50,8 @@ TEST_P(PmdkCrashProperty, MapMatchesOracleAfterCrash) {
     const PoolOffset victim = tp.pool.data_offset() + 8 * rng.next_below(64);
     ASSERT_TRUE(tx.tx_snapshot(victim, 8).is_ok());
     const std::uint64_t junk = 0xbadbadbadULL;
-    ASSERT_TRUE(tx.tx_store(victim, std::as_bytes(std::span(&junk, 1))).is_ok());
+    ASSERT_TRUE(
+        tx.tx_store(victim, std::as_bytes(std::span(&junk, 1))).is_ok());
     tp.device->flush_range(victim, 8);
   }
   tp.device->crash(pmem::CrashConfig::random(0.5, seed * 7 + 3));

@@ -32,7 +32,8 @@ struct ReplicationFixture : ::testing::Test {
 
 TEST_F(ReplicationFixture, SynchronousReplicationKeepsLockstep) {
   PaxDevice dev(&primary.pool, config());
-  auto repl = Replicator::create(&backup.pool, config(), /*sync=*/true).value();
+  auto repl =
+      Replicator::create(&backup.pool, config(), /*sync=*/true).value();
   dev.set_commit_hook(repl->commit_hook());
 
   for (Epoch e = 0; e < 5; ++e) {

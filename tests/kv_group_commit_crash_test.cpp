@@ -22,9 +22,12 @@
 
 #include "pax/kv/store.hpp"
 #include "pax/pmem/pmem_device.hpp"
+#include "test_util.hpp"
 
 namespace pax::kv {
 namespace {
+
+using testing::cat;
 
 constexpr std::size_t kShards = 3;
 constexpr std::size_t kWaves = 12;
@@ -73,7 +76,7 @@ struct WaveRecord {
 };
 
 std::string wave_key(std::size_t wave, std::size_t i) {
-  return "w" + std::to_string(wave) + "-k" + std::to_string(i);
+  return cat("w", std::to_string(wave), "-k", std::to_string(i));
 }
 
 std::vector<WaveRecord> run_workload(KvStore& store,
@@ -82,9 +85,10 @@ std::vector<WaveRecord> run_workload(KvStore& store,
   for (std::size_t w = 0; w < kWaves; ++w) {
     for (std::size_t i = 0; i < kOpsPerWave; ++i) {
       store.put(wave_key(w, i),
-                "v" + std::to_string(w * 1000 + i));
+                cat("v", std::to_string(w * 1000 + i)));
       if (w > 0 && i % 5 == 0) {
-        store.put(wave_key(w - 1, i), "rewritten-by-w" + std::to_string(w));
+        store.put(wave_key(w - 1, i),
+                  cat("rewritten-by-w", std::to_string(w)));
       }
       if (w > 1 && i % 11 == 0) {
         store.erase(wave_key(w - 2, i));

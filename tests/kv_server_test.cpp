@@ -22,9 +22,12 @@
 
 #include "pax/kv/client.hpp"
 #include "pax/kv/server.hpp"
+#include "test_util.hpp"
 
 namespace pax::kv {
 namespace {
+
+using testing::cat;
 
 KvServerOptions small_options(KvServerOptions::CommitMode mode) {
   KvServerOptions options;
@@ -135,7 +138,7 @@ TEST(KvServerTest, OverwriteReturnsLatest) {
   auto client = connect_to(*server.value());
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 16; ++i) {
-    auto put = client.value().put("k", "v" + std::to_string(i));
+    auto put = client.value().put("k", cat("v", std::to_string(i)));
     ASSERT_TRUE(put.ok());
     ASSERT_EQ(put.value().status, RespStatus::kOk);
   }
@@ -154,9 +157,9 @@ TEST(KvServerTest, PipelinedResponsesArriveInRequestOrder) {
 
   constexpr int kN = 200;  // keys spray across both shards
   for (int i = 0; i < kN; ++i) {
-    c.send_put("pipe-" + std::to_string(i), "v" + std::to_string(i));
+    c.send_put(cat("pipe-", std::to_string(i)), cat("v", std::to_string(i)));
   }
-  for (int i = 0; i < kN; ++i) c.send_get("pipe-" + std::to_string(i));
+  for (int i = 0; i < kN; ++i) c.send_get(cat("pipe-", std::to_string(i)));
   ASSERT_TRUE(c.flush().is_ok());
 
   for (int i = 0; i < kN; ++i) {
@@ -168,7 +171,7 @@ TEST(KvServerTest, PipelinedResponsesArriveInRequestOrder) {
     auto resp = c.recv_response();
     ASSERT_TRUE(resp.ok()) << i;
     ASSERT_EQ(resp.value().status, RespStatus::kOk) << i;
-    EXPECT_EQ(resp.value().value, "v" + std::to_string(i)) << i;
+    EXPECT_EQ(resp.value().value, cat("v", std::to_string(i))) << i;
   }
 }
 
@@ -181,7 +184,7 @@ TEST(KvServerTest, IndependentAndVolatileModes) {
     ASSERT_TRUE(client.ok());
     for (int i = 0; i < 50; ++i) {
       auto put =
-          client.value().put("m" + std::to_string(i), std::to_string(i));
+          client.value().put(cat("m", std::to_string(i)), std::to_string(i));
       ASSERT_TRUE(put.ok());
       ASSERT_EQ(put.value().status, RespStatus::kOk);
     }
@@ -198,7 +201,7 @@ TEST(KvServerTest, StatsExposesShardRuntimeAndGroupCommit) {
   auto client = connect_to(*server.value());
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(client.value().put("s" + std::to_string(i), "x").ok());
+    ASSERT_TRUE(client.value().put(cat("s", std::to_string(i)), "x").ok());
   }
   auto stats = client.value().stats();
   ASSERT_TRUE(stats.ok());
@@ -478,7 +481,7 @@ TEST(KvServerTest, PipelinedPutsRideOneWaveEach) {
       KvClient& c = client.value();
       int sent = 0;
       auto send_one = [&] {
-        c.send_put("c" + std::to_string(t) + "-" + std::to_string(sent % 50),
+        c.send_put(cat("c", std::to_string(t), "-", std::to_string(sent % 50)),
                    std::to_string(sent));
         ++sent;
       };
@@ -539,7 +542,7 @@ TEST(KvServerTest, ConcurrentTorture) {
       KvClient& c = client.value();
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(i % 37);
+            cat("t", std::to_string(t), "-", std::to_string(i % 37));
         if (i % 3 == 0) {
           auto r = c.put(key, std::to_string(i));
           if (!r.ok() || r.value().status != RespStatus::kOk) return;

@@ -100,7 +100,9 @@ TEST_F(HeapFixture, ExhaustionReturnsNull) {
 }
 
 TEST_F(HeapFixture, LargeBlocksBumpOnlyAndDropOnFree) {
-  void* p = heap.allocate((1 << 20) / 2 + 1);  // beyond kMaxClassSize? no: 512KiB+1 → class 1MiB > window/2
+  // 512 KiB + 1 is within kMaxClassSize, but its 1 MiB class exceeds half
+  // the window.
+  void* p = heap.allocate((1 << 20) / 2 + 1);
   // With a 1 MiB window a 1 MiB-class reservation fails: accept either
   // outcome but exercise the large path with a smaller window case below.
   if (p != nullptr) heap.deallocate(p);

@@ -223,7 +223,7 @@ TEST(VpmRegionBatchingTest, CleanRegionReportsNothing) {
   EXPECT_TRUE(region->take_written().value().empty());
 
   region->base()[5 * kPageSize + 9] = std::byte{1};
-  region->base()[5 * kPageSize + 10] = std::byte{2};  // same page: counted once
+  region->base()[5 * kPageSize + 10] = std::byte{2};  // same page: once
   auto dirty = region->written_pages().value();
   ASSERT_EQ(dirty.size(), 1u);
   EXPECT_EQ(dirty[0], PageIndex{5});

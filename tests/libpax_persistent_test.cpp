@@ -19,7 +19,8 @@ namespace {
 
 constexpr std::size_t kPool = 32 << 20;
 
-using MapAlloc = PaxStlAllocator<std::pair<const std::uint64_t, std::uint64_t>>;
+using MapAlloc =
+    PaxStlAllocator<std::pair<const std::uint64_t, std::uint64_t>>;
 using PMap = std::unordered_map<std::uint64_t, std::uint64_t,
                                 std::hash<std::uint64_t>,
                                 std::equal_to<std::uint64_t>, MapAlloc>;

@@ -5,9 +5,12 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
+
+#include "pax/libpax/runtime.hpp"
 
 namespace pax::libpax {
 namespace {
@@ -235,6 +238,118 @@ TEST(VpmRegionTest, UnavailableTrackingIsAFailedPrecondition) {
 TEST(VpmRegionTest, RejectsUnalignedSize) {
   auto region = VpmRegion::create(kPageSize + 1);
   EXPECT_FALSE(region.ok());
+}
+
+// --- Seeding a region from PM (VpmRegion::seed via PaxRuntime) ----------
+
+// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE))
+                  : 0;
+}
+
+RuntimeOptions small_log() {
+  RuntimeOptions o;
+  o.log_size = 256 * 1024;
+  // Flush the undo log on every tick, so sync_step() really pushes an
+  // uncommitted epoch's data into PM and recovery has to roll it back.
+  o.device.log_flush_batch_bytes = 0;
+  return o;
+}
+
+TEST(VpmSeedTest, FreshPoolAttachCostsWhatThePoolHolds) {
+  constexpr std::size_t kPool = std::size_t{256} << 20;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  auto rt = PaxRuntime::create_in_memory(kPool, small_log());
+  ASSERT_TRUE(rt.ok()) << rt.status().to_string();
+#if !defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer's calloc zero-fills every block, so only the libc
+  // allocator leaves the media, and hence the seed, unbacked.
+  EXPECT_LT(resident_bytes() - before, std::size_t{16} << 20);
+#endif
+  // Untouched pool space reads zero through the region.
+  const std::byte* base = rt.value()->vpm_base();
+  for (std::size_t off = kPageSize; off < rt.value()->vpm_size();
+       off += rt.value()->vpm_size() / 64) {
+    EXPECT_EQ(base[off], std::byte{0}) << "offset " << off;
+  }
+}
+
+// Pages the seed left on the zero page are tracked like any other: a
+// store, a read then a store, and a read(2) each report their page once,
+// and a page that was only read is never reported.
+TEST(VpmSeedTest, ZeroPageWritesAreTrackedExactlyOnce) {
+  auto rt = PaxRuntime::create_in_memory(16 << 20, small_log()).value();
+  ASSERT_TRUE(rt->persist().ok());  // commits the heap's format writes
+  VpmRegion& r = rt->region();
+  std::byte* base = rt->vpm_base();
+  constexpr std::size_t kStored = 40;
+  constexpr std::size_t kReadThenStored = 41;
+  constexpr std::size_t kKernelWritten = 300;
+  constexpr std::size_t kOnlyRead = 301;
+
+  base[kStored * kPageSize + 7] = std::byte{1};
+  volatile std::byte sink = base[kReadThenStored * kPageSize];
+  sink = base[kOnlyRead * kPageSize + 99];
+  (void)sink;
+  base[kReadThenStored * kPageSize + 1] = std::byte{2};
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], "zero", 4), 4);
+  EXPECT_EQ(::read(fds[0], base + kKernelWritten * kPageSize + 3, 4), 4);
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  auto taken = r.take_written();
+  ASSERT_TRUE(taken.ok()) << taken.status().to_string();
+  EXPECT_EQ(taken.value(),
+            (std::vector<PageIndex>{PageIndex{kStored},
+                                    PageIndex{kReadThenStored},
+                                    PageIndex{kKernelWritten}}));
+  EXPECT_TRUE(r.take_written().value().empty());
+  EXPECT_EQ(std::memcmp(base + kKernelWritten * kPageSize + 3, "zero", 4), 0);
+  EXPECT_EQ(base[kOnlyRead * kPageSize + 99], std::byte{0});
+}
+
+// Data several MB apart, zero pages between and a page zeroed again inside
+// the written extent: a crash and re-attach restore the committed region
+// byte for byte.
+TEST(VpmSeedTest, SparsePoolRecoversByteForByte) {
+  auto pm = pmem::PmemDevice::create_in_memory(32 << 20);
+  std::vector<std::byte> committed;
+  {
+    auto rt = PaxRuntime::attach(pm.get(), small_log()).value();
+    std::byte* base = rt->vpm_base();
+    for (std::size_t mb : {1u, 9u, 20u, 27u}) {
+      for (std::size_t i = 0; i < 3 * kPageSize; ++i) {
+        base[(mb << 20) + 100 + i] = static_cast<std::byte>(mb * 31 + i);
+      }
+    }
+    std::memset(base + (5 << 20), 0x77, kPageSize);
+    ASSERT_TRUE(rt->persist().ok());
+    std::memset(base + (5 << 20), 0, kPageSize);  // freed space: zero again
+    ASSERT_TRUE(rt->persist().ok());
+    committed.assign(base, base + rt->vpm_size());
+    // An uncommitted epoch that reaches PM before the crash.
+    std::memset(base + (13 << 20), 0x42, 2 * kPageSize);
+    base[(9 << 20) + 200] = std::byte{0xee};
+    rt->sync_step();
+  }
+  pm->crash(pmem::CrashConfig::drop_all());
+
+  auto rt = PaxRuntime::attach(pm.get(), small_log()).value();
+  EXPECT_EQ(rt->recovery_report().recovered_epoch, 2u);
+  EXPECT_GT(rt->recovery_report().records_applied, 0u);
+  ASSERT_EQ(rt->vpm_size(), committed.size());
+  EXPECT_EQ(std::memcmp(rt->vpm_base(), committed.data(), committed.size()),
+            0);
 }
 
 }  // namespace

@@ -159,7 +159,8 @@ TEST(HostSyncTortureTest, RacingDrainRecoversLastPersistedRound) {
 }
 
 TEST(HostSyncTortureTest, RandomLineLossRecoversLastPersistedRound) {
-  run_all_configs_and_compare(pmem::CrashConfig::random(0.5, 0xfeed), "random");
+  run_all_configs_and_compare(pmem::CrashConfig::random(0.5, 0xfeed),
+                              "random");
 }
 
 TEST(HostSyncTortureTest, TornLinesRecoverLastPersistedRound) {

@@ -444,6 +444,45 @@ TEST(PmemDeviceTest, BulkLoadReturnsPendingLines) {
   EXPECT_EQ(bulk[bulk.size() - 1], std::byte{0xab});
 }
 
+// written_end() bounds what anything ever stored: each store variant
+// raises it to the end of its write, it never falls, and media whose
+// contents the device did not produce report their whole size.
+TEST(PmemDeviceTest, WrittenEndTracksTheFurthestStore) {
+  constexpr std::size_t kBytes = 1 << 20;
+  auto dev = PmemDevice::create_in_memory(kBytes);
+  EXPECT_EQ(dev->written_end(), 0u);
+
+  std::array<std::byte, 100> bytes;
+  bytes.fill(std::byte{0x5a});
+  dev->store(1000, bytes);
+  EXPECT_EQ(dev->written_end(), 1100u);
+  dev->store_line(LineIndex{40}, patterned_line(40));
+  EXPECT_EQ(dev->written_end(), 41 * kCacheLineSize);
+  dev->store_u64(8 * kCacheLineSize, 1);  // below the extent: no change
+  EXPECT_EQ(dev->written_end(), 41 * kCacheLineSize);
+  dev->store_u64(100 * kCacheLineSize + 16, 2);
+  EXPECT_EQ(dev->written_end(), 100 * kCacheLineSize + 24);
+
+  // A crash drops the pending stores but not the extent.
+  dev->crash(CrashConfig::drop_all());
+  EXPECT_EQ(dev->written_end(), 100 * kCacheLineSize + 24);
+  EXPECT_EQ(dev->load_u64(100 * kCacheLineSize + 16), 0u);
+
+  auto adopted = PmemDevice::create_in_memory_from(
+      std::vector<std::byte>(kBytes));
+  EXPECT_EQ(adopted->written_end(), kBytes);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pax_written_end.pool")
+          .string();
+  std::filesystem::remove(path);
+  auto file = PmemDevice::open_file(path, 1 << 16, /*create=*/true);
+  ASSERT_TRUE(file.ok()) << file.status().to_string();
+  EXPECT_EQ(file.value()->written_end(), std::size_t{1} << 16);
+  file.value().reset();
+  std::filesystem::remove(path);
+}
+
 TEST(PmemDeviceDeathTest, MisalignedU64StoreAborts) {
   auto dev = PmemDevice::create_in_memory(1 << 16);
   EXPECT_DEATH(dev->store_u64(4, 1), "8-byte aligned");

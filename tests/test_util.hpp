@@ -11,6 +11,16 @@
 
 namespace pax::testing {
 
+/// Concatenates `parts`: cat("k", std::to_string(i)). Spelled as appends
+/// because GCC 12 at -O3 flags the inlined insert of
+/// `"k" + std::to_string(i)` with a false -Wrestrict warning.
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  (out.append(parts), ...);
+  return out;
+}
+
 /// A line filled with a recognizable per-line pattern derived from `tag`.
 inline LineData patterned_line(std::uint64_t tag) {
   LineData d;

@@ -42,9 +42,10 @@ TEST_F(WalFixture, AppendReadRoundTrip) {
 
 TEST_F(WalFixture, MultipleRecordsPreserveOrder) {
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        writer.append(1, RecordType::kLineUndo, bytes_of("rec" + std::to_string(i)))
-            .ok());
+    ASSERT_TRUE(writer
+                    .append(1, RecordType::kLineUndo,
+                            bytes_of("rec" + std::to_string(i)))
+                    .ok());
   }
   writer.flush();
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);
@@ -65,9 +66,11 @@ TEST_F(WalFixture, DurabilityWatermarkAdvancesOnFlushOnly) {
 }
 
 TEST_F(WalFixture, UnflushedRecordVanishesOnCrash) {
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo, bytes_of("durable")).ok());
+  ASSERT_TRUE(
+      writer.append(1, RecordType::kLineUndo, bytes_of("durable")).ok());
   writer.flush();
-  ASSERT_TRUE(writer.append(1, RecordType::kLineUndo, bytes_of("volatile")).ok());
+  ASSERT_TRUE(
+      writer.append(1, RecordType::kLineUndo, bytes_of("volatile")).ok());
   dev->crash(pmem::CrashConfig::drop_all());
 
   auto records = LogReader::read_all(dev.get(), kExtent, kExtentSize);

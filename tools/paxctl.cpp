@@ -93,8 +93,8 @@ Result<std::unique_ptr<pmem::PmemDevice>> open_device(
   if (::stat(path.c_str(), &st) != 0) {
     return io_error("cannot stat " + path);
   }
-  return pmem::PmemDevice::open_file(path, static_cast<std::size_t>(st.st_size),
-                                     /*create=*/false);
+  return pmem::PmemDevice::open_file(
+      path, static_cast<std::size_t>(st.st_size), /*create=*/false);
 }
 
 void print_record(std::uint64_t index, const wal::LogRecord& rec,
